@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +51,17 @@ class PolymatrixGame:
         (i == ip) are forced to zero and never read.
     lam : float
         Declared Lipschitz parameter, in (0, 1].
+    operator : ndarray, shape (n*m, n*m), derived
+        The payoff map holding the coefficients (beta is a view of it):
+        entry [i*m + j, ip*m + jp] is beta[i, ip, j, jp], so the action
+        payoffs against a mixed profile P are (operator @ P.ravel()).reshape(n, m).
     """
 
     n: int
     m: int
     beta: np.ndarray
     lam: float
+    operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -64,15 +70,21 @@ class PolymatrixGame:
             raise UsageError(f"action count must be >= 2, got {self.m}")
         if not (0.0 < self.lam <= 1.0):
             raise UsageError(f"Lipschitz parameter must be in (0, 1], got {self.lam}")
-        beta = np.array(self.beta, dtype=np.float64)
-        if beta.shape != (self.n, self.n, self.m, self.m):
+        n, m = self.n, self.m
+        beta = np.asarray(self.beta, dtype=np.float64)
+        if beta.shape != (n, n, m, m):
             raise UsageError(
-                f"coefficient array must have shape {(self.n, self.n, self.m, self.m)}, "
-                f"got {beta.shape}"
+                f"coefficient array must have shape {(n, n, m, m)}, got {beta.shape}"
             )
-        idx = np.arange(self.n)
-        beta[idx, idx] = 0.0
-        object.__setattr__(self, "beta", _freeze(beta))
+        # Axes (i, j, ip, jp): one contiguous copy in the operator's layout.
+        flat = np.array(beta.transpose(0, 2, 1, 3), order="C")
+        idx = np.arange(n)
+        flat[idx, :, idx, :] = 0.0
+        if not np.isfinite(flat).all():
+            raise UsageError("game coefficients must be finite (no NaN or infinity)")
+        _freeze(flat)
+        object.__setattr__(self, "operator", flat.reshape(n * m, n * m))
+        object.__setattr__(self, "beta", flat.transpose(0, 2, 1, 3))
         object.__setattr__(self, "lam", float(self.lam))
 
 
@@ -118,6 +130,10 @@ class MixedProfile:
         if probs.ndim != 2:
             raise UsageError("mixed profile must be an (n, m) probability matrix")
         if probs.size:
+            bad = ~np.isfinite(probs).all(axis=1)
+            if bad.any():
+                player = int(np.argmax(bad))
+                raise DistributionError(f"player {player} has a non-finite probability")
             if probs.min() < -ROW_SUM_TOL:
                 i, j = np.unravel_index(int(np.argmin(probs)), probs.shape)
                 raise DistributionError(
@@ -232,16 +248,17 @@ def mixed_payoff(game, i, j, others):
 
 
 def payoff_vector(game, i, profile):
-    """All m action payoffs for player i at once; cost O(nm^2)."""
+    """All m action payoffs for player i (their operator rows); cost O(nm^2)."""
     _validate_indices(game, i, 0)
     profile.validate_for(game)
-    return np.tensordot(game.beta[i], profile.probs, axes=([0, 2], [0, 1]))
+    m = game.m
+    return game.operator[i * m:(i + 1) * m] @ profile.probs.ravel()
 
 
 def payoff_matrix(game, profile):
     """The (n, m) matrix of every player's action payoffs; cost O(n^2 m^2)."""
     profile.validate_for(game)
-    return np.einsum("abcd,bd->ac", game.beta, profile.probs)
+    return (game.operator @ profile.probs.ravel()).reshape(game.n, game.m)
 
 
 def expected_payoff(game, i, profile):
@@ -433,17 +450,30 @@ def profile_from_json(data):
 
 
 def canonical_bytes(obj):
-    """Deterministic JSON encoding used for digests and byte-compare tests."""
+    """Deterministic JSON encoding used for records and byte-compare tests."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def game_digest(game):
-    return hashlib.sha256(canonical_bytes(game_to_json(game))).hexdigest()[:16]
+    """16 hex characters of SHA-256 over a little-endian header (n, m as
+    int64, lam as float64) and the operator's float64 coefficients."""
+    digest = hashlib.sha256(struct.pack("<qqd", game.n, game.m, game.lam))
+    digest.update(np.ascontiguousarray(game.operator, dtype="<f8"))
+    return digest.hexdigest()[:16]
+
+
+def load_json(path):
+    """Parse a JSON file, refusing the non-standard NaN/Infinity literals."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise UsageError(f"non-finite number {name} in JSON input")
 
 
 def load_game(path):
-    with open(path) as fh:
-        return game_from_json(json.load(fh))
+    return game_from_json(load_json(path))
 
 
 def save_game(game, path):

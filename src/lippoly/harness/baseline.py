@@ -65,12 +65,11 @@ def sample_baseline(game, mixed, trials, seed=0):
     draws = rng.random((trials, n))
     actions = np.minimum((draws[:, :, None] >= cum[None, :, :]).sum(axis=2), m - 1)
 
-    # One flattened pass scores every realization at once.
-    B = np.ascontiguousarray(game.beta.transpose(0, 2, 1, 3).reshape(n * m, n * m))
+    # One operator pass scores every realization at once.
     onehot = np.zeros((trials, n, m))
     rows = np.arange(n)
     onehot[np.arange(trials)[:, None], rows[None, :], actions] = 1.0
-    U = (onehot.reshape(trials, n * m) @ B.T).reshape(trials, n, m)
+    U = (onehot.reshape(trials, n * m) @ game.operator.T).reshape(trials, n, m)
     realized = np.take_along_axis(U, actions[:, :, None], axis=2)[:, :, 0]
     regrets = (U.max(axis=2) - realized).max(axis=1)
     regrets = np.maximum(regrets, 0.0)

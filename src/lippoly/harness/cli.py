@@ -23,13 +23,14 @@ from ..game import (
     game_digest,
     game_to_json,
     load_game,
+    load_json,
     profile_from_json,
     profile_to_json,
     regret_report,
 )
 from ..population import reduce_and_solve
-from ..purify import purify, trace_to_json
-from ..solver import SolverConfig, default_target_epsilon, solve_mixed
+from ..purify import MODES, default_target_epsilon, purify, trace_to_json
+from ..solver import SolverConfig, solve_mixed
 from .baseline import sample_baseline
 from .generator import FAMILIES, GeneratorSpec, generate
 from .pipeline import (
@@ -69,8 +70,7 @@ def _emit(doc, out):
 
 
 def _load_mixed(path, game):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_json(path)
     profile = profile_from_json(data.get("profile", data))
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile, game.m)
@@ -165,9 +165,7 @@ def cmd_purify(args):
 def cmd_reduce(args):
     game = load_game(args.game)
     eps = args.eps if args.eps is not None else default_target_epsilon(game)
-    profile, report = reduce_and_solve(
-        game, epsilon=eps, L=args.L, mode=args.mode, seed=args.seed
-    )
+    profile, report = reduce_and_solve(game, epsilon=eps, L=args.L, seed=args.seed)
     doc = {"digest": game_digest(game), "profile": profile_to_json(profile), "report": report}
     _emit(doc, args.out)
     return EXIT_OK if report["solver_converged"] else EXIT_NOT_CONVERGED
@@ -217,7 +215,6 @@ def cmd_pipeline(args):
         mode=args.mode,
         seed=args.seed,
         L=args.L,
-        reduce_mode=args.reduce_mode,
         trace_detail=args.trace,
     )
     if args.out:
@@ -263,7 +260,7 @@ def _build_parser():
     p = sub.add_parser("purify", help="round a mixed profile to a pure one with a bound")
     p.add_argument("game")
     p.add_argument("profile", help="profile JSON (bare, or a solve output with a profile field)")
-    p.add_argument("--mode", choices=("binary", "m_action", "auto"), default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--trace", choices=("full", "potentials", "off"), default="off")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_purify)
@@ -272,7 +269,6 @@ def _build_parser():
     p.add_argument("game")
     p.add_argument("--L", type=int, required=True, help="replicas per player")
     p.add_argument("--eps", type=float, default=None, help="epsilon for the scale comparison")
-    p.add_argument("--mode", choices=("materialized", "lazy"), default="materialized")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reduce)
@@ -297,9 +293,8 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("binary", "m_action", "auto"), default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--L", type=int, default=None)
-    p.add_argument("--reduce-mode", choices=("materialized", "lazy"), default="materialized")
     p.add_argument("--trace", choices=("full", "potentials", "off"), default="off")
     p.add_argument("--out", default=None, help="directory for records.jsonl and report.json")
     p.set_defaults(func=cmd_pipeline)

@@ -27,8 +27,6 @@ class GeneratorSpec:
     family: "uniform_coefficients" (iid uniform blocks), "sparse" (each
     ordered pair kept with probability `density`), or "coordination_mix"
     (`weight` of an identity-matched block plus (1 - weight) uniform noise).
-    normalization: "shift_scale" is the only mode, kept explicit so reports
-    can name how validity was ensured.
     """
 
     n: int
@@ -38,7 +36,6 @@ class GeneratorSpec:
     seed: int = 0
     density: float | None = None
     weight: float | None = None
-    normalization: str = "shift_scale"
 
     def __post_init__(self):
         if self.n < 2:
@@ -57,8 +54,6 @@ class GeneratorSpec:
             w = self.weight
             if w is None or not (0.0 <= w <= 1.0):
                 raise UsageError(f"coordination_mix needs weight in [0, 1], got {w}")
-        if self.normalization != "shift_scale":
-            raise UsageError(f"unknown normalization mode {self.normalization!r}")
 
 
 def generate(spec):

@@ -32,7 +32,7 @@ from ..game import (
     regret_report,
 )
 from ..population import reduce_and_solve
-from ..purify import purify, trace_to_json
+from ..purify import default_target_epsilon, purify, trace_to_json
 from ..purify.binary import BinaryPurifyTrace
 from ..solver import SolverConfig, solve_mixed
 from .generator import generate
@@ -103,7 +103,6 @@ def run_instance(
     mode="auto",
     seed=0,
     L=None,
-    reduce_mode="materialized",
     trace_detail="off",
     index=0,
     family=None,
@@ -132,15 +131,7 @@ def run_instance(
             **base,
         )
 
-    resolved = mode
-    if resolved == "auto":
-        resolved = "binary" if game.m == 2 else "m_action"
-    if eps is not None:
-        target = float(eps)
-    elif resolved == "binary":
-        target = game.lam / 8.0
-    else:
-        target = ((game.m - 1) / game.m) ** 2 * game.lam
+    target = float(eps) if eps is not None else default_target_epsilon(game, mode)
     result = solve_mixed(game, SolverConfig(target_epsilon=target, seed=seed))
     solver = {
         "target_epsilon": target,
@@ -152,13 +143,11 @@ def run_instance(
     reduction = None
     outcome = "ok" if result.converged else "not_converged"
     try:
-        final, trace = purify(game, result.profile, mode=resolved)
-    except PreconditionViolation as exc:
+        final, trace = purify(game, result.profile, mode=mode)
+    except (PreconditionViolation, BoundBreach) as exc:
         return InstanceRecord(
-            outcome="not_converged", solver=solver, error=str(exc), **base
+            outcome=_error_outcome(exc), solver=solver, error=str(exc), **base
         )
-    except BoundBreach as exc:
-        return InstanceRecord(outcome="bound_breach", solver=solver, error=str(exc), **base)
 
     fresh = regret_report(game, MixedProfile.from_pure(final, game.m)).max_regret
     if abs(fresh - trace.final_max_regret) > 1e-9:
@@ -187,11 +176,10 @@ def run_instance(
 
     if L is not None:
         try:
-            _, reduction = reduce_and_solve(
-                game, epsilon=target, L=L, mode=reduce_mode, seed=seed
-            )
+            _, reduction = reduce_and_solve(game, epsilon=target, L=L, seed=seed)
         except LippolyError as exc:
             reduction = {"error": str(exc)}
+            outcome = _error_outcome(exc)
 
     return InstanceRecord(
         outcome=outcome,
@@ -211,7 +199,6 @@ def run_pipeline(
     mode="auto",
     seed=0,
     L=None,
-    reduce_mode="materialized",
     trace_detail="off",
 ):
     """Run the pipeline on a game file or a generated ensemble.
@@ -223,38 +210,17 @@ def run_pipeline(
     if (game_path is None) == (spec is None):
         raise UsageError("provide exactly one of game_path and spec")
 
+    options = dict(eps=eps, mode=mode, L=L, trace_detail=trace_detail)
     records = []
     if game_path is not None:
-        game = load_game(game_path)
-        records.append(
-            run_instance(
-                game,
-                eps=eps,
-                mode=mode,
-                seed=seed,
-                L=L,
-                reduce_mode=reduce_mode,
-                trace_detail=trace_detail,
-            )
-        )
+        records.append(run_instance(load_game(game_path), seed=seed, **options))
     else:
         if trials < 1:
             raise UsageError(f"trials must be >= 1, got {trials}")
         for t in range(trials):
             inst = dataclasses.replace(spec, seed=spec.seed + t)
-            game = generate(inst)
             records.append(
-                run_instance(
-                    game,
-                    eps=eps,
-                    mode=mode,
-                    seed=inst.seed,
-                    L=L,
-                    reduce_mode=reduce_mode,
-                    trace_detail=trace_detail,
-                    index=t,
-                    family=inst.family,
-                )
+                run_instance(generate(inst), seed=inst.seed, index=t, family=inst.family, **options)
             )
 
     return ExperimentReport(
@@ -262,6 +228,15 @@ def run_pipeline(
         aggregates=_aggregates(records),
         exit_code=_exit_code(records),
     )
+
+
+def _error_outcome(exc):
+    """Record outcome of a stage that raised: input level missed, bound breached, or invalid."""
+    if isinstance(exc, PreconditionViolation):
+        return "not_converged"
+    if isinstance(exc, BoundBreach):
+        return "bound_breach"
+    return "invalid"
 
 
 def _quantiles(values):

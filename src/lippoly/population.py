@@ -31,8 +31,8 @@ from .game import (
     payoff_matrix,
     regret_report,
 )
-from .purify import purify
-from .solver import SolverConfig, default_target_epsilon, solve_mixed
+from .purify import default_target_epsilon, purify
+from .solver import SolverConfig, solve_mixed
 
 VIEW_MODES = ("materialized", "lazy")
 # Largest materialized coefficient count accepted by default; override with
@@ -157,21 +157,21 @@ def aggregate(pop, pure):
     return MixedProfile(counts / L)
 
 
-def reduce_and_solve(base, epsilon, L, mode="materialized", seed=0, config=None):
+def reduce_and_solve(base, epsilon, L, seed=0, config=None):
     """Full reduction round trip; returns (base profile, report dict).
 
     Lifts the base game by L, finds a low-regret mixed profile of the
     lifted game, purifies it to a pure profile, and aggregates back to a
     1/L-uniform profile of the base game.  The equilibrium search needs
-    the lifted coefficients, so a lazy view still materializes them
-    internally (the budget guard applies either way).  The report
-    compares the supplied L against ceil(n^4 / epsilon^5), the scale the
-    reduction needs for the guarantee to reach epsilon.
+    the lifted coefficients, so the lift is materialized (under the
+    memory budget guard).  The report compares the supplied L against
+    ceil(n^4 / epsilon^5), the scale the reduction needs for the
+    guarantee to reach epsilon.
     """
     if epsilon <= 0:
         raise UsageError(f"epsilon must be positive, got {epsilon}")
-    pop = induce(base, L, mode)
-    lifted = pop.materialized if pop.materialized is not None else _materialized_game(base, L)
+    pop = induce(base, L, "materialized")
+    lifted = pop.materialized
 
     target = default_target_epsilon(lifted)
     if config is None:
@@ -187,7 +187,6 @@ def reduce_and_solve(base, epsilon, L, mode="materialized", seed=0, config=None)
         "m": base.m,
         "base_lambda": base.lam,
         "L": pop.L,
-        "mode": mode,
         "population_players": pop.N,
         "population_lambda": lifted.lam,
         "epsilon": epsilon,

@@ -9,9 +9,7 @@ caller asks for.
 
 from __future__ import annotations
 
-import math
-
-from ..errors import BinaryOnlyError, BoundBreach, UsageError
+from ..errors import BoundBreach, UsageError
 from ..game import BOUND_TOL, MixedProfile, profile_to_json, regret_report
 from .binary import (
     BinaryPurifyTrace,
@@ -19,6 +17,7 @@ from .binary import (
     correct_binary,
     purify_rounding_binary,
 )
+from .common import MODES, default_target_epsilon, resolve_mode
 from .maction import (
     MActionPurifyTrace,
     ane_to_wsne_m,
@@ -27,7 +26,6 @@ from .maction import (
     thresholds_m,
 )
 
-MODES = ("binary", "m_action", "auto")
 TRACE_DETAILS = ("full", "potentials")
 
 __all__ = [
@@ -39,6 +37,7 @@ __all__ = [
     "ane_to_wsne_m",
     "correct_binary",
     "correct_m",
+    "default_target_epsilon",
     "purify",
     "purify_rounding_binary",
     "purify_rounding_m",
@@ -56,32 +55,21 @@ def purify(game, profile, mode="auto", order=None):
     stage (default ascending).  The final profile's max regret is
     recomputed and checked against the pipeline's bound before return.
     """
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "auto":
-        mode = "binary" if game.m == 2 else "m_action"
-    if mode == "binary" and game.m != 2:
-        raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
-
+    mode = resolve_mode(game, mode)
     input_regret = regret_report(game, profile).max_regret
     if mode == "binary":
-        required = game.lam / 8.0
         wsne = ane_to_wsne_binary(game, profile)
         pure, trace = purify_rounding_binary(game, wsne, order=order)
         final = correct_binary(game, pure, trace)
-        bound = game.lam * (70.0 * game.n * game.n) ** (1.0 / 3.0)
     else:
-        required = thresholds_m(game)[0]
         wsne = ane_to_wsne_m(game, profile)
         pure, trace = purify_rounding_m(game, wsne, order=order)
         final = correct_m(game, pure, trace)
-        bound = 6.0 * game.lam * (
-            game.n * game.n * game.m * math.log(3.0 * game.m)
-        ) ** (1.0 / 3.0)
 
     trace.input_profile = profile
-    trace.precondition_warning = input_regret > required + BOUND_TOL
+    trace.precondition_warning = input_regret > default_target_epsilon(game, mode) + BOUND_TOL
     verified = regret_report(game, MixedProfile.from_pure(final, game.m)).max_regret
+    bound = trace.bounds["final_regret"]["allowed"]
     if verified > bound + BOUND_TOL:
         raise BoundBreach("final_regret", verified, bound, context="post-pipeline re-verification")
     return final, trace

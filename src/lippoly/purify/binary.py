@@ -32,6 +32,7 @@ from ..game import (
 )
 from .common import (
     check_input_regret,
+    default_target_epsilon,
     members,
     record_bound,
     resolve_order,
@@ -80,7 +81,7 @@ def ane_to_wsne_binary(game, profile):
     if game.m != 2:
         raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
     profile.validate_for(game)
-    check_input_regret(game, profile, game.lam / 8.0)
+    check_input_regret(game, profile, default_target_epsilon(game, "binary"))
 
     n = game.n
     d = discrepancy_vector(game, profile)

@@ -6,8 +6,32 @@ import warnings
 
 import numpy as np
 
-from ..errors import BoundBreach, PreconditionViolation, UsageError
+from ..errors import BinaryOnlyError, BoundBreach, PreconditionViolation, UsageError
 from ..game import BOUND_TOL, action_regrets, regret_report
+
+MODES = ("binary", "m_action", "auto")
+
+
+def resolve_mode(game, mode):
+    """The pipeline ("binary" or "m_action") a `purify` mode selects for this game."""
+    if mode not in MODES:
+        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "auto":
+        return "binary" if game.m == 2 else "m_action"
+    if mode == "binary" and game.m != 2:
+        raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
+    return mode
+
+
+def default_target_epsilon(game, mode="auto"):
+    """The input regret level a purification pipeline requires.
+
+    lam/8 for the two-action pipeline, ((m-1)/m)^2 lam for the general
+    one; `mode` selects the pipeline as in `resolve_mode`.
+    """
+    if resolve_mode(game, mode) == "binary":
+        return game.lam / 8.0
+    return ((game.m - 1) / game.m) ** 2 * game.lam
 
 
 def record_bound(trace, name, observed, allowed, context=""):
@@ -31,9 +55,9 @@ def check_input_regret(game, profile, required):
     """
     report = regret_report(game, profile)
     measured = report.max_regret
-    if measured <= required + 1e-9:
+    if measured <= required + BOUND_TOL:
         return False
-    if measured <= 2.0 * required + 1e-9:
+    if measured <= 2.0 * required + BOUND_TOL:
         warnings.warn(
             f"input max regret {measured:.6g} exceeds the required "
             f"{required:.6g} but is within twice it; continuing",

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..errors import BoundBreach
 from ..game import (
+    BOUND_TOL,
     MixedProfile,
     PureProfile,
     best_response_vector,
@@ -33,6 +34,7 @@ from ..game import (
 )
 from .common import (
     check_input_regret,
+    default_target_epsilon,
     members,
     record_bound,
     resolve_order,
@@ -77,8 +79,8 @@ class MActionPurifyTrace:
 
 def thresholds_m(game):
     """(eps0, eps1, delta0): input level, support level, stage-1 cutoff."""
-    n, m, lam = game.n, game.m, game.lam
-    eps0 = ((m - 1) / m) ** 2 * lam
+    n, lam = game.n, game.lam
+    eps0 = default_target_epsilon(game, "m_action")
     delta0 = math.sqrt(2.0 * (n - 1) * lam * eps0)
     eps1 = 2.0 * math.sqrt(2.0 * n * lam * eps0)
     return eps0, eps1, delta0
@@ -108,7 +110,7 @@ def ane_to_wsne_m(game, profile):
     out = MixedProfile(probs)
 
     observed = support_regret_max(game, out)
-    if observed > eps1 + 1e-9:
+    if observed > eps1 + BOUND_TOL:
         raise BoundBreach("wsne_support_regret", observed, eps1)
     return out
 
@@ -140,8 +142,7 @@ def purify_rounding_m(game, wsne, order=None):
     )
     record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), eps1)
 
-    beta = game.beta
-    B = np.ascontiguousarray(beta.transpose(0, 2, 1, 3).reshape(n * m, n * m))
+    B = game.operator
     P = wsne.probs.copy()
     u = (B @ P.ravel()).reshape(n, m)
     member = (u.max(axis=1, keepdims=True) - u) <= eps1
@@ -152,14 +153,16 @@ def purify_rounding_m(game, wsne, order=None):
     _snapshot(trace, P, member, u, mean, var, vsum)
     for actor in order:
         sizes = member.sum(axis=1).astype(float)
-        # Acting player's influence on u, to be stripped from the centering.
-        own = np.einsum("ajk,k->aj", beta[:, actor], P[actor])
+        # The operator columns of the acting player's actions: their
+        # influence on u, to be stripped from the centering.
+        cols = B[:, actor * m:(actor + 1) * m]
+        own = (cols @ P[actor]).reshape(n, m)
         u_other = u - own
         mean_other = (u_other * member).sum(axis=1) / sizes
         centered = (u_other - mean_other[:, None]) * member
         weights = centered / sizes[:, None]
         weights[actor] = 0.0
-        b = 2.0 * np.einsum("aj,ajk->k", weights, beta[:, actor])
+        b = 2.0 * (weights.ravel() @ cols)
 
         # Own payoffs ignore the own action, so the acting player's set is
         # still the pre-step one; argmin restricted to it, lowest index wins.

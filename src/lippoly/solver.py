@@ -69,13 +69,6 @@ class SolveResult:
     converged: bool
 
 
-def default_target_epsilon(game):
-    """The purification pipelines' required input levels, by action count."""
-    if game.m == 2:
-        return game.lam / 8.0
-    return ((game.m - 1) / game.m) ** 2 * game.lam
-
-
 def solve_mixed(game, config):
     """Best-effort mixed equilibrium search; returns the best profile visited.
 
@@ -122,8 +115,7 @@ def solve_mixed(game, config):
 
 def _anneal(game, config, seed, jitter):
     n, m = game.n, game.m
-    # Flattened to an (nm, nm) operator so each payoff pass is one BLAS matvec.
-    B = np.ascontiguousarray(game.beta.transpose(0, 2, 1, 3).reshape(n * m, n * m))
+    B = game.operator
     target = config.target_epsilon
     probs = np.full((n, m), 1.0 / m)
     if jitter:
@@ -172,44 +164,42 @@ def _polish(game, probs0, cut, maxiter=400):
     cut contribute nothing, so the search only moves the offenders.
     """
     n, m = game.n, game.m
-    beta = game.beta
-    rows = np.arange(n)
     z0 = np.log(np.clip(probs0, 1e-12, None))
-
-    def objective(z):
-        P = _softmax_rows(z.reshape(n, m))
-        U = np.einsum("abcd,bd->ac", beta, P)
-        jstar = U.argmax(axis=1)
-        reg = U[rows, jstar] - (U * P).sum(axis=1)
-        h = np.maximum(reg - cut, 0.0)
-        f = float(h @ h)
-        # d reg_i / d P[b, :] = beta[i, b, jstar_i, :] - P[i, :] @ beta[i, b]
-        # for b != i; the self block is zero, and the own-row derivative of
-        # reg_i is -U[i] (only the realized-payoff term depends on P[i]).
-        W = beta[rows, :, jstar, :] - np.einsum("ac,abcd->abd", P, beta)
-        G = np.einsum("a,abd->bd", 2.0 * h, W)
-        G -= (2.0 * h)[:, None] * U
-        GZ = P * (G - (P * G).sum(axis=1, keepdims=True))
-        return f, GZ.ravel()
-
     res = minimize(
-        objective,
+        polish_objective,
         z0.ravel(),
+        args=(game, cut),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-14},
     )
     P = _softmax_rows(res.x.reshape(n, m))
     P /= P.sum(axis=1, keepdims=True)
-    per = regret_report_probs(game, P)
-    return P, float(per.max()) if n else 0.0, int(res.nfev)
+    achieved = regret_report(game, MixedProfile(P)).max_regret
+    return P, achieved, int(res.nfev)
 
 
-def regret_report_probs(game, probs):
-    """Per-player regrets for a raw probability matrix (no profile object)."""
-    U = np.einsum("abcd,bd->ac", game.beta, probs)
-    per = U.max(axis=1) - (U * probs).sum(axis=1)
-    return np.maximum(per, 0.0)
+def polish_objective(z, game, cut):
+    """Polish objective sum h_a^2, h_a = max(regret_a - cut, 0), and its
+    gradient at flat logits z, with P the row softmax of z.
+
+    In P the gradient is G = B^T v - 2 h U for the operator B, payoffs U
+    and v[a] = 2 h_a (e_{j*_a} - P[a]) at each best action j*_a; -2 h U
+    is the own-row term (only the realized payoff depends on P[a]).
+    """
+    n, m = game.n, game.m
+    rows = np.arange(n)
+    P = _softmax_rows(z.reshape(n, m))
+    U = (game.operator @ P.ravel()).reshape(n, m)
+    jstar = U.argmax(axis=1)
+    reg = U[rows, jstar] - (U * P).sum(axis=1)
+    h = np.maximum(reg - cut, 0.0)
+    v = -P
+    v[rows, jstar] += 1.0
+    v *= (2.0 * h)[:, None]
+    G = (v.ravel() @ game.operator).reshape(n, m) - (2.0 * h)[:, None] * U
+    GZ = P * (G - (P * G).sum(axis=1, keepdims=True))
+    return float(h @ h), GZ.ravel()
 
 
 def _softmax_rows(Z):
@@ -253,8 +243,8 @@ def brute_force_kuniform(game, k):
             estimate=total,
         )
 
-    beta = game.beta
-    dims = (per_player,) * game.n
+    n, m = game.n, game.m
+    dims = (per_player,) * n
     best_val = math.inf
     best_idx = None
     for start in range(0, total, CHUNK):
@@ -262,7 +252,7 @@ def brute_force_kuniform(game, k):
         flat = np.arange(start, stop)
         idx = np.stack(np.unravel_index(flat, dims), axis=1)
         chunk = grid[idx]
-        U = np.einsum("abcd,pbd->pac", beta, chunk)
+        U = (chunk.reshape(-1, n * m) @ game.operator.T).reshape(-1, n, m)
         reg = U.max(axis=2) - (U * chunk).sum(axis=2)
         worst = reg.max(axis=1)
         pos = int(np.argmin(worst))

@@ -73,6 +73,13 @@ def random_pure_actions(n, m, seed):
     return np.random.default_rng(seed).integers(0, m, size=n)
 
 
+def payoff_matrix_oracle(game, profile):
+    """Every player's action payoffs by a 4-D contraction of beta,
+    independent of the game's flattened payoff operator."""
+    probs = getattr(profile, "probs", profile)
+    return np.einsum("abcd,bd->ac", game.beta, probs)
+
+
 def payoff_oracle(game, i, j, actions):
     """Payoff of (i, j) against a pure profile by direct coefficient sum."""
     total = 0.0

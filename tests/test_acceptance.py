@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 import acceptance_log
-from helpers import mixed_payoff_oracle, random_game, random_mixed, regret_oracle
+from helpers import (
+    mixed_payoff_oracle,
+    payoff_matrix_oracle,
+    random_game,
+    random_mixed,
+    regret_oracle,
+)
 from lippoly import (
     LipschitzViolation,
     MixedProfile,
@@ -27,7 +33,6 @@ from lippoly import (
 from lippoly.game import (
     discrepancy_vector,
     mixed_payoff,
-    payoff_matrix,
     pure_payoff,
 )
 from lippoly.harness.baseline import sample_baseline
@@ -118,7 +123,7 @@ def test_criterion_2_binary_intermediate_bounds(binary_ensemble):
     failures = 0
     for r in runs:
         game, trace, n, lam = r["game"], r["trace"], r["n"], r["lam"]
-        U = payoff_matrix(game, trace.wsne_profile)
+        U = payoff_matrix_oracle(game, trace.wsne_profile)
         reg = U.max(axis=1, keepdims=True) - U
         support_ok = reg[trace.wsne_profile.probs > 0.0].max() <= lam * math.sqrt(n) + 1e-9
 
@@ -234,7 +239,7 @@ def test_criterion_5_population_round_trip():
             failures += 1
 
         lifted_mixed = random_mixed(pop.N, 2, seed=3000 + idx)
-        U = payoff_matrix(lifted, lifted_mixed)
+        U = payoff_matrix_oracle(lifted, lifted_mixed)
         agg = population_aggregates(pop, lifted_mixed)
         rng = np.random.default_rng(4000 + idx)
         for v, j in zip(rng.integers(0, pop.N, 50), rng.integers(0, 2, 50)):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     coordination_game,
     mixed_payoff_oracle,
+    payoff_matrix_oracle,
     payoff_oracle,
     random_game,
     random_mixed,
@@ -35,6 +36,7 @@ from lippoly import (
     game_digest,
     game_from_json,
     game_to_json,
+    load_game,
     mixed_payoff,
     profile_from_json,
     profile_to_json,
@@ -43,6 +45,7 @@ from lippoly import (
     regret_report,
     total_variation,
 )
+from lippoly.game import payoff_matrix, payoff_vector
 
 
 def test_pure_payoff_zero_game():
@@ -117,6 +120,46 @@ def test_mixed_profile_rejects_bad_rows():
         MixedProfile([[0.6, 0.6], [0.5, 0.5]])
     with pytest.raises(DistributionError):
         MixedProfile([[1.2, -0.2], [0.5, 0.5]])
+
+
+def test_mixed_profile_rejects_non_finite_rows():
+    with pytest.raises(DistributionError):
+        MixedProfile([[np.nan, np.nan], [0.5, 0.5]])
+
+
+def test_game_rejects_non_finite_coefficients():
+    beta = np.zeros((3, 3, 2, 2))
+    beta[0, 2, 1, 0] = np.nan
+    with pytest.raises(UsageError):
+        PolymatrixGame(n=3, m=2, beta=beta, lam=0.5)
+    beta[0, 2, 1, 0] = np.inf
+    with pytest.raises(UsageError):
+        PolymatrixGame(n=3, m=2, beta=beta, lam=0.5)
+
+
+def test_load_game_rejects_non_finite_literals(tmp_path):
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "game.json"
+        path.write_text(
+            '{"n": 2, "m": 2, "lambda": 0.5, "beta": '
+            f'[{{"i": 1, "ip": 2, "matrix": [[{literal}, 0], [0, 0]]}}]}}'
+        )
+        with pytest.raises(UsageError, match=literal):
+            load_game(str(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 5), st.integers(0, 10**6))
+def test_operator_matches_the_contraction_oracle(n, m, seed):
+    rng = np.random.default_rng(seed)
+    game = PolymatrixGame(n=n, m=m, beta=rng.uniform(0.0, 1.0 / n, size=(n, n, m, m)), lam=1.0)
+    profile = random_mixed(n, m, seed + 1)
+    U = payoff_matrix_oracle(game, profile)
+    assert np.abs(payoff_matrix(game, profile) - U).max() <= 1e-12
+    for i in range(n):
+        assert np.abs(payoff_vector(game, i, profile) - U[i]).max() <= 1e-12
+    per = np.maximum(U.max(axis=1) - (U * profile.probs).sum(axis=1), 0.0)
+    assert np.abs(regret_report(game, profile).per_player_regret - per).max() <= 1e-12
 
 
 def test_regret_zero_for_played_best_response():

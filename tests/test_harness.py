@@ -107,8 +107,6 @@ def test_generator_spec_validation():
         GeneratorSpec(n=3, m=2, lam=0.5, family="sparse")
     with pytest.raises(UsageError):
         GeneratorSpec(n=3, m=2, lam=0.5, family="coordination_mix", weight=1.5)
-    with pytest.raises(UsageError):
-        GeneratorSpec(n=3, m=2, lam=0.5, normalization="clip")
 
 
 # -------------------------------------------------------------- baseline
@@ -222,7 +220,18 @@ def test_run_instance_reduction_branch():
     assert rec.reduction["aggregate_base_regret"] <= rec.reduction["purified_regret"] + 1e-9
     capped = run_instance(game, seed=9, L=10_000)
     assert "error" in capped.reduction
-    assert capped.outcome == "ok"
+    assert capped.outcome == "invalid"
+
+
+def test_failed_lifted_purification_is_not_ok():
+    # The base game's only equilibrium is fully mixed: the lifted solve
+    # stops above the lifted input level and the lifted purify refuses.
+    spec = GeneratorSpec(n=3, m=2, lam=0.3, seed=78)
+    report = run_pipeline(spec=spec, seed=78, L=120)
+    rec = report.records[0]
+    assert "input regret" in rec.reduction["error"]
+    assert rec.outcome == "not_converged"
+    assert report.exit_code == EXIT_NOT_CONVERGED
 
 
 def test_exit_code_priority():
@@ -295,6 +304,14 @@ def test_cli_check_reports_witness(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["outcome"] == "lipschitz_violation"
     assert doc["witness"]["observed_gap"] > doc["witness"]["allowed_gap"]
+
+
+def test_cli_check_rejects_non_finite_json(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 2, "m": 2, "lambda": 0.5, "beta": '
+                    '[{"i": 1, "ip": 2, "matrix": [[NaN, 0], [0, 0]]}]}')
+    assert run_cli("check", str(path)) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
 
 def test_cli_solve_then_purify(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import coordination_game, random_game, zero_game
+from helpers import coordination_game, payoff_matrix_oracle, random_game, zero_game
 from lippoly import (
     BudgetExceeded,
     MixedProfile,
@@ -16,19 +16,18 @@ from lippoly import (
     Valid,
     aggregate,
     check_game,
+    default_target_epsilon,
     induce,
     reduce_and_solve,
     regret_report,
     solve_mixed,
 )
-from lippoly.game import payoff_matrix
 from lippoly.population import (
     lazy_payoff,
     population_aggregates,
     population_payoff_matrix,
 )
 from lippoly.purify import purify
-from lippoly.solver import default_target_epsilon
 
 
 def lifted_profile(pop, seed):
@@ -83,9 +82,9 @@ def test_lazy_matches_materialized_everywhere():
     pop = induce(base, L, mode="materialized")
     for seed in range(4):
         probs = lifted_profile(pop, seed)
-        U = payoff_matrix(pop.materialized, probs)
+        U = payoff_matrix_oracle(pop.materialized, probs)
         agg = population_aggregates(pop, probs)
-        base_rows = payoff_matrix(base, agg)
+        base_rows = payoff_matrix_oracle(base, agg)
         for v in range(pop.N):
             for j in range(base.m):
                 lazy = lazy_payoff(pop, v, j, probs, aggregates=agg)

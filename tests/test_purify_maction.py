@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from helpers import constant_gap_game, random_game, zero_game
+from helpers import constant_gap_game, payoff_matrix_oracle, random_game, zero_game
 from lippoly import (
     MixedProfile,
     PolymatrixGame,
@@ -21,7 +21,6 @@ from lippoly import (
     thresholds_m,
     trace_to_json,
 )
-from lippoly.game import payoff_matrix
 
 PIPELINE_SHAPES = ((3, 12, 0), (3, 12, 1), (4, 10, 2), (4, 10, 3), (8, 10, 4), (8, 10, 5))
 
@@ -42,7 +41,7 @@ def pipelines():
 
 
 def recompute_stats(game, profile, sets):
-    u = payoff_matrix(game, profile)
+    u = payoff_matrix_oracle(game, profile)
     mean = np.zeros(game.n)
     var = np.zeros(game.n)
     for i, S in enumerate(sets):
@@ -118,7 +117,7 @@ def test_wsne_keeps_mass_below_delta0():
 def test_wsne_support_bound_on_solver_output(pipelines):
     for game, _, _, trace in pipelines:
         wsne = trace.wsne_profile
-        U = payoff_matrix(game, wsne)
+        U = payoff_matrix_oracle(game, wsne)
         reg = U.max(axis=1, keepdims=True) - U
         support = wsne.probs > 0.0
         assert reg[support].max() <= trace.epsilon1 + 1e-9
@@ -173,7 +172,7 @@ def test_variance_update_formula():
 
 def test_initial_sets_are_epsilon1_bands(pipelines):
     for game, _, _, trace in pipelines:
-        u = payoff_matrix(game, trace.wsne_profile)
+        u = payoff_matrix_oracle(game, trace.wsne_profile)
         reg = u.max(axis=1, keepdims=True) - u
         for i in range(game.n):
             expect = frozenset(np.flatnonzero(reg[i] <= trace.epsilon1))
@@ -307,7 +306,7 @@ def test_correct_switch_rule(pipelines):
         report = regret_report(game, as_mixed)
         expect = set(np.flatnonzero(report.per_player_regret > trace.delta1))
         assert set(trace.switched_players) == expect
-        U = payoff_matrix(game, as_mixed)
+        U = payoff_matrix_oracle(game, as_mixed)
         for i in trace.switched_players:
             assert final.actions[i] == int(U[i].argmax())
         keep = [i for i in range(game.n) if i not in expect]

@@ -19,7 +19,7 @@ from lippoly import (
     regret_report,
     solve_mixed,
 )
-from lippoly.solver import kuniform_grid
+from lippoly.solver import kuniform_grid, polish_objective
 
 
 def test_zero_game_uniform_profile_converged():
@@ -156,3 +156,19 @@ def test_config_validation():
         SolverConfig(target_epsilon=0.1, max_iterations=0)
     with pytest.raises(UsageError):
         SolverConfig(target_epsilon=0.1, step_schedule="adaptive")
+
+
+def test_polish_gradient_matches_central_differences():
+    game = random_game(5, 3, 0.2, seed=17)
+    z = np.random.default_rng(4).normal(size=game.n * game.m)
+    # A cut below every regret keeps each player in the hinge.
+    f, grad = polish_objective(z, game, 0.0)
+    assert f > 0.0
+    step = 1e-6
+    numeric = np.empty_like(z)
+    for k in range(z.size):
+        e = np.zeros_like(z)
+        e[k] = step
+        numeric[k] = (polish_objective(z + e, game, 0.0)[0]
+                      - polish_objective(z - e, game, 0.0)[0]) / (2.0 * step)
+    assert np.abs(grad - numeric).max() <= 1e-7 * max(1.0, np.abs(numeric).max())
