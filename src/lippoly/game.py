@@ -12,10 +12,13 @@ All player/action indices are 0-based in code; the JSON wire format is
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -418,21 +421,61 @@ def game_from_json(data):
         m = int(data["m"])
         lam = float(data["lambda"])
         raw_blocks = data.get("beta", [])
-    except (KeyError, TypeError, ValueError) as exc:
+        # Streamed: a list of per-block tuples would set off garbage
+        # collections that walk the whole parsed document.
+        pairs = np.fromiter(
+            itertools.chain.from_iterable(map(itemgetter("i", "ip"), raw_blocks)),
+            dtype=np.int64,
+            count=2 * len(raw_blocks),
+        ).reshape(-1, 2) - 1
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed game JSON: {exc}") from exc
+    i, ip = pairs[:, 0], pairs[:, 1]
+    bad = (i < 0) | (i >= n) | (ip < 0) | (ip >= n) | (i == ip)
+    if bad.any():
+        entry = raw_blocks[int(np.argmax(bad))]
+        raise UsageError(f"block ({entry['i']}, {entry['ip']}) out of range")
+    key = i * n + ip
+    repeated = np.bincount(key)[key] > 1
+    if repeated.any():
+        entry = raw_blocks[int(np.argmax(repeated))]
+        raise UsageError(f"block ({entry['i']}, {entry['ip']}) appears more than once")
     beta = np.zeros((n, n, m, m))
-    for entry in raw_blocks:
-        i = int(entry["i"]) - 1
-        ip = int(entry["ip"]) - 1
-        if not (0 <= i < n and 0 <= ip < n) or i == ip:
-            raise UsageError(f"block ({entry['i']}, {entry['ip']}) out of range")
-        matrix = np.asarray(entry["matrix"], dtype=np.float64)
-        if matrix.shape != (m, m):
-            raise UsageError(
-                f"block ({entry['i']}, {entry['ip']}) has shape {matrix.shape}, want ({m}, {m})"
-            )
-        beta[i, ip] = matrix
+    if raw_blocks:
+        beta[i, ip] = _block_matrices(raw_blocks, m)
     return PolymatrixGame(n=n, m=m, beta=beta, lam=lam)
+
+
+def _block_matrices(raw_blocks, m):
+    """All blocks' matrices as one (k, m, m) array.
+
+    Once every matrix is seen to hold m rows of m entries, the entries
+    stream through one np.fromiter (np.array on the nested lists keeps a
+    record per list while it converts, several times the result's size).
+    Otherwise the error names the first block whose matrix is not m x m.
+    """
+    try:
+        matrices = [entry["matrix"] for entry in raw_blocks]
+        flatten = itertools.chain.from_iterable
+        if all(len(matrix) == m for matrix in matrices) and all(
+            len(row) == m for row in flatten(matrices)
+        ):
+            values = flatten(flatten(matrices))
+            count = len(matrices) * m * m
+            return np.fromiter(values, dtype=np.float64, count=count).reshape(-1, m, m)
+        error = None
+    except (KeyError, TypeError, ValueError) as exc:
+        error = exc
+    for entry in raw_blocks:
+        try:
+            shape = np.shape(entry.get("matrix"))
+        except ValueError:
+            shape = "ragged rows"
+        if shape != (m, m):
+            raise UsageError(
+                f"block ({entry['i']}, {entry['ip']}) has shape {shape}, want ({m}, {m})"
+            )
+    raise UsageError(f"malformed game JSON: {error}") from error
 
 
 def profile_to_json(profile):
@@ -463,9 +506,21 @@ def game_digest(game):
 
 
 def load_json(path):
-    """Parse a JSON file, refusing the non-standard NaN/Infinity literals."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+    """Parse a JSON file, refusing the non-standard NaN/Infinity literals.
+
+    The cyclic garbage collector is paused while the parser runs: a parsed
+    document holds no reference cycles, and on a large game file the
+    collections that its many new lists and dicts trigger cost more than
+    the parse itself.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _reject_constant(name):

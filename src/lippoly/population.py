@@ -9,6 +9,13 @@ a precision the base game cannot offer; aggregating such a pure profile
 back gives a 1/L-uniform mixed profile of the base game with the same
 regret guarantee.
 
+A replica's payoffs are the base game's payoffs at the population
+averages.  A lifted profile in which all replicas of each population play
+the same strategy therefore has exactly the base profile's regrets, and
+`reduce_and_solve` finds its lifted starting point by solving the base
+game to the lifted target and replicating the result; only the lifted
+purification reads the lifted coefficients.
+
 Two views exist: a materialized view (an actual PolymatrixGame, memory
 permitting) and a lazy view that answers payoff queries through the base
 game using per-population aggregates, without ever holding the lifted
@@ -160,11 +167,14 @@ def aggregate(pop, pure):
 def reduce_and_solve(base, epsilon, L, seed=0, config=None):
     """Full reduction round trip; returns (base profile, report dict).
 
-    Lifts the base game by L, finds a low-regret mixed profile of the
-    lifted game, purifies it to a pure profile, and aggregates back to a
-    1/L-uniform profile of the base game.  The equilibrium search needs
-    the lifted coefficients, so the lift is materialized (under the
-    memory budget guard).  The report compares the supplied L against
+    Solves the base game to the lifted purifier's input level (lam/(8L)
+    for m = 2), repeats the solution L times as the lifted profile (it
+    has the base regrets, see the module docstring), purifies that on the
+    materialized lift (under the memory budget guard), and aggregates
+    the pure result back to a 1/L-uniform profile of the base game.
+    `config`, when given, configures the base-game solve (its
+    uniform_grid_k scan included); by default it targets the lifted level
+    with `seed`.  The report compares the supplied L against
     ceil(n^4 / epsilon^5), the scale the reduction needs for the
     guarantee to reach epsilon.
     """
@@ -173,11 +183,12 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
     pop = induce(base, L, "materialized")
     lifted = pop.materialized
 
-    target = default_target_epsilon(lifted)
     if config is None:
-        config = SolverConfig(target_epsilon=target, seed=seed)
-    result = solve_mixed(lifted, config)
-    final, trace = purify(lifted, result.profile)
+        config = SolverConfig(target_epsilon=default_target_epsilon(lifted), seed=seed)
+    result = solve_mixed(base, config)
+    start = MixedProfile(np.repeat(result.profile.probs, pop.L, axis=0))
+    achieved = regret_report(lifted, start).max_regret
+    final, trace = purify(lifted, start)
     profile = aggregate(pop, final)
     base_report = regret_report(base, profile)
 
@@ -190,9 +201,9 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
         "population_players": pop.N,
         "population_lambda": lifted.lam,
         "epsilon": epsilon,
-        "solver_target": target,
-        "solver_achieved": result.achieved_max_regret,
-        "solver_converged": bool(result.converged),
+        "solver_target": config.target_epsilon,
+        "solver_achieved": achieved,
+        "solver_converged": bool(achieved <= config.target_epsilon),
         "purified_regret": trace.final_max_regret,
         "aggregate_base_regret": base_report.max_regret,
         "paper_L": paper_L,

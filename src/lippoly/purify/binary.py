@@ -104,20 +104,37 @@ def ane_to_wsne_binary(game, profile):
     return out
 
 
+def sweep_step(game, d, p_i, i):
+    """The acting player's rounding vectors (c, ell), read off the operator.
+
+    Every discrepancy is linear in p_i, d = c + ell * p_i, with slope ell
+    the change of player i's coefficient columns from action 0 to action
+    1 as seen in each player's payoff gap.  Given the current d this costs
+    O(n): four operator columns, no whole-profile evaluation.
+    """
+    B = game.operator
+    col0, col1 = 2 * i, 2 * i + 1
+    ell = (B[1::2, col1] - B[0::2, col1]) - (B[1::2, col0] - B[0::2, col0])
+    return d - p_i * ell, ell
+
+
 def purify_rounding_binary(game, wsne, order=None):
     """Stage 2: ordered sweep rounding every mixed player to a bit.
 
     For the acting player i the discrepancy of every player i' is linear
-    in p_i, d = c + ell * p_i; c and ell come from two whole-profile
-    evaluations (p_i forced to 0, then to 1), not from reading
-    coefficients.  The rounding coefficient A sums 2*c*ell over the
-    current relevant set, and the chosen bit makes A * (change in p_i)
-    nonpositive, so the quadratic part of the cost cannot grow through
-    the linear term.  Players whose discrepancy has come within the
-    support bound join the relevant set after each step.
+    in p_i, d = c + ell * p_i; `sweep_step` reads ell from player i's
+    operator columns and updates the running d in O(n) per step.  The
+    rounding coefficient A sums 2*c*ell over the current relevant set,
+    and the chosen bit makes A * (change in p_i) nonpositive, so the
+    quadratic part of the cost cannot grow through the linear term.
+    Players whose discrepancy has come within the support bound join the
+    relevant set after each step.
 
     Asserts the per-step cost increase allowance 4*lam^2*n (plus
     lam^2*n per new member) and the terminal cost bound 5*lam^2*n^2.
+    The running d is checked against a whole-profile recomputation at
+    the end (bound sweep_drift, allowance BOUND_TOL), and the terminal
+    cost is taken from the recomputed d.
     """
     if game.m != 2:
         raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
@@ -147,13 +164,7 @@ def purify_rounding_binary(game, wsne, order=None):
             trace.step_coefficients.append(None)
             bit = int(p_i)
         else:
-            P0 = P.copy()
-            P0[i] = (1.0, 0.0)
-            P1 = P.copy()
-            P1[i] = (0.0, 1.0)
-            c = discrepancy_vector(game, MixedProfile(P0))
-            d1 = discrepancy_vector(game, MixedProfile(P1))
-            ell = d1 - c
+            c, ell = sweep_step(game, d, p_i, i)
             A = float(2.0 * (c[S] @ ell[S]))
             if A > 0.0:
                 bit = 0
@@ -164,8 +175,7 @@ def purify_rounding_binary(game, wsne, order=None):
                 bit = int(d[i] > 0.0)
             trace.step_coefficients.append(A)
             P[i] = (1.0, 0.0) if bit == 0 else (0.0, 1.0)
-            # The forced-bit evaluation *is* the new discrepancy vector.
-            d = c if bit == 0 else d1
+            d = c if bit == 0 else c + ell
 
         new_members = (np.abs(d) <= support_bound) & ~S
         S = S | new_members
@@ -191,7 +201,11 @@ def purify_rounding_binary(game, wsne, order=None):
         "allowed": float(step_cap),
         "ok": True,
     }
-    record_bound(trace, "terminal_cost", cost, 5.0 * lam * lam * n * n)
+    d_full = discrepancy_vector(game, trace.step_profiles[-1])
+    drift = float(np.abs(d_full - d).max())
+    record_bound(trace, "sweep_drift", drift, BOUND_TOL)
+    trace.costs[-1] = float(d_full[S] @ d_full[S])
+    record_bound(trace, "terminal_cost", trace.costs[-1], 5.0 * lam * lam * n * n)
     pure = PureProfile(P.argmax(axis=1))
     return pure, trace
 

@@ -110,3 +110,45 @@ def regret_oracle(game, i, probs):
     values = [mixed_payoff_oracle(game, i, j, probs) for j in range(game.m)]
     realized = sum(float(probs[i][j]) * values[j] for j in range(game.m))
     return max(max(values) - realized, 0.0)
+
+
+def sweep_step_oracle(game, probs, i):
+    """(c, ell) of the binary sweep's step for player i by two whole-profile
+    evaluations: the discrepancies with p_i forced to 0 (c) and to 1 (c + ell)."""
+    P0 = np.array(probs, dtype=np.float64)
+    P0[i] = (1.0, 0.0)
+    P1 = P0.copy()
+    P1[i] = (0.0, 1.0)
+    U0 = payoff_matrix_oracle(game, P0)
+    U1 = payoff_matrix_oracle(game, P1)
+    c = U0[:, 1] - U0[:, 0]
+    return c, (U1[:, 1] - U1[:, 0]) - c
+
+
+def reference_sweep(game, probs, order):
+    """The binary sweep's chosen bits, each step through sweep_step_oracle.
+
+    Same rule as the library: A = 2 c.ell over the relevant set, bit 0 when
+    A > 0, 1 when A < 0, the regret-minimizing bit on a tie; pure players
+    keep their bit; the relevant set grows to every player whose
+    discrepancy is within lam * sqrt(n).
+    """
+    P = np.array(probs, dtype=np.float64)
+    bound = game.lam * np.sqrt(game.n)
+    U = payoff_matrix_oracle(game, P)
+    d = U[:, 1] - U[:, 0]
+    S = np.abs(d) <= bound
+    bits = []
+    for i in order:
+        p_i = P[i, 1]
+        if p_i in (0.0, 1.0):
+            bit = int(p_i)
+        else:
+            c, ell = sweep_step_oracle(game, P, i)
+            A = 2.0 * float(c[S] @ ell[S])
+            bit = 0 if A > 0.0 else 1 if A < 0.0 else int(d[i] > 0.0)
+            P[i] = (1.0, 0.0) if bit == 0 else (0.0, 1.0)
+            d = c + bit * ell
+        S |= np.abs(d) <= bound
+        bits.append(bit)
+    return bits

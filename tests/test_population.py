@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import coordination_game, payoff_matrix_oracle, random_game, zero_game
+from helpers import (
+    coordination_game,
+    payoff_matrix_oracle,
+    random_game,
+    random_mixed,
+    zero_game,
+)
 from lippoly import (
     BudgetExceeded,
     MixedProfile,
@@ -126,6 +134,21 @@ def test_regret_transfers_through_aggregation():
         assert base_reg.max() <= by_population.max() + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(1, 8), st.integers(0, 10**6))
+def test_replicated_profile_has_the_base_regrets(n, m, L, seed):
+    # A lift where every replica plays its population's base strategy
+    # faces the base game's payoffs, so each replica has its base regret.
+    base = random_game(n, m, 0.3, seed)
+    probs = random_mixed(n, m, seed + 1).probs
+    U = payoff_matrix_oracle(base, probs)
+    base_regret = np.maximum(U.max(axis=1) - (U * probs).sum(axis=1), 0.0)
+    lifted = induce(base, L, "materialized").materialized
+    replicated = MixedProfile(np.repeat(probs, L, axis=0))
+    per = regret_report(lifted, replicated).per_player_regret.reshape(n, L)
+    assert np.abs(per - base_regret[:, None]).max() <= 1e-12
+
+
 def test_reduce_and_solve_round_trip():
     base = coordination_game(lam=1.0)
     profile, report = reduce_and_solve(base, epsilon=0.3, L=20, seed=3)
@@ -149,6 +172,19 @@ def test_reduce_at_L1_degenerates_to_direct_pipeline():
     final, _ = purify(base, solved.profile)
     assert np.array_equal(profile.probs, MixedProfile.from_pure(final, base.m).probs)
     assert report["L"] == 1
+
+
+def test_reduce_reports_the_configured_solver_target():
+    # The config drives the base-game solve, here the exhaustive grid
+    # scan; the report names its target, not the default lifted one.
+    base = coordination_game(lam=1.0)
+    config = SolverConfig(target_epsilon=0.01, uniform_grid_k=2)
+    profile, report = reduce_and_solve(base, epsilon=0.3, L=4, config=config)
+    assert report["solver_target"] == 0.01
+    assert report["solver_achieved"] == 0.0 and report["solver_converged"]
+    assert report["aggregate_base_regret"] == 0.0
+    _, default = reduce_and_solve(base, epsilon=0.3, L=4)
+    assert default["solver_target"] == pytest.approx(1.0 / (8 * 4), rel=1e-15)
 
 
 def test_materialization_budget():

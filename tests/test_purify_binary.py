@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import constant_gap_game, random_game, zero_game
+from helpers import (
+    constant_gap_game,
+    random_game,
+    reference_sweep,
+    sweep_step_oracle,
+    zero_game,
+)
 from lippoly import (
     BinaryOnlyError,
     BinaryPurifyTrace,
@@ -24,7 +30,8 @@ from lippoly import (
     solve_mixed,
     trace_to_json,
 )
-from lippoly.game import action_regrets, discrepancy_vector
+from lippoly.game import BOUND_TOL, action_regrets, discrepancy_vector
+from lippoly.purify.binary import sweep_step
 
 PIPELINE_SEEDS = (0, 1, 2, 3, 4, 5)
 
@@ -178,8 +185,9 @@ def test_rounding_a_times_delta_p_nonpositive(pipelines):
 
 
 def test_rounding_coefficients_match_formula(pipelines):
-    # The two-evaluation c/ell extraction must agree with the direct
-    # coefficient reading, and the stored A with its recomputation.
+    # The column update must agree with two whole-profile evaluations and
+    # with the direct coefficient reading, and the stored A with its
+    # recomputation.
     for game, _, _, trace in pipelines:
         beta = game.beta
         for k, actor in enumerate(trace.order):
@@ -187,12 +195,11 @@ def test_rounding_coefficients_match_formula(pipelines):
             if A is None:
                 continue
             P = trace.step_profiles[k].probs
-            P0 = P.copy()
-            P0[actor] = (1.0, 0.0)
-            P1 = P.copy()
-            P1[actor] = (0.0, 1.0)
-            c = discrepancy_vector(game, MixedProfile(P0))
-            ell = discrepancy_vector(game, MixedProfile(P1)) - c
+            c, ell = sweep_step_oracle(game, P, actor)
+            d = discrepancy_vector(game, trace.step_profiles[k])
+            c_new, ell_new = sweep_step(game, d, float(P[actor, 1]), actor)
+            assert np.abs(c_new - c).max() <= 1e-12
+            assert np.abs(ell_new - ell).max() <= 1e-12
             slope = (beta[:, actor, 1, 1] - beta[:, actor, 0, 1]) - (
                 beta[:, actor, 1, 0] - beta[:, actor, 0, 0]
             )
@@ -200,6 +207,21 @@ def test_rounding_coefficients_match_formula(pipelines):
             S = np.zeros(game.n, dtype=bool)
             S[list(trace.relevant_sets[k])] = True
             assert 2.0 * float(c[S] @ ell[S]) == pytest.approx(A, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, seed", [(16, 900), (40, 901), (40, 902), (90, 903)])
+def test_sweep_matches_reference_sweep(n, seed):
+    game, _, _, trace = run_pipeline(seed, n=n)
+    order = tuple(np.random.default_rng(seed).permutation(n))
+    _, trace = purify_rounding_binary(game, trace.wsne_profile, order=order)
+    assert trace.chosen_actions == reference_sweep(game, trace.wsne_profile.probs, order)
+    drift = trace.bounds["sweep_drift"]
+    assert drift["ok"] and drift["allowed"] == BOUND_TOL
+    # The running discrepancies end where a fresh evaluation puts them.
+    d = discrepancy_vector(game, trace.step_profiles[-1])
+    S = sorted(trace.relevant_sets[-1])
+    terminal = trace.bounds["terminal_cost"]["observed"]
+    assert terminal == pytest.approx(float(d[S] @ d[S]), rel=1e-12)
 
 
 def test_relevant_sets_monotone(pipelines):
