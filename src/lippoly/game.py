@@ -67,10 +67,7 @@ class PolymatrixGame:
     operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise UsageError(f"player count must be >= 1, got {self.n}")
-        if self.m < 2:
-            raise UsageError(f"action count must be >= 2, got {self.m}")
+        _check_sizes(self.n, self.m)
         if not (0.0 < self.lam <= 1.0):
             raise UsageError(f"Lipschitz parameter must be in (0, 1], got {self.lam}")
         n, m = self.n, self.m
@@ -415,6 +412,13 @@ def game_to_json(game):
     return {"n": game.n, "m": game.m, "lambda": game.lam, "beta": blocks}
 
 
+def _check_sizes(n, m):
+    if n < 1:
+        raise UsageError(f"player count must be >= 1, got {n}")
+    if m < 2:
+        raise UsageError(f"action count must be >= 2, got {m}")
+
+
 def game_from_json(data):
     try:
         n = int(data["n"])
@@ -430,6 +434,8 @@ def game_from_json(data):
         ).reshape(-1, 2) - 1
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed game JSON: {exc}") from exc
+    # Before anything is allocated at these sizes.
+    _check_sizes(n, m)
     i, ip = pairs[:, 0], pairs[:, 1]
     bad = (i < 0) | (i >= n) | (ip < 0) | (ip >= n) | (i == ip)
     if bad.any():

@@ -29,7 +29,7 @@ from ..game import (
     regret_report,
 )
 from ..population import reduce_and_solve
-from ..purify import MODES, default_target_epsilon, purify, trace_to_json
+from ..purify import MODES, TRACE_DETAILS, default_target_epsilon, purify, trace_to_json
 from ..solver import SolverConfig, solve_mixed
 from .baseline import sample_baseline
 from .generator import FAMILIES, GeneratorSpec, generate
@@ -42,6 +42,9 @@ from .pipeline import (
     witness_to_json,
     write_report,
 )
+
+# Trace detail levels for --trace; "off" leaves the trace out.
+TRACE_CHOICES = TRACE_DETAILS + ("off",)
 
 
 def main(argv=None):
@@ -157,7 +160,7 @@ def cmd_purify(args):
         "precondition_warning": trace.precondition_warning,
     }
     if args.trace != "off":
-        doc["trace"] = trace_to_json(trace, detail=args.trace)
+        doc["trace"] = trace_to_json(trace, game, detail=args.trace)
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -261,7 +264,7 @@ def _build_parser():
     p.add_argument("game")
     p.add_argument("profile", help="profile JSON (bare, or a solve output with a profile field)")
     p.add_argument("--mode", choices=MODES, default="auto")
-    p.add_argument("--trace", choices=("full", "potentials", "off"), default="off")
+    p.add_argument("--trace", choices=TRACE_CHOICES, default="off")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_purify)
 
@@ -295,7 +298,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--L", type=int, default=None)
-    p.add_argument("--trace", choices=("full", "potentials", "off"), default="off")
+    p.add_argument("--trace", choices=TRACE_CHOICES, default="off")
     p.add_argument("--out", default=None, help="directory for records.jsonl and report.json")
     p.set_defaults(func=cmd_pipeline)
 

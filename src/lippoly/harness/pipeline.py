@@ -33,7 +33,6 @@ from ..game import (
 )
 from ..population import reduce_and_solve
 from ..purify import default_target_epsilon, purify, trace_to_json
-from ..purify.binary import BinaryPurifyTrace
 from ..solver import SolverConfig, solve_mixed
 from .generator import generate
 
@@ -156,23 +155,19 @@ def run_instance(
             f"recomputation {fresh}"
         )
     bound = trace.bounds["final_regret"]["allowed"]
-    if isinstance(trace, BinaryPurifyTrace):
-        potential = trace.costs[-1]
-    else:
-        potential = trace.variance_sums[-1]
     purifier = {
-        "pipeline": "binary" if isinstance(trace, BinaryPurifyTrace) else "m_action",
+        "pipeline": trace.pipeline,
         "final_regret": fresh,
         "final_bound": bound,
         "bound_ratio": fresh / bound,
-        "terminal_potential": potential,
+        "terminal_potential": trace.potentials[-1],
         "switched_count": len(trace.switched_players),
         "precondition_warning": bool(trace.precondition_warning),
         "final_profile": [int(a) + 1 for a in final.actions],
         "bounds": {name: dict(entry) for name, entry in trace.bounds.items()},
     }
     if trace_detail != "off":
-        purifier["trace"] = trace_to_json(trace, detail=trace_detail)
+        purifier["trace"] = trace_to_json(trace, game, detail=trace_detail)
 
     if L is not None:
         try:

@@ -2,36 +2,30 @@
 
 `purify` routes a low-regret mixed profile through the matching
 three-stage pipeline (two-action or general) and re-verifies the final
-regret bound before returning.  `trace_to_json` turns either trace kind
-into a plain serializable report, with the level of per-step detail the
-caller asks for.
+regret bound before returning.  Either pipeline logs its sweep in one
+PurifyTrace; `replay` rebuilds the per-step state from that log, and
+`trace_to_json` turns it into a plain serializable report, with the
+level of per-step detail the caller asks for.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+import numpy as np
+
 from ..errors import BoundBreach, UsageError
 from ..game import BOUND_TOL, MixedProfile, profile_to_json, regret_report
-from .binary import (
-    BinaryPurifyTrace,
-    ane_to_wsne_binary,
-    correct_binary,
-    purify_rounding_binary,
-)
-from .common import MODES, default_target_epsilon, resolve_mode
-from .maction import (
-    MActionPurifyTrace,
-    ane_to_wsne_m,
-    correct_m,
-    purify_rounding_m,
-    thresholds_m,
-)
+from .binary import ane_to_wsne_binary, correct_binary, purify_rounding_binary
+from .common import MODES, PurifyTrace, default_target_epsilon, resolve_mode
+from .maction import _set_stats, ane_to_wsne_m, correct_m, purify_rounding_m, thresholds_m
 
 TRACE_DETAILS = ("full", "potentials")
 
 __all__ = [
-    "BinaryPurifyTrace",
-    "MActionPurifyTrace",
     "MODES",
+    "PurifyTrace",
+    "SweepReplay",
     "TRACE_DETAILS",
     "ane_to_wsne_binary",
     "ane_to_wsne_m",
@@ -41,6 +35,7 @@ __all__ = [
     "purify",
     "purify_rounding_binary",
     "purify_rounding_m",
+    "replay",
     "thresholds_m",
     "trace_to_json",
 ]
@@ -54,20 +49,21 @@ def purify(game, profile, mode="auto", order=None):
     pipeline for any m.  order overrides the sweep order of the rounding
     stage (default ascending).  The final profile's max regret is
     recomputed and checked against the pipeline's bound before return.
+    The trace is a PurifyTrace: the sweep's event log plus the input,
+    the stage-1 warning flag, the thresholds and every bound checked.
     """
     mode = resolve_mode(game, mode)
-    input_regret = regret_report(game, profile).max_regret
     if mode == "binary":
-        wsne = ane_to_wsne_binary(game, profile)
+        wsne, warning = ane_to_wsne_binary(game, profile)
         pure, trace = purify_rounding_binary(game, wsne, order=order)
         final = correct_binary(game, pure, trace)
     else:
-        wsne = ane_to_wsne_m(game, profile)
+        wsne, warning = ane_to_wsne_m(game, profile)
         pure, trace = purify_rounding_m(game, wsne, order=order)
         final = correct_m(game, pure, trace)
 
     trace.input_profile = profile
-    trace.precondition_warning = input_regret > default_target_epsilon(game, mode) + BOUND_TOL
+    trace.precondition_warning = warning
     verified = regret_report(game, MixedProfile.from_pure(final, game.m)).max_regret
     bound = trace.bounds["final_regret"]["allowed"]
     if verified > bound + BOUND_TOL:
@@ -75,26 +71,72 @@ def purify(game, profile, mode="auto", order=None):
     return final, trace
 
 
-def trace_to_json(trace, detail="full"):
-    """Serializable report for either trace kind.
+@dataclass
+class SweepReplay:
+    """Per-step sweep state rebuilt by `replay`; index k is after k steps.
 
-    detail "full" includes per-step profiles, relevant sets, and
-    coefficient data; "potentials" keeps only the step skeleton (acting
-    player, chosen action, potential value) next to the bound table.
-    Players and actions are 1-based in the output.
+    relevant_sets[k] is a frozenset of players (binary) or a tuple of one
+    frozenset of actions per player (m-action).  payoffs, means and
+    variances (the payoff matrix and the per-player statistics over the
+    relevant sets) are filled for m-action traces only.
+    """
+
+    profiles: list = field(default_factory=list)
+    relevant_sets: list = field(default_factory=list)
+    payoffs: list = field(default_factory=list)
+    means: list = field(default_factory=list)
+    variances: list = field(default_factory=list)
+
+
+def replay(trace, game):
+    """Rebuild a sweep's per-step profiles, sets and statistics from its log.
+
+    Starting from the stage-1 profile, step k sets player order[k-1] pure
+    on its chosen action (a binary player with no coefficient was already
+    pure) and adds additions[k] to the membership mask.  m-action payoffs
+    are (operator @ P.ravel()).reshape(n, m) and the statistics come from
+    the sweep's own `_set_stats`, so they equal what the sweep computed.
+    """
+    binary = trace.pipeline == "binary"
+    n, m = game.n, game.m
+    P = trace.wsne_profile.probs.copy()
+    member = np.zeros(n if binary else (n, m), dtype=bool)
+    out = SweepReplay()
+    for k, added in enumerate(trace.additions):
+        if k > 0 and trace.coefficients[k - 1] is not None:
+            actor = trace.order[k - 1]
+            P[actor] = 0.0
+            P[actor, trace.chosen_actions[k - 1]] = 1.0
+        member.flat[added] = True
+        out.profiles.append(MixedProfile(P.copy()))
+        if binary:
+            out.relevant_sets.append(frozenset(np.flatnonzero(member).tolist()))
+            continue
+        out.relevant_sets.append(
+            tuple(frozenset(np.flatnonzero(row).tolist()) for row in member)
+        )
+        u = (game.operator @ P.ravel()).reshape(n, m)
+        mean, var = _set_stats(u, member)
+        out.payoffs.append(u)
+        out.means.append(mean)
+        out.variances.append(var)
+    return out
+
+
+def trace_to_json(trace, game, detail="full"):
+    """Serializable report of a purification trace.
+
+    detail "full" adds the replayed per-step profiles, relevant sets, and
+    coefficient data (and, for m-action, payoffs and set statistics);
+    "potentials" keeps only the step skeleton (acting player, chosen
+    action, potential value) next to the bound table.  Players and
+    actions are 1-based in the output.
     """
     if detail not in TRACE_DETAILS:
         raise UsageError(f"detail must be one of {TRACE_DETAILS}, got {detail!r}")
-    if isinstance(trace, BinaryPurifyTrace):
-        return _binary_json(trace, detail)
-    if isinstance(trace, MActionPurifyTrace):
-        return _maction_json(trace, detail)
-    raise UsageError(f"not a purification trace: {type(trace).__name__}")
-
-
-def _common_json(trace, pipeline):
+    binary = trace.pipeline == "binary"
     out = {
-        "pipeline": pipeline,
+        "pipeline": trace.pipeline,
         "precondition_warning": bool(trace.precondition_warning),
         "order": [i + 1 for i in trace.order],
         "bounds": {name: dict(entry) for name, entry in trace.bounds.items()},
@@ -103,64 +145,37 @@ def _common_json(trace, pipeline):
     }
     if trace.final_profile is not None:
         out["final_profile"] = profile_to_json(trace.final_profile)
-    return out
+    if binary:
+        out["delta"] = trace.thresholds["delta"]
+    else:
+        out["thresholds"] = dict(trace.thresholds)
+        out["move_increase_total"] = trace.bounds["move_variance_budget"]["observed"]
+        out["addition_increase_total"] = trace.bounds["addition_variance_budget"]["observed"]
 
-
-def _binary_json(trace, detail):
-    out = _common_json(trace, "binary")
-    out["delta"] = trace.delta
+    state = replay(trace, game) if detail == "full" else None
     steps = []
-    for k, cost in enumerate(trace.costs):
-        entry = {"step": k, "cost": cost}
+    for k, potential in enumerate(trace.potentials):
+        entry = {"step": k, "cost" if binary else "variance_sum": potential}
         if k > 0:
             entry["acting_player"] = trace.order[k - 1] + 1
             entry["chosen_action"] = trace.chosen_actions[k - 1] + 1
-        if detail == "full":
-            if k > 0:
-                entry["step_coefficient"] = trace.step_coefficients[k - 1]
-            entry["relevant_set"] = sorted(i + 1 for i in trace.relevant_sets[k])
-            entry["profile"] = profile_to_json(trace.step_profiles[k])
+        if state is not None:
+            if binary:
+                if k > 0:
+                    entry["step_coefficient"] = trace.coefficients[k - 1]
+                entry["relevant_set"] = sorted(i + 1 for i in state.relevant_sets[k])
+            else:
+                if k > 0:
+                    entry["aggregate_coefficients"] = [float(x) for x in trace.coefficients[k - 1]]
+                entry["relevant_sets"] = [sorted(j + 1 for j in s) for s in state.relevant_sets[k]]
+                entry["set_means"] = [float(x) for x in state.means[k]]
+                entry["set_variances"] = [float(x) for x in state.variances[k]]
+                entry["payoffs"] = [[float(x) for x in row] for row in state.payoffs[k]]
+            entry["profile"] = profile_to_json(state.profiles[k])
         steps.append(entry)
     out["steps"] = steps
-    if detail == "full":
+    if state is not None:
         if trace.input_profile is not None:
             out["input_profile"] = profile_to_json(trace.input_profile)
-        if trace.wsne_profile is not None:
-            out["wsne_profile"] = profile_to_json(trace.wsne_profile)
-    return out
-
-
-def _maction_json(trace, detail):
-    out = _common_json(trace, "m_action")
-    out["thresholds"] = {
-        "epsilon0": trace.epsilon0,
-        "epsilon1": trace.epsilon1,
-        "delta0": trace.delta0,
-        "delta1": trace.delta1,
-    }
-    out["move_increase_total"] = trace.move_increase_total
-    out["addition_increase_total"] = trace.addition_increase_total
-    steps = []
-    for k, vsum in enumerate(trace.variance_sums):
-        entry = {"step": k, "variance_sum": vsum}
-        if k > 0:
-            entry["acting_player"] = trace.order[k - 1] + 1
-            entry["chosen_action"] = trace.chosen_actions[k - 1] + 1
-        if detail == "full":
-            if k > 0:
-                entry["aggregate_coefficients"] = [float(x) for x in trace.step_b[k - 1]]
-            entry["relevant_sets"] = [
-                sorted(j + 1 for j in s) for s in trace.relevant_sets[k]
-            ]
-            entry["set_means"] = [float(x) for x in trace.means[k]]
-            entry["set_variances"] = [float(x) for x in trace.variances[k]]
-            entry["payoffs"] = [[float(x) for x in row] for row in trace.payoffs[k]]
-            entry["profile"] = profile_to_json(trace.step_profiles[k])
-        steps.append(entry)
-    out["steps"] = steps
-    if detail == "full":
-        if trace.input_profile is not None:
-            out["input_profile"] = profile_to_json(trace.input_profile)
-        if trace.wsne_profile is not None:
-            out["wsne_profile"] = profile_to_json(trace.wsne_profile)
+        out["wsne_profile"] = profile_to_json(trace.wsne_profile)
     return out

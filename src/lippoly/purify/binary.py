@@ -10,14 +10,13 @@ pure regret reached the correction threshold switch to their best
 response, all at once.
 
 Each stage asserts the bound it must preserve; a violated bound raises
-BoundBreach rather than returning a bad profile.  The full history lands
-in a BinaryPurifyTrace.
+BoundBreach rather than returning a bad profile.  What the sweep decided
+lands in a PurifyTrace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,41 +30,13 @@ from ..game import (
     regret_report,
 )
 from .common import (
+    PurifyTrace,
     check_input_regret,
     default_target_epsilon,
-    members,
     record_bound,
     resolve_order,
     support_regret_max,
 )
-
-
-@dataclass
-class BinaryPurifyTrace:
-    """Everything the three binary stages did, in order.
-
-    step_profiles[k] is the profile after k sweep steps (index 0 is the
-    sweep input), relevant_sets[k] and costs[k] line up with it.
-    step_coefficients[k] is the rounding coefficient A for the k-th acting
-    player, or None when that player was already pure.  bounds maps each
-    asserted bound to its observed value, its allowance, and whether it
-    held.
-    """
-
-    input_profile: MixedProfile | None = None
-    precondition_warning: bool = False
-    wsne_profile: MixedProfile | None = None
-    order: tuple = ()
-    step_profiles: list = field(default_factory=list)
-    relevant_sets: list = field(default_factory=list)
-    costs: list = field(default_factory=list)
-    step_coefficients: list = field(default_factory=list)
-    chosen_actions: list = field(default_factory=list)
-    delta: float | None = None
-    switched_players: tuple = ()
-    final_profile: PureProfile | None = None
-    final_max_regret: float | None = None
-    bounds: dict = field(default_factory=dict)
 
 
 def ane_to_wsne_binary(game, profile):
@@ -76,12 +47,13 @@ def ane_to_wsne_binary(game, profile):
     (lam/2)*sqrt(n) goes pure, all decisions taken against the input
     profile.  On return every played action has regret at most
     lam*sqrt(n) and every still-mixed player has |discrepancy| at most
-    lam*sqrt(n); both are asserted.
+    lam*sqrt(n); both are asserted.  Returns (profile, warning), warning
+    True when the input regret needed the tolerance.
     """
     if game.m != 2:
         raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
     profile.validate_for(game)
-    check_input_regret(game, profile, default_target_epsilon(game, "binary"))
+    warning = check_input_regret(game, profile, default_target_epsilon(game, "binary"))
 
     n = game.n
     d = discrepancy_vector(game, profile)
@@ -101,7 +73,7 @@ def ane_to_wsne_binary(game, profile):
         worst = float(np.abs(d_out[still_mixed]).max())
         if worst > support_bound + BOUND_TOL:
             raise BoundBreach("wsne_mixed_discrepancy", worst, support_bound)
-    return out
+    return out, warning
 
 
 def sweep_step(game, d, p_i, i):
@@ -134,7 +106,8 @@ def purify_rounding_binary(game, wsne, order=None):
     lam^2*n per new member) and the terminal cost bound 5*lam^2*n^2.
     The running d is checked against a whole-profile recomputation at
     the end (bound sweep_drift, allowance BOUND_TOL), and the terminal
-    cost is taken from the recomputed d.
+    cost is taken from the recomputed d.  The trace logs, per step, the
+    bit, A, the cost and the players that joined: O(n) in all.
     """
     if game.m != 2:
         raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
@@ -143,16 +116,17 @@ def purify_rounding_binary(game, wsne, order=None):
     order = resolve_order(n, order)
     support_bound = lam * math.sqrt(n)
 
-    trace = BinaryPurifyTrace(wsne_profile=wsne, order=order)
+    trace = PurifyTrace(
+        pipeline="binary", order=order, wsne_profile=wsne, thresholds={"delta": None}
+    )
     record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), support_bound)
 
     P = wsne.probs.copy()
     d = discrepancy_vector(game, wsne)
     S = np.abs(d) <= support_bound
     cost = float(d[S] @ d[S])
-    trace.step_profiles.append(MixedProfile(P.copy()))
-    trace.relevant_sets.append(members(S))
-    trace.costs.append(cost)
+    trace.additions.append(np.flatnonzero(S))
+    trace.potentials.append(cost)
 
     step_cap = 4.0 * lam * lam * n
     entry_cap = lam * lam * n
@@ -161,7 +135,7 @@ def purify_rounding_binary(game, wsne, order=None):
         p_i = float(P[i, 1])
         if p_i == 0.0 or p_i == 1.0:
             # Nothing to round; the cost cannot move on this turn.
-            trace.step_coefficients.append(None)
+            trace.coefficients.append(None)
             bit = int(p_i)
         else:
             c, ell = sweep_step(game, d, p_i, i)
@@ -173,39 +147,29 @@ def purify_rounding_binary(game, wsne, order=None):
             else:
                 # Free choice; take the regret-minimizing bit.
                 bit = int(d[i] > 0.0)
-            trace.step_coefficients.append(A)
+            trace.coefficients.append(A)
             P[i] = (1.0, 0.0) if bit == 0 else (0.0, 1.0)
             d = c if bit == 0 else c + ell
 
         new_members = (np.abs(d) <= support_bound) & ~S
         S = S | new_members
         new_cost = float(d[S] @ d[S])
-        increase = new_cost - cost
-        excess = increase - entry_cap * int(new_members.sum())
+        excess = new_cost - cost - entry_cap * int(new_members.sum())
         worst_step_excess = max(worst_step_excess, excess)
-        if excess > step_cap + BOUND_TOL:
-            trace.bounds["step_cost_increase"] = {
-                "observed": float(excess),
-                "allowed": float(step_cap),
-                "ok": False,
-            }
-            raise BoundBreach("step_cost_increase", excess, step_cap, context=f"player {i}")
+        # Records the worst step so far; raises at the first step past the cap.
+        record_bound(
+            trace, "step_cost_increase", worst_step_excess, step_cap, context=f"player {i}"
+        )
         cost = new_cost
         trace.chosen_actions.append(bit)
-        trace.step_profiles.append(MixedProfile(P.copy()))
-        trace.relevant_sets.append(members(S))
-        trace.costs.append(cost)
+        trace.additions.append(np.flatnonzero(new_members))
+        trace.potentials.append(cost)
 
-    trace.bounds["step_cost_increase"] = {
-        "observed": float(worst_step_excess),
-        "allowed": float(step_cap),
-        "ok": True,
-    }
-    d_full = discrepancy_vector(game, trace.step_profiles[-1])
+    d_full = discrepancy_vector(game, MixedProfile(P))
     drift = float(np.abs(d_full - d).max())
     record_bound(trace, "sweep_drift", drift, BOUND_TOL)
-    trace.costs[-1] = float(d_full[S] @ d_full[S])
-    record_bound(trace, "terminal_cost", trace.costs[-1], 5.0 * lam * lam * n * n)
+    trace.potentials[-1] = float(d_full[S] @ d_full[S])
+    record_bound(trace, "terminal_cost", trace.potentials[-1], 5.0 * lam * lam * n * n)
     pure = PureProfile(P.argmax(axis=1))
     return pure, trace
 
@@ -223,7 +187,7 @@ def correct_binary(game, pure, trace):
     pure.validate_for(game)
     n, lam = game.n, game.lam
     delta = lam * (20.0 * n * n) ** (1.0 / 3.0)
-    trace.delta = delta
+    trace.thresholds["delta"] = delta
 
     as_mixed = MixedProfile.from_pure(pure, game.m)
     report = regret_report(game, as_mixed)
@@ -232,7 +196,7 @@ def correct_binary(game, pure, trace):
         trace,
         "switcher_count",
         float(len(switchers)),
-        trace.costs[-1] / (delta * delta),
+        trace.potentials[-1] / (delta * delta),
     )
 
     actions = pure.actions.copy()

@@ -3,13 +3,50 @@
 from __future__ import annotations
 
 import warnings
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from ..errors import BinaryOnlyError, BoundBreach, PreconditionViolation, UsageError
-from ..game import BOUND_TOL, action_regrets, regret_report
+from ..game import BOUND_TOL, MixedProfile, PureProfile, action_regrets, regret_report
 
 MODES = ("binary", "m_action", "auto")
+
+
+@dataclass
+class PurifyTrace:
+    """What one purification decided, step by step, as an event log.
+
+    pipeline is "binary" or "m_action".  Sweep step k (0-based) is taken
+    by order[k]: chosen_actions[k] is the action that player ends on and
+    coefficients[k] the step coefficient it minimized (binary: the
+    rounding coefficient A, None when the player was already pure;
+    m-action: the aggregated vector b).  potentials[k] is the potential
+    after k steps (binary: the cost; m-action: the variance sum), k = 0
+    being the sweep input.  additions[k] holds the flat indices of the
+    relevant-set membership mask that joined at step k, additions[0] the
+    initial sets: players for binary, i*m + j for action j of player i
+    for m-action.  Per-step profiles, sets and payoff statistics are not
+    stored; `replay` rebuilds them from this log.
+
+    thresholds holds the pipeline's constants (binary delta; m-action
+    epsilon0, epsilon1, delta0, delta1), the stage-3 one None until stage
+    3 runs.  bounds maps each asserted bound to its observed value, its
+    allowance, and whether it held.
+    """
+
+    pipeline: str
+    order: tuple
+    wsne_profile: MixedProfile
+    thresholds: dict
+    input_profile: MixedProfile | None = None
+    precondition_warning: bool = False
+    potentials: list = field(default_factory=list)
+    coefficients: list = field(default_factory=list)
+    chosen_actions: list = field(default_factory=list)
+    additions: list = field(default_factory=list)
+    switched_players: tuple = ()
+    final_profile: PureProfile | None = None
+    final_max_regret: float | None = None
+    bounds: dict = field(default_factory=dict)
 
 
 def resolve_mode(game, mode):
@@ -50,8 +87,9 @@ def check_input_regret(game, profile, required):
     """Enforce the pipeline's input regret level.
 
     Clean inputs pass silently.  Inputs within twice the required level get
-    a warning and a True return (callers record it in the trace), so bound
-    slack can be explored without forging inputs.  Anything worse raises.
+    a warning and a True return (stage 1 hands it on; `purify` records it
+    in the trace), so bound slack can be explored without forging inputs.
+    Anything worse raises.
     """
     report = regret_report(game, profile)
     measured = report.max_regret
@@ -86,7 +124,3 @@ def resolve_order(n, order):
         raise UsageError(f"order must be a permutation of 0..{n - 1}, got {order!r}")
     return out
 
-
-def members(mask):
-    """Frozen index set for a boolean membership row."""
-    return frozenset(int(i) for i in np.flatnonzero(mask))

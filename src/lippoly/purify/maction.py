@@ -19,7 +19,6 @@ bound are asserted as the pipeline runs; a breach raises BoundBreach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,48 +32,13 @@ from ..game import (
     regret_report,
 )
 from .common import (
+    PurifyTrace,
     check_input_regret,
     default_target_epsilon,
-    members,
     record_bound,
     resolve_order,
     support_regret_max,
 )
-
-
-@dataclass
-class MActionPurifyTrace:
-    """History of the three general-action stages.
-
-    Index k of step_profiles, relevant_sets, payoffs, means, variances,
-    and variance_sums describes the state after k sweep steps (k = 0 is
-    the sweep input); relevant_sets[k] is one frozenset per player, and
-    means/variances are taken over those sets.  step_b[k] is the
-    aggregated coefficient vector the (k+1)-th acting player minimized.
-    """
-
-    input_profile: MixedProfile | None = None
-    precondition_warning: bool = False
-    wsne_profile: MixedProfile | None = None
-    epsilon0: float | None = None
-    epsilon1: float | None = None
-    delta0: float | None = None
-    delta1: float | None = None
-    order: tuple = ()
-    step_profiles: list = field(default_factory=list)
-    relevant_sets: list = field(default_factory=list)
-    payoffs: list = field(default_factory=list)
-    means: list = field(default_factory=list)
-    variances: list = field(default_factory=list)
-    variance_sums: list = field(default_factory=list)
-    step_b: list = field(default_factory=list)
-    chosen_actions: list = field(default_factory=list)
-    move_increase_total: float = 0.0
-    addition_increase_total: float = 0.0
-    switched_players: tuple = ()
-    final_profile: PureProfile | None = None
-    final_max_regret: float | None = None
-    bounds: dict = field(default_factory=dict)
 
 
 def thresholds_m(game):
@@ -94,10 +58,12 @@ def ane_to_wsne_m(game, profile):
     the input profile exceeds delta0 = sqrt(2 (n-1) lam eps0) loses its
     probability to the owner's best response.  On return every played
     action has regret at most eps1 = 2 sqrt(2 n lam eps0); asserted.
+    Returns (profile, warning), warning True when the input regret
+    needed the tolerance.
     """
     profile.validate_for(game)
     eps0, eps1, delta0 = thresholds_m(game)
-    check_input_regret(game, profile, eps0)
+    warning = check_input_regret(game, profile, eps0)
 
     U = payoff_matrix(game, profile)
     reg = U.max(axis=1, keepdims=True) - U
@@ -112,7 +78,7 @@ def ane_to_wsne_m(game, profile):
     observed = support_regret_max(game, out)
     if observed > eps1 + BOUND_TOL:
         raise BoundBreach("wsne_support_regret", observed, eps1)
-    return out
+    return out, warning
 
 
 def purify_rounding_m(game, wsne, order=None):
@@ -130,15 +96,20 @@ def purify_rounding_m(game, wsne, order=None):
     Asserts the initial variance budget 2 (n lam (m-1)/m)^2, the
     cumulative move budget ((m-1) n lam / m)^2, the cumulative addition
     budget 4 n lam^2 (log(m-1) + 1), and the terminal variance bound
-    8 n^2 lam^2 log(3m).
+    8 n^2 lam^2 log(3m).  The trace logs, per step, the chosen action,
+    b, the variance sum and the (player, action) pairs that joined a set;
+    `replay` rebuilds the payoffs, sets and set statistics.
     """
     wsne.validate_for(game)
     n, m, lam = game.n, game.m, game.lam
     order = resolve_order(n, order)
     eps0, eps1, delta0 = thresholds_m(game)
 
-    trace = MActionPurifyTrace(
-        wsne_profile=wsne, order=order, epsilon0=eps0, epsilon1=eps1, delta0=delta0
+    trace = PurifyTrace(
+        pipeline="m_action",
+        order=order,
+        wsne_profile=wsne,
+        thresholds={"epsilon0": eps0, "epsilon1": eps1, "delta0": delta0, "delta1": None},
     )
     record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), eps1)
 
@@ -146,11 +117,13 @@ def purify_rounding_m(game, wsne, order=None):
     P = wsne.probs.copy()
     u = (B @ P.ravel()).reshape(n, m)
     member = (u.max(axis=1, keepdims=True) - u) <= eps1
-    mean, var = _set_stats(u, member)
+    _, var = _set_stats(u, member)
     vsum = float(var.sum())
     record_bound(trace, "initial_variance", vsum, 2.0 * (n * lam * (m - 1) / m) ** 2)
+    trace.additions.append(np.flatnonzero(member))
+    trace.potentials.append(vsum)
 
-    _snapshot(trace, P, member, u, mean, var, vsum)
+    move_increase = addition_increase = 0.0
     for actor in order:
         sizes = member.sum(axis=1).astype(float)
         # The operator columns of the acting player's actions: their
@@ -172,26 +145,26 @@ def purify_rounding_m(game, wsne, order=None):
         P[actor, chosen] = 1.0
         u = (B @ P.ravel()).reshape(n, m)
 
-        mean, var = _set_stats(u, member)
+        _, var = _set_stats(u, member)
         moved_sum = float(var.sum())
-        trace.move_increase_total += moved_sum - vsum
+        move_increase += moved_sum - vsum
 
+        before = member.copy()
         member = _grow_sets(u, member)
-        mean, var = _set_stats(u, member)
+        _, var = _set_stats(u, member)
         vsum = float(var.sum())
-        trace.addition_increase_total += vsum - moved_sum
+        addition_increase += vsum - moved_sum
 
-        trace.step_b.append(b)
+        trace.coefficients.append(b)
         trace.chosen_actions.append(chosen)
-        _snapshot(trace, P, member, u, mean, var, vsum)
+        trace.additions.append(np.flatnonzero(member & ~before))
+        trace.potentials.append(vsum)
 
-    record_bound(
-        trace, "move_variance_budget", trace.move_increase_total, ((m - 1) * n * lam / m) ** 2
-    )
+    record_bound(trace, "move_variance_budget", move_increase, ((m - 1) * n * lam / m) ** 2)
     record_bound(
         trace,
         "addition_variance_budget",
-        trace.addition_increase_total,
+        addition_increase,
         # log here and below is natural; the harmonic-sum bound needs it.
         4.0 * n * lam * lam * (math.log(m - 1) + 1.0),
     )
@@ -212,7 +185,7 @@ def correct_m(game, pure, trace):
     n, m, lam = game.n, game.m, game.lam
     scale = n * n * m * math.log(3.0 * m)
     delta1 = 4.0 * lam * scale ** (1.0 / 3.0)
-    trace.delta1 = delta1
+    trace.thresholds["delta1"] = delta1
 
     as_mixed = MixedProfile.from_pure(pure, m)
     report = regret_report(game, as_mixed)
@@ -272,11 +245,3 @@ def _grow_sets(u, member):
                 break
     return member
 
-
-def _snapshot(trace, P, member, u, mean, var, vsum):
-    trace.step_profiles.append(MixedProfile(P.copy()))
-    trace.relevant_sets.append(tuple(members(row) for row in member))
-    trace.payoffs.append(u.copy())
-    trace.means.append(mean.copy())
-    trace.variances.append(var.copy())
-    trace.variance_sums.append(vsum)

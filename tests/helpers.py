@@ -152,3 +152,23 @@ def reference_sweep(game, probs, order):
         S |= np.abs(d) <= bound
         bits.append(bit)
     return bits
+
+
+def growing_set_game(n=16, lam=0.06, level=0.85):
+    """Three-action game whose m-action relevant set grows mid-sweep.
+
+    Player 0 is paid level*lam per opponent for action 0 whatever they
+    play, and lam per opponent playing action 0 for action 1; every other
+    player is indifferent.  Returns (game, profile): player 0 pure on
+    action 0, everyone else uniform.  Action 1 then starts more than eps1
+    below action 0, outside player 0's set; the others go pure on action 0
+    (b is zero while player 0's set is a single action, and the lowest
+    index wins) and lift action 1 to the set mean after about three
+    quarters of the sweep.
+    """
+    beta = np.zeros((n, n, 3, 3))
+    beta[0, 1:, 0, :] = level * lam
+    beta[0, 1:, 1, 0] = lam
+    probs = np.full((n, 3), 1.0 / 3.0)
+    probs[0] = (1.0, 0.0, 0.0)
+    return PolymatrixGame(n=n, m=3, beta=beta, lam=lam), MixedProfile(probs)

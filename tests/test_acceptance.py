@@ -28,6 +28,7 @@ from lippoly import (
     check_game,
     induce,
     regret_report,
+    replay,
     solve_mixed,
 )
 from lippoly.game import (
@@ -127,18 +128,19 @@ def test_criterion_2_binary_intermediate_bounds(binary_ensemble):
         reg = U.max(axis=1, keepdims=True) - U
         support_ok = reg[trace.wsne_profile.probs > 0.0].max() <= lam * math.sqrt(n) + 1e-9
 
-        members = sorted(trace.relevant_sets[-1])
-        d = discrepancy_vector(game, trace.step_profiles[-1])
+        state = replay(trace, game)
+        members = sorted(state.relevant_sets[-1])
+        d = discrepancy_vector(game, state.profiles[-1])
         cost = float(d[members] @ d[members])
         cost_ok = (
-            abs(cost - trace.costs[-1]) <= 1e-9
+            abs(cost - trace.potentials[-1]) <= 1e-9
             and cost <= 5.0 * lam * lam * n * n + 1e-9
         )
 
         delta = lam * (20.0 * n * n) ** (1.0 / 3.0)
         switch_ok = (
-            abs(trace.delta - delta) <= 1e-12 * delta
-            and len(trace.switched_players) <= trace.costs[-1] / delta**2 + 1e-9
+            abs(trace.thresholds["delta"] - delta) <= 1e-12 * delta
+            and len(trace.switched_players) <= trace.potentials[-1] / delta**2 + 1e-9
         )
         if not (support_ok and cost_ok and switch_ok):
             failures += 1
@@ -163,7 +165,7 @@ def test_criterion_3_maction_bounds(maction_ensemble):
         fresh = regret_report(
             r["game"], MixedProfile.from_pure(r["final"], m)
         ).max_regret
-        terminal_ok = trace.variance_sums[-1] < 8.0 * n * n * lam * lam * logterm
+        terminal_ok = trace.potentials[-1] < 8.0 * n * n * lam * lam * logterm
         if fresh > bound or not terminal_ok:
             failures += 1
         worst_ratio = max(worst_ratio, fresh / bound)
@@ -309,20 +311,21 @@ def test_criterion_7_property_suite(binary_ensemble, tmp_path):
     failures = 0
     for r in runs:
         trace, game = r["trace"], r["game"]
+        state = replay(trace, game)
         for k, actor in enumerate(trace.order):
-            A = trace.step_coefficients[k]
+            A = trace.coefficients[k]
             if A is None:
                 continue
-            before = trace.step_profiles[k].probs[actor, 1]
-            after = trace.step_profiles[k + 1].probs[actor, 1]
+            before = state.profiles[k].probs[actor, 1]
+            after = state.profiles[k + 1].probs[actor, 1]
             if A * (after - before) > 1e-12:
                 failures += 1
             rounding_checks += 1
-        for earlier, later in zip(trace.relevant_sets, trace.relevant_sets[1:]):
+        for earlier, later in zip(state.relevant_sets, state.relevant_sets[1:]):
             if not earlier <= later:
                 failures += 1
-        outside = [i for i in range(game.n) if i not in trace.relevant_sets[-1]]
-        report = regret_report(game, trace.step_profiles[-1])
+        outside = [i for i in range(game.n) if i not in state.relevant_sets[-1]]
+        report = regret_report(game, state.profiles[-1])
         if outside and report.per_player_regret[outside].max() > 1e-9:
             failures += 1
 
@@ -339,9 +342,9 @@ def test_criterion_7_property_suite(binary_ensemble, tmp_path):
         _, t2 = purify(base["game"], base["mixed"], order=order)
         if not np.array_equal(t2.wsne_profile.probs, base["trace"].wsne_profile.probs):
             failures += 1
-        rounded = t2.step_profiles[-1]
+        rounded = replay(t2, base["game"]).profiles[-1]
         reg = regret_report(base["game"], rounded).per_player_regret
-        if set(t2.switched_players) != set(np.flatnonzero(reg >= t2.delta)):
+        if set(t2.switched_players) != set(np.flatnonzero(reg >= t2.thresholds["delta"])):
             failures += 1
         if not all(entry["ok"] for entry in t2.bounds.values()):
             failures += 1

@@ -371,35 +371,44 @@ def test_game_json_one_based_blocks_and_zero_omission():
 
 
 @pytest.mark.parametrize(
-    "blocks, message",
+    "fields, message",
     [
-        ([{"i": 1, "ip": 4, "matrix": [[0, 0], [0, 0]]}], r"block \(1, 4\) out of range"),
-        ([{"i": 0, "ip": 2, "matrix": [[0, 0], [0, 0]]}], r"block \(0, 2\) out of range"),
-        ([{"i": 2, "ip": 2, "matrix": [[0, 0], [0, 0]]}], r"block \(2, 2\) out of range"),
-        ([{"i": 1, "ip": 2, "matrix": [[0, 0, 0], [0, 0, 0]]}], r"block \(1, 2\) has shape"),
+        ({"beta": [{"i": 1, "ip": 4, "matrix": [[0, 0], [0, 0]]}]}, r"block \(1, 4\) out of range"),
+        ({"beta": [{"i": 0, "ip": 2, "matrix": [[0, 0], [0, 0]]}]}, r"block \(0, 2\) out of range"),
+        ({"beta": [{"i": 2, "ip": 2, "matrix": [[0, 0], [0, 0]]}]}, r"block \(2, 2\) out of range"),
+        ({"beta": [{"i": 1, "ip": 2, "matrix": [[0, 0, 0], [0, 0, 0]]}]}, r"block \(1, 2\) has shape"),
         (
-            [
-                {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]},
-                {"i": 2, "ip": 3, "matrix": [[0, 0, 0], [0]]},
-            ],
+            {
+                "beta": [
+                    {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]},
+                    {"i": 2, "ip": 3, "matrix": [[0, 0, 0], [0]]},
+                ]
+            },
             r"block \(2, 3\) has shape ragged rows",
         ),
         (
-            [
-                {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]},
-                {"i": 2, "ip": 1, "matrix": [[0.1, 0], [0, 0]]},
-                {"i": 1, "ip": 2, "matrix": [[0.2, 0], [0, 0]]},
-            ],
+            {
+                "beta": [
+                    {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]},
+                    {"i": 2, "ip": 1, "matrix": [[0.1, 0], [0, 0]]},
+                    {"i": 1, "ip": 2, "matrix": [[0.2, 0], [0, 0]]},
+                ]
+            },
             r"block \(1, 2\) appears more than once",
         ),
-        ([{"i": 1, "matrix": [[0, 0], [0, 0]]}], "malformed game JSON"),
-        ([{"i": 1, "ip": 2, "matrix": [["x", 0], [0, 0]]}], "malformed game JSON"),
+        ({"beta": [{"i": 1, "matrix": [[0, 0], [0, 0]]}]}, "malformed game JSON"),
+        ({"beta": [{"i": 1, "ip": 2, "matrix": [["x", 0], [0, 0]]}]}, "malformed game JSON"),
+        ({"n": -1}, r"player count must be >= 1, got -1"),
+        ({"m": -2}, r"action count must be >= 2, got -2"),
     ],
-    ids=["past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number"],
+    ids=[
+        "past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number",
+        "negative-n", "negative-m",
+    ],
 )
-def test_game_from_json_rejects_malformed_blocks(blocks, message):
+def test_game_from_json_rejects_malformed_blocks(fields, message):
     with pytest.raises(UsageError, match=message):
-        game_from_json({"n": 3, "m": 2, "lambda": 0.5, "beta": blocks})
+        game_from_json({"n": 3, "m": 2, "lambda": 0.5, "beta": [], **fields})
 
 
 def test_profile_json_round_trip():

@@ -314,6 +314,15 @@ def test_cli_check_rejects_non_finite_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
 
+def test_cli_check_rejects_negative_sizes(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text('{"n": -1, "m": 2, "lambda": 0.5, "beta": []}')
+    assert run_cli("check", str(path)) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "UsageError"
+    assert "player count" in error["message"]
+
+
 def test_cli_solve_then_purify(tmp_path, capsys):
     game_path = tmp_path / "game.json"
     game = random_game(6, 2, 1.0 / 6, seed=21)

@@ -14,8 +14,6 @@ from helpers import (
 )
 from lippoly import (
     BinaryOnlyError,
-    BinaryPurifyTrace,
-    MActionPurifyTrace,
     MixedProfile,
     PolymatrixGame,
     PreconditionViolation,
@@ -27,6 +25,7 @@ from lippoly import (
     purify,
     purify_rounding_binary,
     regret_report,
+    replay,
     solve_mixed,
     trace_to_json,
 )
@@ -34,10 +33,13 @@ from lippoly.game import BOUND_TOL, action_regrets, discrepancy_vector
 from lippoly.purify.binary import sweep_step
 
 PIPELINE_SEEDS = (0, 1, 2, 3, 4, 5)
+# At lam = 1/n every player starts in the relevant set; at n = 12,
+# lam = 0.04 these seeds start with 11 and 9 players and the set grows.
+GROWING_SEEDS = (3, 6)
 
 
-def run_pipeline(seed, n=16, order=None):
-    lam = 1.0 / n
+def run_pipeline(seed, n=16, order=None, lam=None):
+    lam = 1.0 / n if lam is None else lam
     game = random_game(n, 2, lam, seed)
     solved = solve_mixed(game, SolverConfig(target_epsilon=lam / 8.0, seed=seed))
     assert solved.converged
@@ -47,7 +49,9 @@ def run_pipeline(seed, n=16, order=None):
 
 @pytest.fixture(scope="module")
 def pipelines():
-    return [run_pipeline(seed) for seed in PIPELINE_SEEDS]
+    growing = [run_pipeline(seed, n=12, lam=0.04) for seed in GROWING_SEEDS]
+    assert all(any(len(added) for added in run[3].additions[1:]) for run in growing)
+    return [run_pipeline(seed) for seed in PIPELINE_SEEDS] + growing
 
 
 # ---------------------------------------------------------------- stage 1
@@ -56,7 +60,7 @@ def pipelines():
 def test_wsne_pure_zero_regret_input_unchanged():
     game = constant_gap_game([0.9, 0.0], lam=1.0)
     profile = MixedProfile([[1.0, 0.0], [1.0, 0.0]])
-    out = ane_to_wsne_binary(game, profile)
+    out, _ = ane_to_wsne_binary(game, profile)
     assert np.array_equal(out.probs, profile.probs)
 
 
@@ -65,7 +69,7 @@ def test_wsne_forced_switch_direction():
     # there; player 1 is indifferent and keeps its mix.
     game = constant_gap_game([0.9, 0.0], lam=1.0)
     profile = MixedProfile([[0.9, 0.1], [0.5, 0.5]])
-    out = ane_to_wsne_binary(game, profile)
+    out, _ = ane_to_wsne_binary(game, profile)
     assert np.array_equal(out.probs[0], [1.0, 0.0])
     assert np.array_equal(out.probs[1], [0.5, 0.5])
 
@@ -107,10 +111,10 @@ def test_precondition_ladder():
         return MixedProfile([[p, 1.0 - p], [0.5, 0.5]])
 
     # Clean: at the required level.
-    ane_to_wsne_binary(game, with_regret(0.05))
+    assert ane_to_wsne_binary(game, with_regret(0.05))[1] is False
     # Warn band: above required but within twice.
     with pytest.warns(RuntimeWarning):
-        ane_to_wsne_binary(game, with_regret(0.15))
+        assert ane_to_wsne_binary(game, with_regret(0.15))[1] is True
     # Beyond twice: hard failure naming the player.
     with pytest.raises(PreconditionViolation) as info:
         ane_to_wsne_binary(game, with_regret(0.25))
@@ -138,8 +142,8 @@ def test_rounding_pure_input_identity():
     wsne = MixedProfile(pure_probs)
     pure, trace = purify_rounding_binary(game, wsne)
     assert np.array_equal(pure.actions, [0, 1, 0, 0, 1, 1])
-    assert all(a is None for a in trace.step_coefficients)
-    assert len(set(trace.costs)) == 1
+    assert all(a is None for a in trace.coefficients)
+    assert len(set(trace.potentials)) == 1
 
 
 def test_rounding_single_mixed_player_bit_choice():
@@ -172,13 +176,14 @@ def test_rounding_single_mixed_player_bit_choice():
 
 def test_rounding_a_times_delta_p_nonpositive(pipelines):
     checked = 0
-    for _, _, _, trace in pipelines:
+    for game, _, _, trace in pipelines:
+        profiles = replay(trace, game).profiles
         for k, actor in enumerate(trace.order):
-            A = trace.step_coefficients[k]
+            A = trace.coefficients[k]
             if A is None:
                 continue
-            before = trace.step_profiles[k].probs[actor, 1]
-            after = trace.step_profiles[k + 1].probs[actor, 1]
+            before = profiles[k].probs[actor, 1]
+            after = profiles[k + 1].probs[actor, 1]
             assert A * (after - before) <= 1e-12
             checked += 1
     assert checked > 0
@@ -190,13 +195,14 @@ def test_rounding_coefficients_match_formula(pipelines):
     # recomputation.
     for game, _, _, trace in pipelines:
         beta = game.beta
+        state = replay(trace, game)
         for k, actor in enumerate(trace.order):
-            A = trace.step_coefficients[k]
+            A = trace.coefficients[k]
             if A is None:
                 continue
-            P = trace.step_profiles[k].probs
+            P = state.profiles[k].probs
             c, ell = sweep_step_oracle(game, P, actor)
-            d = discrepancy_vector(game, trace.step_profiles[k])
+            d = discrepancy_vector(game, state.profiles[k])
             c_new, ell_new = sweep_step(game, d, float(P[actor, 1]), actor)
             assert np.abs(c_new - c).max() <= 1e-12
             assert np.abs(ell_new - ell).max() <= 1e-12
@@ -205,7 +211,7 @@ def test_rounding_coefficients_match_formula(pipelines):
             )
             assert np.abs(ell - slope).max() <= 1e-9
             S = np.zeros(game.n, dtype=bool)
-            S[list(trace.relevant_sets[k])] = True
+            S[list(state.relevant_sets[k])] = True
             assert 2.0 * float(c[S] @ ell[S]) == pytest.approx(A, abs=1e-9)
 
 
@@ -218,30 +224,34 @@ def test_sweep_matches_reference_sweep(n, seed):
     drift = trace.bounds["sweep_drift"]
     assert drift["ok"] and drift["allowed"] == BOUND_TOL
     # The running discrepancies end where a fresh evaluation puts them.
-    d = discrepancy_vector(game, trace.step_profiles[-1])
-    S = sorted(trace.relevant_sets[-1])
+    state = replay(trace, game)
+    d = discrepancy_vector(game, state.profiles[-1])
+    S = sorted(state.relevant_sets[-1])
     terminal = trace.bounds["terminal_cost"]["observed"]
     assert terminal == pytest.approx(float(d[S] @ d[S]), rel=1e-12)
 
 
 def test_relevant_sets_monotone(pipelines):
-    for _, _, _, trace in pipelines:
-        for earlier, later in zip(trace.relevant_sets, trace.relevant_sets[1:]):
+    for game, _, _, trace in pipelines:
+        sets = replay(trace, game).relevant_sets
+        for earlier, later in zip(sets, sets[1:]):
             assert earlier <= later
 
 
 def test_membership_rule_from_profiles(pipelines):
     for game, _, _, trace in pipelines:
         bound = game.lam * math.sqrt(game.n)
-        for k in range(1, len(trace.step_profiles)):
-            d = discrepancy_vector(game, trace.step_profiles[k])
+        state = replay(trace, game)
+        for k in range(1, len(state.profiles)):
+            d = discrepancy_vector(game, state.profiles[k])
             joined = frozenset(np.flatnonzero(np.abs(d) <= bound))
-            assert trace.relevant_sets[k] == (trace.relevant_sets[k - 1] | joined)
+            assert state.relevant_sets[k] == (state.relevant_sets[k - 1] | joined)
 
 
 def test_cost_matches_definition(pipelines):
     for game, _, _, trace in pipelines:
-        for profile, S, cost in zip(trace.step_profiles, trace.relevant_sets, trace.costs):
+        state = replay(trace, game)
+        for profile, S, cost in zip(state.profiles, state.relevant_sets, trace.potentials):
             d = discrepancy_vector(game, profile)
             idx = list(S)
             assert cost == pytest.approx(float(d[idx] @ d[idx]), abs=1e-12)
@@ -250,18 +260,19 @@ def test_cost_matches_definition(pipelines):
 def test_step_cost_increase_bound(pipelines):
     for game, _, _, trace in pipelines:
         n, lam = game.n, game.lam
-        for k in range(1, len(trace.costs)):
-            new = len(trace.relevant_sets[k]) - len(trace.relevant_sets[k - 1])
-            increase = trace.costs[k] - trace.costs[k - 1]
+        sets = replay(trace, game).relevant_sets
+        for k in range(1, len(trace.potentials)):
+            new = len(sets[k]) - len(sets[k - 1])
+            increase = trace.potentials[k] - trace.potentials[k - 1]
             assert increase <= 4.0 * lam * lam * n + lam * lam * n * new + 1e-9
 
 
 def test_terminal_cost_bound(pipelines):
     for game, _, _, trace in pipelines:
-        assert trace.costs[-1] <= 5.0 * game.lam**2 * game.n**2 + 1e-9
+        assert trace.potentials[-1] <= 5.0 * game.lam**2 * game.n**2 + 1e-9
         entry = trace.bounds["terminal_cost"]
         assert entry["ok"]
-        assert entry["observed"] == pytest.approx(trace.costs[-1])
+        assert entry["observed"] == pytest.approx(trace.potentials[-1])
 
 
 def test_sign_change_implies_membership(pipelines):
@@ -271,21 +282,23 @@ def test_sign_change_implies_membership(pipelines):
     flips = 0
     for game, _, _, trace in pipelines:
         assert game.n >= 4
-        vectors = [discrepancy_vector(game, p) for p in trace.step_profiles]
+        state = replay(trace, game)
+        vectors = [discrepancy_vector(game, p) for p in state.profiles]
         for k in range(1, len(vectors)):
             flipped = np.flatnonzero(vectors[k - 1] * vectors[k] < 0.0)
             for player in flipped:
-                assert player in trace.relevant_sets[k]
+                assert player in state.relevant_sets[k]
                 flips += 1
     # Not asserting flips > 0: genuinely rare; the invariant is what counts.
 
 
 def test_players_outside_final_set_have_zero_regret(pipelines):
     for game, _, _, trace in pipelines:
-        rounded = trace.step_profiles[-1]
+        state = replay(trace, game)
+        rounded = state.profiles[-1]
         assert rounded.is_pure_valued()
         report = regret_report(game, rounded)
-        outside = [i for i in range(game.n) if i not in trace.relevant_sets[-1]]
+        outside = [i for i in range(game.n) if i not in state.relevant_sets[-1]]
         for i in outside:
             assert report.per_player_regret[i] <= 1e-9
 
@@ -305,9 +318,9 @@ def test_correct_no_switchers_identity():
 
 def test_correct_switch_rule_and_simultaneity(pipelines):
     for game, _, final, trace in pipelines:
-        rounded = trace.step_profiles[-1].to_pure()
+        rounded = replay(trace, game).profiles[-1].to_pure()
         report = regret_report(game, MixedProfile.from_pure(rounded, 2))
-        expect_switch = set(np.flatnonzero(report.per_player_regret >= trace.delta))
+        expect_switch = set(np.flatnonzero(report.per_player_regret >= trace.thresholds["delta"]))
         assert set(trace.switched_players) == expect_switch
         # All switch targets are best responses against the pre-switch profile.
         d = discrepancy_vector(game, MixedProfile.from_pure(rounded, 2))
@@ -319,13 +332,14 @@ def test_correct_switch_rule_and_simultaneity(pipelines):
 
 def test_switcher_budget(pipelines):
     for game, _, _, trace in pipelines:
-        assert len(trace.switched_players) <= trace.costs[-1] / trace.delta**2 + 1e-9
+        delta = trace.thresholds["delta"]
+        assert len(trace.switched_players) <= trace.potentials[-1] / delta**2 + 1e-9
         assert trace.bounds["switcher_count"]["ok"]
 
 
 def test_delta_value(pipelines):
     for game, _, _, trace in pipelines:
-        assert trace.delta == pytest.approx(
+        assert trace.thresholds["delta"] == pytest.approx(
             game.lam * (20.0 * game.n**2) ** (1.0 / 3.0), rel=1e-12
         )
 
@@ -390,11 +404,11 @@ def test_pipeline_commutes_with_player_relabeling():
     final2, trace2 = purify(relabeled, profile, order=order)
 
     assert np.array_equal(final2.actions, final.actions[perm])
-    assert np.allclose(trace2.costs, trace.costs, atol=1e-12)
+    assert np.allclose(trace2.potentials, trace.potentials, atol=1e-12)
     relabeled_sets = [
-        frozenset(int(inv[p]) for p in S) for S in trace.relevant_sets
+        frozenset(int(inv[p]) for p in S) for S in replay(trace, game).relevant_sets
     ]
-    assert list(trace2.relevant_sets) == relabeled_sets
+    assert replay(trace2, relabeled).relevant_sets == relabeled_sets
     assert set(trace2.switched_players) == {int(inv[p]) for p in trace.switched_players}
 
 
@@ -402,16 +416,16 @@ def test_purify_routing():
     binary = random_game(6, 2, 0.15, 50)
     solved = solve_mixed(binary, SolverConfig(target_epsilon=binary.lam / 8.0, seed=1))
     _, trace = purify(binary, solved.profile)
-    assert isinstance(trace, BinaryPurifyTrace)
+    assert trace.pipeline == "binary"
 
     _, trace = purify(binary, solved.profile, mode="m_action")
-    assert isinstance(trace, MActionPurifyTrace)
+    assert trace.pipeline == "m_action"
 
     wide = random_game(5, 3, 0.2, 51)
     target = (2.0 / 3.0) ** 2 * wide.lam
     solved = solve_mixed(wide, SolverConfig(target_epsilon=target, seed=1))
     _, trace = purify(wide, solved.profile)
-    assert isinstance(trace, MActionPurifyTrace)
+    assert trace.pipeline == "m_action"
 
     with pytest.raises(BinaryOnlyError):
         purify(wide, solved.profile, mode="binary")
@@ -420,14 +434,14 @@ def test_purify_routing():
 
 
 def test_trace_json_details(pipelines):
-    _, _, _, trace = pipelines[0]
-    full = trace_to_json(trace, detail="full")
+    game, _, _, trace = pipelines[0]
+    full = trace_to_json(trace, game, detail="full")
     assert full["pipeline"] == "binary"
     assert full["bounds"]["final_regret"]["ok"]
     assert min(full["order"]) == 1
     assert all(isinstance(s, dict) for s in full["steps"])
-    skinny = trace_to_json(trace, detail="potentials")
+    skinny = trace_to_json(trace, game, detail="potentials")
     assert "input_profile" not in skinny
     assert len(skinny["steps"]) == len(full["steps"])
     with pytest.raises(UsageError):
-        trace_to_json(trace, detail="everything")
+        trace_to_json(trace, game, detail="everything")

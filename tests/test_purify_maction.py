@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from helpers import constant_gap_game, payoff_matrix_oracle, random_game, zero_game
+from helpers import (
+    constant_gap_game,
+    growing_set_game,
+    payoff_matrix_oracle,
+    random_game,
+    zero_game,
+)
 from lippoly import (
     MixedProfile,
     PolymatrixGame,
@@ -17,6 +23,7 @@ from lippoly import (
     purify,
     purify_rounding_m,
     regret_report,
+    replay,
     solve_mixed,
     thresholds_m,
     trace_to_json,
@@ -37,7 +44,12 @@ def run_pipeline(m, n, seed, order=None):
 
 @pytest.fixture(scope="module")
 def pipelines():
-    return [run_pipeline(m, n, seed) for m, n, seed in PIPELINE_SHAPES]
+    # The solved games' relevant sets never grow; the last pipeline's do.
+    runs = [run_pipeline(m, n, seed) for m, n, seed in PIPELINE_SHAPES]
+    game, profile = growing_set_game()
+    final, trace = purify(game, profile, mode="m_action")
+    assert any(len(added) for added in trace.additions[1:])
+    return runs + [(game, profile, final, trace)]
 
 
 def recompute_stats(game, profile, sets):
@@ -88,7 +100,7 @@ def test_delta1_is_the_minimizer():
 def test_wsne_pure_zero_regret_unchanged():
     game = constant_gap_game([0.5, 0.0, 0.0], lam=0.1)
     profile = MixedProfile([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    out = ane_to_wsne_m(game, profile)
+    out, _ = ane_to_wsne_m(game, profile)
     assert np.array_equal(out.probs, profile.probs)
 
 
@@ -98,7 +110,7 @@ def test_wsne_forced_move_above_delta0():
     gaps = [0.5, 0.5 - 2.0 * delta0, 0.0]
     game = constant_gap_game(gaps, lam=0.1)
     profile = MixedProfile([[0.95, 0.05, 0.0], [1.0, 0.0, 0.0]])
-    out = ane_to_wsne_m(game, profile)
+    out, _ = ane_to_wsne_m(game, profile)
     # Action 1 sits at regret 2*delta0: its mass lands on the best response.
     assert out.probs[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert out.probs[0, 1] == 0.0 and out.probs[0, 2] == 0.0
@@ -110,7 +122,7 @@ def test_wsne_keeps_mass_below_delta0():
     gaps = [0.5, 0.5 - 0.5 * delta0, 0.0]
     game = constant_gap_game(gaps, lam=0.1)
     profile = MixedProfile([[0.9, 0.1, 0.0], [1.0, 0.0, 0.0]])
-    out = ane_to_wsne_m(game, profile)
+    out, _ = ane_to_wsne_m(game, profile)
     assert np.array_equal(out.probs, profile.probs)
 
 
@@ -120,7 +132,7 @@ def test_wsne_support_bound_on_solver_output(pipelines):
         U = payoff_matrix_oracle(game, wsne)
         reg = U.max(axis=1, keepdims=True) - U
         support = wsne.probs > 0.0
-        assert reg[support].max() <= trace.epsilon1 + 1e-9
+        assert reg[support].max() <= trace.thresholds["epsilon1"] + 1e-9
 
 
 def test_precondition_ladder_m():
@@ -130,9 +142,9 @@ def test_precondition_ladder_m():
     def with_regret(r):
         return MixedProfile([[1.0 - r, r, 0.0], [1.0, 0.0, 0.0]])
 
-    ane_to_wsne_m(game, with_regret(0.3))
+    assert ane_to_wsne_m(game, with_regret(0.3))[1] is False
     with pytest.warns(RuntimeWarning):
-        ane_to_wsne_m(game, with_regret(0.6))
+        assert ane_to_wsne_m(game, with_regret(0.6))[1] is True
     with pytest.raises(PreconditionViolation) as info:
         ane_to_wsne_m(game, with_regret(0.85))
     assert info.value.player == 0
@@ -174,46 +186,49 @@ def test_initial_sets_are_epsilon1_bands(pipelines):
     for game, _, _, trace in pipelines:
         u = payoff_matrix_oracle(game, trace.wsne_profile)
         reg = u.max(axis=1, keepdims=True) - u
+        sets = replay(trace, game).relevant_sets
         for i in range(game.n):
-            expect = frozenset(np.flatnonzero(reg[i] <= trace.epsilon1))
-            assert trace.relevant_sets[0][i] == expect
+            expect = frozenset(np.flatnonzero(reg[i] <= trace.thresholds["epsilon1"]))
+            assert sets[0][i] == expect
 
 
 def test_relevant_sets_monotone(pipelines):
-    for _, _, _, trace in pipelines:
-        for earlier, later in zip(trace.relevant_sets, trace.relevant_sets[1:]):
+    for game, _, _, trace in pipelines:
+        sets = replay(trace, game).relevant_sets
+        for earlier, later in zip(sets, sets[1:]):
             for a, b in zip(earlier, later):
                 assert a <= b
 
 
 def test_stats_match_recomputation(pipelines):
     for game, _, _, trace in pipelines:
-        for k in range(len(trace.step_profiles)):
-            u, mean, var = recompute_stats(
-                game, trace.step_profiles[k], trace.relevant_sets[k]
-            )
-            assert np.abs(u - trace.payoffs[k]).max() <= 1e-12
-            assert np.abs(mean - trace.means[k]).max() <= 1e-12
-            assert np.abs(var - trace.variances[k]).max() <= 1e-12
-            assert trace.variance_sums[k] == pytest.approx(float(var.sum()), abs=1e-12)
+        state = replay(trace, game)
+        for k in range(len(state.profiles)):
+            u, mean, var = recompute_stats(game, state.profiles[k], state.relevant_sets[k])
+            assert np.abs(u - state.payoffs[k]).max() <= 1e-12
+            assert np.abs(mean - state.means[k]).max() <= 1e-12
+            assert np.abs(var - state.variances[k]).max() <= 1e-12
+            assert trace.potentials[k] == pytest.approx(float(var.sum()), abs=1e-12)
 
 
 def test_set_growth_postcondition(pipelines):
     for game, _, _, trace in pipelines:
-        for k in range(len(trace.step_profiles)):
-            u = trace.payoffs[k]
-            for i, S in enumerate(trace.relevant_sets[k]):
+        state = replay(trace, game)
+        for k in range(len(state.profiles)):
+            u = state.payoffs[k]
+            for i, S in enumerate(state.relevant_sets[k]):
                 outside = [j for j in range(game.m) if j not in S]
                 if outside:
-                    assert max(u[i, j] for j in outside) < trace.means[k][i] + 1e-12
+                    assert max(u[i, j] for j in outside) < state.means[k][i] + 1e-12
 
 
 def test_set_growth_matches_while_loop_oracle(pipelines):
     for game, _, _, trace in pipelines:
+        state = replay(trace, game)
         for k, _actor in enumerate(trace.order):
-            u = trace.payoffs[k + 1]
+            u = state.payoffs[k + 1]
             for i in range(game.n):
-                S = set(trace.relevant_sets[k][i])
+                S = set(state.relevant_sets[k][i])
                 mean = np.mean([u[i, j] for j in S])
                 while len(S) < game.m:
                     outside = [j for j in range(game.m) if j not in S]
@@ -223,17 +238,18 @@ def test_set_growth_matches_while_loop_oracle(pipelines):
                         mean = np.mean([u[i, j] for j in S])
                     else:
                         break
-                assert frozenset(S) == trace.relevant_sets[k + 1][i]
+                assert frozenset(S) == state.relevant_sets[k + 1][i]
 
 
 def test_chosen_action_minimizes_aggregate_coefficient(pipelines):
     for game, _, _, trace in pipelines:
+        state = replay(trace, game)
         for k, actor in enumerate(trace.order):
-            b = trace.step_b[k]
-            inside = sorted(trace.relevant_sets[k][actor])
+            b = trace.coefficients[k]
+            inside = sorted(state.relevant_sets[k][actor])
             want = inside[int(np.argmin([b[j] for j in inside]))]
             assert trace.chosen_actions[k] == want
-            after = trace.step_profiles[k + 1].probs[actor]
+            after = state.profiles[k + 1].probs[actor]
             assert after[want] == 1.0 and after.sum() == 1.0
 
 
@@ -243,32 +259,33 @@ def test_aggregate_coefficient_matches_centered_definition(pipelines):
     for game, _, _, trace in pipelines[:3]:
         m = game.m
         cap = (m - 1) / m * game.lam
+        state = replay(trace, game)
         for k, actor in enumerate(trace.order):
-            P = trace.step_profiles[k].probs
-            u = trace.payoffs[k]
+            P = state.profiles[k].probs
+            u = state.payoffs[k]
             b_oracle = np.zeros(m)
             for a in range(game.n):
                 if a == actor:
                     continue
-                idx = sorted(trace.relevant_sets[k][a])
+                idx = sorted(state.relevant_sets[k][a])
                 own = game.beta[a, actor] @ P[actor]
                 u_other = u[a] - own
                 c = u_other[idx] - u_other[idx].mean()
                 L = game.beta[a, actor][idx] - game.beta[a, actor][idx].mean(axis=0)
                 assert np.abs(L).max() <= cap + 1e-9
                 b_oracle += 2.0 * (c @ L) / len(idx)
-            assert np.abs(b_oracle - trace.step_b[k]).max() <= 1e-9
+            assert np.abs(b_oracle - trace.coefficients[k]).max() <= 1e-9
 
 
 def test_variance_budget_components(pipelines):
     for game, _, _, trace in pipelines:
         n, m, lam = game.n, game.m, game.lam
-        assert trace.variance_sums[0] <= 2.0 * (n * lam * (m - 1) / m) ** 2 + 1e-9
-        assert trace.move_increase_total <= ((m - 1) * n * lam / m) ** 2 + 1e-9
-        assert trace.addition_increase_total <= 4.0 * n * lam * lam * (
-            math.log(m - 1) + 1.0
-        ) + 1e-9
-        assert trace.variance_sums[-1] < 8.0 * n * n * lam * lam * math.log(3.0 * m) + 1e-9
+        moves = trace.bounds["move_variance_budget"]["observed"]
+        additions = trace.bounds["addition_variance_budget"]["observed"]
+        assert trace.potentials[0] <= 2.0 * (n * lam * (m - 1) / m) ** 2 + 1e-9
+        assert moves <= ((m - 1) * n * lam / m) ** 2 + 1e-9
+        assert additions <= 4.0 * n * lam * lam * (math.log(m - 1) + 1.0) + 1e-9
+        assert trace.potentials[-1] < 8.0 * n * n * lam * lam * math.log(3.0 * m) + 1e-9
         for name in (
             "initial_variance",
             "move_variance_budget",
@@ -280,8 +297,10 @@ def test_variance_budget_components(pipelines):
 
 def test_increase_totals_decompose_terminal_variance(pipelines):
     for _, _, _, trace in pipelines:
-        drift = trace.variance_sums[-1] - trace.variance_sums[0]
-        assert trace.move_increase_total + trace.addition_increase_total == pytest.approx(
+        drift = trace.potentials[-1] - trace.potentials[0]
+        moves = trace.bounds["move_variance_budget"]["observed"]
+        additions = trace.bounds["addition_variance_budget"]["observed"]
+        assert moves + additions == pytest.approx(
             drift, abs=1e-9
         )
 
@@ -301,10 +320,10 @@ def test_correct_no_switchers_identity():
 
 def test_correct_switch_rule(pipelines):
     for game, _, final, trace in pipelines:
-        rounded = trace.step_profiles[-1].to_pure()
+        rounded = replay(trace, game).profiles[-1].to_pure()
         as_mixed = MixedProfile.from_pure(rounded, game.m)
         report = regret_report(game, as_mixed)
-        expect = set(np.flatnonzero(report.per_player_regret > trace.delta1))
+        expect = set(np.flatnonzero(report.per_player_regret > trace.thresholds["delta1"]))
         assert set(trace.switched_players) == expect
         U = payoff_matrix_oracle(game, as_mixed)
         for i in trace.switched_players:
@@ -317,7 +336,7 @@ def test_switcher_budget_and_final_bound(pipelines):
     for game, _, final, trace in pipelines:
         n, m, lam = game.n, game.m, game.lam
         logterm = math.log(3.0 * m)
-        budget = 16.0 * n * n * lam * lam * m * logterm / trace.delta1**2
+        budget = 16.0 * n * n * lam * lam * m * logterm / trace.thresholds["delta1"] ** 2
         assert len(trace.switched_players) <= budget + 1e-9
         bound = 6.0 * lam * (n * n * m * logterm) ** (1.0 / 3.0)
         fresh = regret_report(game, MixedProfile.from_pure(final, m)).max_regret
@@ -356,19 +375,20 @@ def test_pipeline_commutes_with_player_relabeling():
 
     assert np.array_equal(final2.actions, final.actions[perm])
     assert list(trace2.chosen_actions) == list(trace.chosen_actions)
-    assert np.allclose(trace2.variance_sums, trace.variance_sums, atol=1e-12)
-    for k in range(len(trace.relevant_sets)):
+    assert np.allclose(trace2.potentials, trace.potentials, atol=1e-12)
+    sets, sets2 = replay(trace, game).relevant_sets, replay(trace2, relabeled).relevant_sets
+    for k in range(len(sets)):
         for a in range(n):
-            assert trace2.relevant_sets[k][a] == trace.relevant_sets[k][int(perm[a])]
+            assert sets2[k][a] == sets[k][int(perm[a])]
     assert set(trace2.switched_players) == {int(inv[p]) for p in trace.switched_players}
 
 
 def test_trace_json_details(pipelines):
-    _, _, _, trace = pipelines[0]
-    full = trace_to_json(trace, detail="full")
+    game, _, _, trace = pipelines[0]
+    full = trace_to_json(trace, game, detail="full")
     assert full["pipeline"] == "m_action"
     assert full["bounds"]["terminal_variance"]["ok"]
     assert {"epsilon0", "epsilon1", "delta0", "delta1"} <= set(full["thresholds"])
-    skinny = trace_to_json(trace, detail="potentials")
+    skinny = trace_to_json(trace, game, detail="potentials")
     assert len(skinny["steps"]) == len(full["steps"])
     assert "relevant_sets" not in skinny["steps"][0]

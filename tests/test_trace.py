@@ -1,0 +1,81 @@
+"""The purification trace: pinned JSON bytes, the replay, degenerate games."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_game, zero_game
+from lippoly import (
+    BOUND_TOL,
+    SolverConfig,
+    canonical_bytes,
+    profile_from_json,
+    purify,
+    solve_mixed,
+    trace_to_json,
+)
+from lippoly.harness.pipeline import run_instance
+
+# SHA-256 of canonical_bytes(trace_to_json(trace, detail)) on two seeded
+# games, taken from the two per-pipeline JSON writers this schema replaced.
+# The binary game's relevant set grows during the sweep (9 -> 12 players);
+# the m-action game's sets hold 19 of its 24 actions.
+GOLDEN = {
+    ((12, 2, 0.04, 6), "full"): "e5bdaaa265d2a9fd08d8cfc92f2e2868419ea78ebedba4c68c15fa27cecc503f",
+    ((12, 2, 0.04, 6), "potentials"): "d25553826bad361b3ffc71c5a117bec7cf5e68c88c6bd9690d248ce86671f90d",
+    ((8, 3, 0.03, 0), "full"): "e3b82596aaa0c26bcdc2f87c1ce9621798a168eb7b167e69ce29fa31f9ee9269",
+    ((8, 3, 0.03, 0), "potentials"): "c855a24afcf03ff674fec3618d501ddc50f0ebad12249db4538da395e99f9517",
+}
+
+
+def solved_trace(n, m, lam, seed):
+    game = random_game(n, m, lam, seed)
+    target = lam / 8.0 if m == 2 else ((m - 1) / m) ** 2 * lam
+    solved = solve_mixed(game, SolverConfig(target_epsilon=target, seed=seed))
+    assert solved.converged
+    _, trace = purify(game, solved.profile)
+    return game, trace
+
+
+@pytest.mark.parametrize("shape, detail", sorted(GOLDEN))
+def test_trace_json_bytes_are_pinned(shape, detail):
+    game, trace = solved_trace(*shape)
+    data = canonical_bytes(trace_to_json(trace, game, detail))
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[(shape, detail)]
+
+
+@st.composite
+def degenerate_games(draw):
+    """One player, all-zero coefficients, lam = 1, or up to twelve actions."""
+    kind = draw(st.sampled_from(("single", "zero", "lam-one", "wide")))
+    m = draw(st.integers(2, 12))
+    if kind == "single":
+        return zero_game(n=1, m=m, lam=draw(st.sampled_from((0.05, 0.5, 1.0))))
+    n = draw(st.integers(2, 5))
+    if kind == "zero":
+        return zero_game(n=n, m=m, lam=draw(st.sampled_from((0.05, 0.5, 1.0))))
+    lam = 1.0 if kind == "lam-one" else 1.0 / n
+    return random_game(n, m, lam, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_games(), st.integers(0, 1000))
+def test_degenerate_games_purify_within_their_bounds(game, seed):
+    record = run_instance(game, seed=seed, trace_detail="full")
+    assert record.outcome == "ok"
+    purifier = record.purifier
+    assert purifier["final_regret"] <= purifier["final_bound"] + BOUND_TOL
+    assert all(entry["ok"] for entry in purifier["bounds"].values())
+    # The replayed sweep ends on the rounded profile: pure, and equal to
+    # the final one except at the players stage 3 switched.
+    trace = purifier["trace"]
+    assert len(trace["steps"]) == game.n + 1
+    rounded = profile_from_json(trace["steps"][-1]["profile"])
+    assert rounded.is_pure_valued()
+    final = np.asarray(purifier["final_profile"]) - 1
+    switched = np.zeros(game.n, dtype=bool)
+    switched[np.asarray(trace["switched_players"], dtype=int) - 1] = True
+    assert np.array_equal(rounded.to_pure().actions != final, switched)
