@@ -30,14 +30,14 @@ from ..game import (
 )
 from ..population import reduce_and_solve
 from ..purify import MODES, TRACE_DETAILS, default_target_epsilon, purify, trace_to_json
-from ..solver import SolverConfig, solve_mixed
+from ..solver import STEP_SCHEDULES, SolverConfig, solve_mixed
 from .baseline import sample_baseline
 from .generator import FAMILIES, GeneratorSpec, generate
 from .pipeline import (
-    EXIT_BOUND_BREACH,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_WITNESS,
+    error_exit_code,
     run_pipeline,
     witness_to_json,
     write_report,
@@ -52,15 +52,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BoundBreach as exc:
-        _emit({"error": "BoundBreach", "message": str(exc), "bound": exc.bound_name}, None)
-        return EXIT_BOUND_BREACH
     except LippolyError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
+        if isinstance(exc, BoundBreach):
+            _emit({"error": "BoundBreach", "message": str(exc), "bound": exc.bound_name}, None)
+        else:
+            print(
+                json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+                file=sys.stderr,
+            )
+        return error_exit_code(exc)
 
 
 def _emit(doc, out):
@@ -81,8 +81,8 @@ def _load_mixed(path, game):
     return profile
 
 
-def cmd_generate(args):
-    spec = GeneratorSpec(
+def _generator_spec(args):
+    return GeneratorSpec(
         n=args.n,
         m=args.m,
         lam=args.lam,
@@ -91,7 +91,10 @@ def cmd_generate(args):
         density=args.density,
         weight=args.weight,
     )
-    game = generate(spec)
+
+
+def cmd_generate(args):
+    game = generate(_generator_spec(args))
     _emit(game_to_json(game), args.out)
     return EXIT_OK
 
@@ -201,15 +204,7 @@ def cmd_pipeline(args):
     if args.game is None:
         if args.n is None or args.m is None or args.lam is None:
             raise UsageError("pipeline needs either --game or all of --n, --m, --lambda")
-        spec = GeneratorSpec(
-            n=args.n,
-            m=args.m,
-            lam=args.lam,
-            family=args.family,
-            seed=args.seed,
-            density=args.density,
-            weight=args.weight,
-        )
+        spec = _generator_spec(args)
     report = run_pipeline(
         game_path=args.game,
         spec=spec,
@@ -254,8 +249,8 @@ def _build_parser():
     p.add_argument("game")
     p.add_argument("--eps", type=float, default=None, help="target regret (default: pipeline input level)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--schedule", choices=("fixed", "harmonic"), default="fixed")
-    p.add_argument("--max-iterations", type=int, default=3000)
+    p.add_argument("--schedule", choices=STEP_SCHEDULES, default=SolverConfig.step_schedule)
+    p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
     p.add_argument("--grid-k", type=int, default=None, help="route through the exhaustive 1/k-uniform scan")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)

@@ -41,6 +41,14 @@ EXIT_INVALID = 1
 EXIT_WITNESS = 10
 EXIT_NOT_CONVERGED = 20
 EXIT_BOUND_BREACH = 30
+# Record outcomes in order of precedence, each with the exit code it gives a run.
+OUTCOME_EXIT_CODES = {
+    "bound_breach": EXIT_BOUND_BREACH,
+    "invalid": EXIT_INVALID,
+    "not_converged": EXIT_NOT_CONVERGED,
+    "witness": EXIT_WITNESS,
+    "ok": EXIT_OK,
+}
 
 
 @dataclass(frozen=True)
@@ -234,6 +242,11 @@ def _error_outcome(exc):
     return "invalid"
 
 
+def error_exit_code(exc):
+    """Exit code of a run stopped by `exc`: the one a record with its outcome gives."""
+    return OUTCOME_EXIT_CODES[_error_outcome(exc)]
+
+
 def _quantiles(values):
     arr = np.asarray(values, dtype=np.float64)
     qs = np.quantile(arr, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -261,15 +274,9 @@ def _aggregates(records):
 
 def _exit_code(records):
     outcomes = {r.outcome for r in records}
-    if "bound_breach" in outcomes:
-        return EXIT_BOUND_BREACH
-    if "invalid" in outcomes:
-        return EXIT_INVALID
-    if "not_converged" in outcomes:
-        return EXIT_NOT_CONVERGED
-    if "witness" in outcomes:
-        return EXIT_WITNESS
-    return EXIT_OK
+    return next(
+        (code for outcome, code in OUTCOME_EXIT_CODES.items() if outcome in outcomes), EXIT_OK
+    )
 
 
 def write_report(report, out_dir):

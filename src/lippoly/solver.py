@@ -33,6 +33,8 @@ POLISH_CUT = 0.9
 CHUNK = 16384
 # Cooling iterations without a new best iterate before handing off to polish.
 STALL_WINDOW = 250
+# Damping schedules of the best-response dynamics.
+STEP_SCHEDULES = ("fixed", "harmonic")
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,14 @@ class SolverConfig:
     uniform_grid_k: int | None = None
 
     def __post_init__(self):
-        if self.target_epsilon <= 0:
-            raise UsageError(f"target_epsilon must be positive, got {self.target_epsilon}")
+        if not math.isfinite(self.target_epsilon) or self.target_epsilon <= 0:
+            raise UsageError(
+                f"target_epsilon must be positive and finite, got {self.target_epsilon}"
+            )
         if self.max_iterations < 1:
             raise UsageError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.step_schedule not in ("fixed", "harmonic"):
-            raise UsageError(f'step_schedule must be "fixed" or "harmonic", got {self.step_schedule!r}')
+        if self.step_schedule not in STEP_SCHEDULES:
+            raise UsageError(f"step_schedule must be one of {STEP_SCHEDULES}, got {self.step_schedule!r}")
 
 
 @dataclass(frozen=True)

@@ -172,3 +172,16 @@ def growing_set_game(n=16, lam=0.06, level=0.85):
     probs = np.full((n, 3), 1.0 / 3.0)
     probs[0] = (1.0, 0.0, 0.0)
     return PolymatrixGame(n=n, m=3, beta=beta, lam=lam), MixedProfile(probs)
+
+
+def lifted_payoff_oracle(base, L, profile):
+    """Every replica's action payoffs in the L-fold population lift of base.
+
+    A replica faces the other populations' average behavior, so its
+    payoffs are the base payoffs at the per-population mean profile, here
+    contracted from base.beta directly; row i * L + l is replica l of
+    population i.
+    """
+    probs = getattr(profile, "probs", profile)
+    means = probs.reshape(base.n, L, base.m).mean(axis=1)
+    return np.repeat(np.einsum("abcd,bd->ac", base.beta, means), L, axis=0)

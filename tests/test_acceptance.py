@@ -13,6 +13,7 @@ import pytest
 
 import acceptance_log
 from helpers import (
+    lifted_payoff_oracle,
     mixed_payoff_oracle,
     payoff_matrix_oracle,
     random_game,
@@ -39,7 +40,7 @@ from lippoly.game import (
 from lippoly.harness.baseline import sample_baseline
 from lippoly.harness.generator import GeneratorSpec, generate
 from lippoly.harness.pipeline import run_pipeline, write_report
-from lippoly.population import lazy_payoff, population_aggregates, reduce_and_solve
+from lippoly.population import reduce_and_solve
 from lippoly.purify import purify
 
 FAMILIES = ("uniform_coefficients", "sparse", "coordination_mix")
@@ -225,8 +226,7 @@ def test_criterion_5_population_round_trip():
     for idx in range(20):
         lam = 0.2 + 0.015 * idx
         base = random_game(3, 2, lam, seed=700 + idx)
-        pop = induce(base, L, mode="materialized")
-        lifted = pop.materialized
+        lifted = induce(base, L)
         if not isinstance(check_game(lifted), Valid) or lifted.lam != lam / L:
             failures += 1
 
@@ -240,15 +240,12 @@ def test_criterion_5_population_round_trip():
         if not (uniform_ok and transfer_ok):
             failures += 1
 
-        lifted_mixed = random_mixed(pop.N, 2, seed=3000 + idx)
+        lifted_mixed = random_mixed(lifted.n, 2, seed=3000 + idx)
         U = payoff_matrix_oracle(lifted, lifted_mixed)
-        agg = population_aggregates(pop, lifted_mixed)
+        expected = lifted_payoff_oracle(base, L, lifted_mixed)
         rng = np.random.default_rng(4000 + idx)
-        for v, j in zip(rng.integers(0, pop.N, 50), rng.integers(0, 2, 50)):
-            gap = abs(
-                lazy_payoff(pop, int(v), int(j), lifted_mixed, aggregates=agg)
-                - U[v, j]
-            )
+        for v, j in zip(rng.integers(0, lifted.n, 50), rng.integers(0, 2, 50)):
+            gap = abs(expected[v, j] - U[v, j])
             worst_probe_gap = max(worst_probe_gap, gap)
             probes += 1
 
@@ -257,8 +254,8 @@ def test_criterion_5_population_round_trip():
         5,
         ok,
         f"20 base games (n=3, m=2) at L=50: lifted games valid at lam/L, "
-        f"aggregate regret <= purified regret on all, {probes} lazy-vs-"
-        f"materialized probes within {worst_probe_gap:.2e}",
+        f"aggregate regret <= purified regret on all, {probes} "
+        f"base-at-aggregates-vs-lifted probes within {worst_probe_gap:.2e}",
     )
     assert ok, (failures, probes, worst_probe_gap)
 

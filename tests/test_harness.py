@@ -401,6 +401,29 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert err["error"] == "UsageError"
     rc = run_cli("generate", "--n", "4", "--lambda", "0.0")
     assert rc == 1
+    capsys.readouterr()
+    game_path = tmp_path / "game.json"
+    run_cli("generate", "--n", "3", "--lambda", "0.3", "--seed", "1", "--out", str(game_path))
+    rc = run_cli("solve", str(game_path), "--eps", "nan")
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UsageError"
+
+
+def test_cli_precondition_violation_exits_like_the_pipeline(tmp_path, capsys):
+    # The base solve of this game misses the lifted purifier's input level
+    # at L = 120; reduce exits with the code the pipeline gives the record.
+    game_path = tmp_path / "game.json"
+    run_cli("generate", "--n", "3", "--lambda", "0.3", "--seed", "78", "--out", str(game_path))
+    capsys.readouterr()
+    rc = run_cli("reduce", str(game_path), "--L", "120")
+    assert rc == EXIT_NOT_CONVERGED
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PreconditionViolation"
+    rc = run_cli("pipeline", "--game", str(game_path), "--L", "120")
+    assert rc == EXIT_NOT_CONVERGED
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert record["outcome"] == "not_converged"
 
 
 def test_console_script_entry_point(tmp_path):

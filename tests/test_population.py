@@ -1,4 +1,5 @@
-"""Population lift: lazy vs materialized views, aggregation, round trip."""
+"""Population lift: the lifted game against the base-at-aggregates oracle,
+aggregation, round trip."""
 
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     coordination_game,
+    lifted_payoff_oracle,
     payoff_matrix_oracle,
     random_game,
     random_mixed,
@@ -30,103 +32,81 @@ from lippoly import (
     regret_report,
     solve_mixed,
 )
-from lippoly.population import (
-    lazy_payoff,
-    population_aggregates,
-    population_payoff_matrix,
-)
+from lippoly.game import payoff_matrix
 from lippoly.purify import purify
 
 
-def lifted_profile(pop, seed):
+def lifted_profile(N, m, seed):
     rng = np.random.default_rng(seed)
-    raw = rng.uniform(0.1, 1.0, size=(pop.N, pop.base.m))
+    raw = rng.uniform(0.1, 1.0, size=(N, m))
     return MixedProfile(raw / raw.sum(axis=1, keepdims=True))
 
 
 def test_induce_validates_arguments():
     base = zero_game()
-    with pytest.raises(UsageError):
-        induce(base, 0)
-    with pytest.raises(UsageError):
-        induce(base, 1.5)
-    with pytest.raises(UsageError):
-        induce(base, 3, mode="eager")
-
-
-def test_flat_replica_indexing():
-    pop = induce(zero_game(n=3, m=2), 4)
-    assert pop.N == 12
-    assert pop.replica_index(1, 0) == 4
-    assert pop.replica_index(2, 3) == 11
-    assert pop.population_of(4) == 1
-    assert pop.population_of(11) == 2
-    with pytest.raises(UsageError):
-        pop.replica_index(3, 0)
-    with pytest.raises(UsageError):
-        pop.population_of(12)
+    for L in (0, 1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError):
+            induce(base, L)
 
 
 def test_L1_materialized_is_the_base_game():
     base = random_game(3, 2, 0.2, seed=5)
-    pop = induce(base, 1, mode="materialized")
-    assert np.array_equal(pop.materialized.beta, base.beta)
-    assert pop.materialized.lam == base.lam
-    assert pop.materialized.n == base.n
+    lifted = induce(base, 1)
+    assert np.array_equal(lifted.beta, base.beta)
+    assert lifted.lam == base.lam
+    assert lifted.n == base.n
 
 
 def test_zero_base_lifts_to_zero():
-    pop = induce(zero_game(n=2, m=2), 3, mode="materialized")
-    assert not pop.materialized.beta.any()
-    probs = lifted_profile(pop, 0)
-    for v in range(pop.N):
-        for j in range(2):
-            assert lazy_payoff(pop, v, j, probs) == 0.0
+    base = zero_game(n=2, m=2)
+    lifted = induce(base, 3)
+    assert not lifted.beta.any()
+    probs = lifted_profile(lifted.n, 2, 0)
+    assert not lifted_payoff_oracle(base, 3, probs).any()
+    assert not payoff_matrix_oracle(lifted, probs).any()
 
 
 def test_lazy_matches_materialized_everywhere():
+    # A replica's payoff in the lift is the base payoff at the population
+    # aggregates, for every replica, action and lifted profile.
     base = random_game(4, 3, 0.2, seed=11)
     L = 5
-    pop = induce(base, L, mode="materialized")
+    lifted = induce(base, L)
     for seed in range(4):
-        probs = lifted_profile(pop, seed)
-        U = payoff_matrix_oracle(pop.materialized, probs)
-        agg = population_aggregates(pop, probs)
-        base_rows = payoff_matrix_oracle(base, agg)
-        for v in range(pop.N):
-            for j in range(base.m):
-                lazy = lazy_payoff(pop, v, j, probs, aggregates=agg)
-                assert abs(lazy - U[v, j]) <= 1e-12
-                # Querying through the base game at the aggregates is the
-                # whole point: same number, n*L times cheaper.
-                assert abs(lazy - base_rows[pop.population_of(v), j]) <= 1e-12
-        repeated = population_payoff_matrix(pop, probs)
-        assert np.abs(repeated - U).max() <= 1e-12
+        probs = lifted_profile(lifted.n, base.m, seed)
+        U = payoff_matrix_oracle(lifted, probs)
+        assert np.abs(lifted_payoff_oracle(base, L, probs) - U).max() <= 1e-12
+        assert np.abs(payoff_matrix(lifted, probs) - U).max() <= 1e-12
 
 
 def test_aggregate_counts_actions():
     base = zero_game(n=2, m=2)
-    pop = induce(base, 3)
-    agg = aggregate(pop, PureProfile([1, 1, 0, 0, 0, 0]))
+    agg = aggregate(base, 3, PureProfile([1, 1, 0, 0, 0, 0]))
     assert np.array_equal(agg.probs[0], [1.0 / 3.0, 2.0 / 3.0])
     assert np.array_equal(agg.probs[1], [1.0, 0.0])
-    same = aggregate(pop, [1, 1, 1, 0, 0, 0])
+    same = aggregate(base, 3, [1, 1, 1, 0, 0, 0])
     assert np.array_equal(same.probs[0], [0.0, 1.0])
     with pytest.raises(UsageError):
-        aggregate(pop, PureProfile([0, 0]))
+        aggregate(base, 3, PureProfile([0, 0]))
+    # Actions outside [0, m): a negative index must not count as the last
+    # action, and one past the end must not escape as an IndexError.
+    with pytest.raises(UsageError):
+        aggregate(base, 3, [-1, 0, 0, 1, 1, 1])
+    with pytest.raises(UsageError):
+        aggregate(base, 3, [2, 0, 0, 1, 1, 1])
 
 
 def test_regret_transfers_through_aggregation():
     base = random_game(3, 3, 0.15, seed=23)
     L = 4
-    pop = induce(base, L, mode="materialized")
+    lifted = induce(base, L)
     rng = np.random.default_rng(2)
     for _ in range(5):
-        pure = PureProfile(rng.integers(0, 3, size=pop.N))
+        pure = PureProfile(rng.integers(0, 3, size=lifted.n))
         lifted_reg = regret_report(
-            pop.materialized, MixedProfile.from_pure(pure, base.m)
+            lifted, MixedProfile.from_pure(pure, base.m)
         ).per_player_regret
-        agg = aggregate(pop, pure)
+        agg = aggregate(base, L, pure)
         base_reg = regret_report(base, agg).per_player_regret
         by_population = lifted_reg.reshape(base.n, L)
         # Population regret at the aggregate is the mean replica regret.
@@ -143,7 +123,7 @@ def test_replicated_profile_has_the_base_regrets(n, m, L, seed):
     probs = random_mixed(n, m, seed + 1).probs
     U = payoff_matrix_oracle(base, probs)
     base_regret = np.maximum(U.max(axis=1) - (U * probs).sum(axis=1), 0.0)
-    lifted = induce(base, L, "materialized").materialized
+    lifted = induce(base, L)
     replicated = MixedProfile(np.repeat(probs, L, axis=0))
     per = regret_report(lifted, replicated).per_player_regret.reshape(n, L)
     assert np.abs(per - base_regret[:, None]).max() <= 1e-12
@@ -190,36 +170,24 @@ def test_reduce_reports_the_configured_solver_target():
 def test_materialization_budget():
     base = zero_game(n=3, m=2)
     with pytest.raises(BudgetExceeded) as info:
-        induce(base, 2000, mode="materialized")
+        induce(base, 2000)
     assert info.value.estimate == 6000 * 6000 * 4
-    pop = induce(base, 2000, mode="lazy")
-    assert pop.N == 6000 and pop.materialized is None
-
-
-def test_budget_env_override(monkeypatch):
-    base = zero_game(n=2, m=2)
-    monkeypatch.setenv("LIPPOLY_MEM_BUDGET", "10")
-    with pytest.raises(BudgetExceeded):
-        induce(base, 2, mode="materialized")
-    monkeypatch.setenv("LIPPOLY_MEM_BUDGET", "plenty")
-    with pytest.raises(UsageError):
-        induce(base, 2, mode="materialized")
 
 
 def test_lifted_game_passes_check_at_scaled_lambda():
     base = random_game(3, 2, 0.4, seed=31)
-    pop = induce(base, 5, mode="materialized")
-    assert pop.materialized.lam == pytest.approx(0.08, rel=1e-15)
-    assert isinstance(check_game(pop.materialized), Valid)
+    lifted = induce(base, 5)
+    assert lifted.lam == pytest.approx(0.08, rel=1e-15)
+    assert isinstance(check_game(lifted), Valid)
 
 
 def test_spread_scales_exactly_under_power_of_two_L():
     base = random_game(2, 3, 0.25, seed=41)
-    pop = induce(base, 8, mode="materialized")
-    lifted = pop.materialized
+    lifted = induce(base, 8)
     for v in range(lifted.n):
         for w in range(lifted.n):
-            i, ip = pop.population_of(v), pop.population_of(w)
+            # Replica l of population i is player i * L + l.
+            i, ip = v // 8, w // 8
             if i == ip:
                 assert not lifted.beta[v, w].any()
             else:
@@ -228,5 +196,6 @@ def test_spread_scales_exactly_under_power_of_two_L():
 
 
 def test_reduce_rejects_bad_epsilon():
-    with pytest.raises(UsageError):
-        reduce_and_solve(zero_game(), epsilon=0.0, L=2)
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            reduce_and_solve(zero_game(), epsilon=epsilon, L=2)

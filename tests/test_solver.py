@@ -1,5 +1,7 @@
 """Mixed-equilibrium search and the exhaustive grid fallback."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,8 +152,9 @@ def test_harmonic_schedule_supported():
 
 
 def test_config_validation():
-    with pytest.raises(UsageError):
-        SolverConfig(target_epsilon=0.0)
+    for target in (0.0, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            SolverConfig(target_epsilon=target)
     with pytest.raises(UsageError):
         SolverConfig(target_epsilon=0.1, max_iterations=0)
     with pytest.raises(UsageError):
