@@ -314,11 +314,6 @@ def best_response(game, i, profile):
     return int(np.argmax(vec))
 
 
-def best_response_vector(game, profile):
-    U = payoff_matrix(game, profile)
-    return np.argmax(U, axis=1)
-
-
 def check_game(game):
     """Scan coefficients for Lipschitz consistency and payoff range.
 
@@ -419,28 +414,42 @@ def _check_sizes(n, m):
         raise UsageError(f"action count must be >= 2, got {m}")
 
 
+def _count(value, name):
+    """A size field of the wire format; 2.5 is refused, not truncated to 2."""
+    number = float(value)
+    if not number.is_integer():
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def game_from_json(data):
     try:
-        n = int(data["n"])
-        m = int(data["m"])
+        n = _count(data["n"], "player count")
+        m = _count(data["m"], "action count")
         lam = float(data["lambda"])
         raw_blocks = data.get("beta", [])
         # Streamed: a list of per-block tuples would set off garbage
-        # collections that walk the whole parsed document.
+        # collections that walk the whole parsed document.  Floats, so
+        # that an index like 1.7 is refused, not truncated.
         pairs = np.fromiter(
             itertools.chain.from_iterable(map(itemgetter("i", "ip"), raw_blocks)),
-            dtype=np.int64,
+            dtype=np.float64,
             count=2 * len(raw_blocks),
         ).reshape(-1, 2) - 1
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed game JSON: {exc}") from exc
     # Before anything is allocated at these sizes.
     _check_sizes(n, m)
+    fractional = (np.trunc(pairs) != pairs).any(axis=1)
+    if fractional.any():
+        entry = raw_blocks[int(np.argmax(fractional))]
+        raise UsageError(f"block ({entry['i']}, {entry['ip']}) has a non-integer index")
     i, ip = pairs[:, 0], pairs[:, 1]
     bad = (i < 0) | (i >= n) | (ip < 0) | (ip >= n) | (i == ip)
     if bad.any():
         entry = raw_blocks[int(np.argmax(bad))]
         raise UsageError(f"block ({entry['i']}, {entry['ip']}) out of range")
+    i, ip = i.astype(np.int64), ip.astype(np.int64)
     key = i * n + ip
     repeated = np.bincount(key)[key] > 1
     if repeated.any():
@@ -491,10 +500,17 @@ def profile_to_json(profile):
 
 
 def profile_from_json(data):
-    if "pure" in data:
-        return PureProfile(np.asarray(data["pure"], dtype=np.int64) - 1)
-    if "mixed" in data:
-        return MixedProfile(np.asarray(data["mixed"], dtype=np.float64))
+    """A profile from its wire form: {"pure": [1-based actions]} or
+    {"mixed": [[probabilities]]}.  Entries that are not numbers, ragged
+    rows and non-integer actions raise UsageError."""
+    try:
+        if "pure" in data:
+            # Floats, so that PureProfile refuses 1.5 instead of it being cast to 1.
+            return PureProfile(np.asarray(data["pure"], dtype=np.float64) - 1)
+        if "mixed" in data:
+            return MixedProfile(np.asarray(data["mixed"], dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed profile JSON: {exc}") from exc
     raise UsageError('profile JSON needs a "pure" or "mixed" key')
 
 

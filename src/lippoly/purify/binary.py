@@ -5,9 +5,10 @@ support bound) to their best response, which leaves a profile where every
 played action is within lam*sqrt(n) of optimal.  Stage 2 sweeps the
 players in order and rounds each remaining mixed one to the bit that does
 not increase the running cost, defined as the sum of squared
-discrepancies over the relevant players.  Stage 3 lets every player whose
-pure regret reached the correction threshold switch to their best
-response, all at once.
+discrepancies over the relevant players.  Stage 3 (`common.correct`) lets
+every player whose pure regret reached the correction threshold switch
+to their best response, all at once.  Every threshold and allowance comes
+from `pipeline_constants(game, "binary")`.
 
 Each stage asserts the bound it must preserve; a violated bound raises
 BoundBreach rather than returning a bad profile.  What the sweep decided
@@ -20,19 +21,13 @@ import math
 
 import numpy as np
 
-from ..errors import BinaryOnlyError, BoundBreach
-from ..game import (
-    BOUND_TOL,
-    MixedProfile,
-    PureProfile,
-    best_response_vector,
-    discrepancy_vector,
-    regret_report,
-)
+from ..errors import BoundBreach
+from ..game import BOUND_TOL, MixedProfile, PureProfile, discrepancy_vector
+from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
     PurifyTrace,
     check_input_regret,
-    default_target_epsilon,
+    pipeline_constants,
     record_bound,
     resolve_order,
     support_regret_max,
@@ -46,33 +41,25 @@ def ane_to_wsne_binary(game, profile):
     tolerated with a warning).  Every player with |discrepancy| above
     (lam/2)*sqrt(n) goes pure, all decisions taken against the input
     profile.  On return every played action has regret at most
-    lam*sqrt(n) and every still-mixed player has |discrepancy| at most
-    lam*sqrt(n); both are asserted.  Returns (profile, warning), warning
-    True when the input regret needed the tolerance.
+    lam*sqrt(n); asserted.  A still-mixed player plays both actions, so
+    their |discrepancy| is the regret of one of them and is bounded by
+    the same check.  Returns (profile, warning), warning True when the
+    input regret needed the tolerance.
     """
-    if game.m != 2:
-        raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
+    consts = pipeline_constants(game, "binary")
     profile.validate_for(game)
-    warning = check_input_regret(game, profile, default_target_epsilon(game, "binary"))
+    warning = check_input_regret(game, profile, consts["input"])
 
-    n = game.n
     d = discrepancy_vector(game, profile)
-    snap = np.abs(d) > 0.5 * game.lam * math.sqrt(n)
+    snap = np.abs(d) > consts["snap"]
     probs = profile.probs.copy()
     # d > 0 favors action 1; snap implies d != 0, so no tie to break.
     probs[snap] = np.eye(2)[(d > 0.0).astype(int)][snap]
     out = MixedProfile(probs)
 
-    support_bound = game.lam * math.sqrt(n)
     observed = support_regret_max(game, out)
-    if observed > support_bound + BOUND_TOL:
-        raise BoundBreach("wsne_support_regret", observed, support_bound)
-    d_out = discrepancy_vector(game, out)
-    still_mixed = (probs[:, 1] > 0.0) & (probs[:, 1] < 1.0)
-    if still_mixed.any():
-        worst = float(np.abs(d_out[still_mixed]).max())
-        if worst > support_bound + BOUND_TOL:
-            raise BoundBreach("wsne_mixed_discrepancy", worst, support_bound)
+    if observed > consts["support"] + BOUND_TOL:
+        raise BoundBreach("wsne_support_regret", observed, consts["support"])
     return out, warning
 
 
@@ -109,12 +96,11 @@ def purify_rounding_binary(game, wsne, order=None):
     cost is taken from the recomputed d.  The trace logs, per step, the
     bit, A, the cost and the players that joined: O(n) in all.
     """
-    if game.m != 2:
-        raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
+    consts = pipeline_constants(game, "binary")
     wsne.validate_for(game)
-    n, lam = game.n, game.lam
+    n = game.n
     order = resolve_order(n, order)
-    support_bound = lam * math.sqrt(n)
+    support_bound = consts["support"]
 
     trace = PurifyTrace(
         pipeline="binary", order=order, wsne_profile=wsne, thresholds={"delta": None}
@@ -128,8 +114,7 @@ def purify_rounding_binary(game, wsne, order=None):
     trace.additions.append(np.flatnonzero(S))
     trace.potentials.append(cost)
 
-    step_cap = 4.0 * lam * lam * n
-    entry_cap = lam * lam * n
+    step_cap, entry_cap = consts["step_cost_increase"], consts["entry_cost"]
     worst_step_excess = -math.inf
     for i in order:
         p_i = float(P[i, 1])
@@ -169,50 +154,7 @@ def purify_rounding_binary(game, wsne, order=None):
     drift = float(np.abs(d_full - d).max())
     record_bound(trace, "sweep_drift", drift, BOUND_TOL)
     trace.potentials[-1] = float(d_full[S] @ d_full[S])
-    record_bound(trace, "terminal_cost", trace.potentials[-1], 5.0 * lam * lam * n * n)
+    record_bound(trace, "terminal_cost", trace.potentials[-1], consts["terminal_cost"])
     pure = PureProfile(P.argmax(axis=1))
     return pure, trace
 
-
-def correct_binary(game, pure, trace):
-    """Stage 3: simultaneous best-response switch for high-regret players.
-
-    The threshold is delta = lam * (20 n^2)^(1/3); every player at or
-    above it switches, with all decisions taken against the input pure
-    profile.  Asserts the switcher budget (terminal cost / delta^2) and
-    the final regret bound lam * (70 n^2)^(1/3).
-    """
-    if game.m != 2:
-        raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
-    pure.validate_for(game)
-    n, lam = game.n, game.lam
-    delta = lam * (20.0 * n * n) ** (1.0 / 3.0)
-    trace.thresholds["delta"] = delta
-
-    as_mixed = MixedProfile.from_pure(pure, game.m)
-    report = regret_report(game, as_mixed)
-    switchers = np.flatnonzero(report.per_player_regret >= delta)
-    record_bound(
-        trace,
-        "switcher_count",
-        float(len(switchers)),
-        trace.potentials[-1] / (delta * delta),
-    )
-
-    actions = pure.actions.copy()
-    if len(switchers):
-        br = best_response_vector(game, as_mixed)
-        actions[switchers] = br[switchers]
-    final = PureProfile(actions)
-    final_report = regret_report(game, MixedProfile.from_pure(final, game.m))
-    record_bound(
-        trace,
-        "final_regret",
-        final_report.max_regret,
-        lam * (70.0 * n * n) ** (1.0 / 3.0),
-    )
-
-    trace.switched_players = tuple(int(i) for i in switchers)
-    trace.final_profile = final
-    trace.final_max_regret = float(final_report.max_regret)
-    return final

@@ -1,12 +1,23 @@
-"""Helpers shared by the two purification pipelines."""
+"""What the two purification pipelines share: the trace, the constants
+table, the bound log and stage 3."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import BinaryOnlyError, BoundBreach, PreconditionViolation, UsageError
-from ..game import BOUND_TOL, MixedProfile, PureProfile, action_regrets, regret_report
+from ..game import (
+    BOUND_TOL,
+    MixedProfile,
+    PureProfile,
+    action_regrets,
+    payoff_matrix,
+    regret_report,
+)
 
 MODES = ("binary", "m_action", "auto")
 
@@ -60,15 +71,53 @@ def resolve_mode(game, mode):
     return mode
 
 
+def pipeline_constants(game, mode="auto"):
+    """Every threshold and allowance of one pipeline's three stages, as a dict.
+
+    `mode` selects the pipeline as in `resolve_mode`.  input is stage 1's
+    input regret level, snap its cutoff (binary |discrepancy|, m-action
+    action regret), support the played-action regret it leaves (bound
+    wsne_support_regret; also the sweep's initial set radius), switch the
+    stage-3 threshold (delta, delta1); the other keys are allowances named
+    after their bounds, plus binary entry_cost (per player joining the
+    relevant set) and m-action switcher_mass (over delta1^2, the switcher
+    budget; binary uses the terminal cost).  Logarithms are natural.
+    """
+    n, m, lam = game.n, game.m, game.lam
+    if resolve_mode(game, mode) == "binary":
+        return {
+            "input": lam / 8.0,
+            "snap": 0.5 * lam * math.sqrt(n),
+            "support": lam * math.sqrt(n),
+            "step_cost_increase": 4.0 * lam * lam * n,
+            "entry_cost": lam * lam * n,
+            "terminal_cost": 5.0 * lam * lam * n * n,
+            "switch": lam * (20.0 * n * n) ** (1.0 / 3.0),
+            "final_regret": lam * (70.0 * n * n) ** (1.0 / 3.0),
+        }
+    eps0 = ((m - 1) / m) ** 2 * lam
+    scale = n * n * m * math.log(3.0 * m)
+    return {
+        "input": eps0,
+        "snap": math.sqrt(2.0 * (n - 1) * lam * eps0),
+        "support": 2.0 * math.sqrt(2.0 * n * lam * eps0),
+        "initial_variance": 2.0 * (n * lam * (m - 1) / m) ** 2,
+        "move_variance_budget": ((m - 1) * n * lam / m) ** 2,
+        "addition_variance_budget": 4.0 * n * lam * lam * (math.log(m - 1) + 1.0),
+        "terminal_variance": 8.0 * n * n * lam * lam * math.log(3.0 * m),
+        "switch": 4.0 * lam * scale ** (1.0 / 3.0),
+        "switcher_mass": 16.0 * n * n * lam * lam * m * math.log(3.0 * m),
+        "final_regret": 6.0 * lam * scale ** (1.0 / 3.0),
+    }
+
+
 def default_target_epsilon(game, mode="auto"):
     """The input regret level a purification pipeline requires.
 
     lam/8 for the two-action pipeline, ((m-1)/m)^2 lam for the general
     one; `mode` selects the pipeline as in `resolve_mode`.
     """
-    if resolve_mode(game, mode) == "binary":
-        return game.lam / 8.0
-    return ((game.m - 1) / game.m) ** 2 * game.lam
+    return pipeline_constants(game, mode)["input"]
 
 
 def record_bound(trace, name, observed, allowed, context=""):
@@ -124,3 +173,37 @@ def resolve_order(n, order):
         raise UsageError(f"order must be a permutation of 0..{n - 1}, got {order!r}")
     return out
 
+
+def correct(game, pure, trace):
+    """Stage 3 of either pipeline: one simultaneous best-response switch.
+
+    The pipeline comes from trace.pipeline, the constants from
+    `pipeline_constants`.  One payoff evaluation of the pure profile gives
+    every player's regret and best response; a binary player switches at
+    or above delta, an m-action player only strictly above delta1, all
+    decisions taken against the input profile.  Asserts the switcher
+    budget and the final regret bound; the final regret is evaluated here
+    once, and stored as trace.final_max_regret.
+    """
+    pure.validate_for(game)
+    binary = trace.pipeline == "binary"
+    consts = pipeline_constants(game, trace.pipeline)
+    delta = consts["switch"]
+    trace.thresholds["delta" if binary else "delta1"] = delta
+
+    U = payoff_matrix(game, MixedProfile.from_pure(pure, game.m))
+    regrets = U.max(axis=1) - U[np.arange(game.n), pure.actions]
+    switchers = np.flatnonzero(regrets >= delta if binary else regrets > delta)
+    mass = trace.potentials[-1] if binary else consts["switcher_mass"]
+    record_bound(trace, "switcher_count", float(len(switchers)), mass / (delta * delta))
+
+    actions = pure.actions.copy()
+    actions[switchers] = U.argmax(axis=1)[switchers]
+    final = PureProfile(actions)
+    final_regret = regret_report(game, MixedProfile.from_pure(final, game.m)).max_regret
+    record_bound(trace, "final_regret", final_regret, consts["final_regret"])
+
+    trace.switched_players = tuple(int(i) for i in switchers)
+    trace.final_profile = final
+    trace.final_max_regret = float(final_regret)
+    return final

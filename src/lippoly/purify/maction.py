@@ -10,7 +10,9 @@ aggregated linear coefficient vector b, chosen so the first-order effect
 on everyone else's variance is nonpositive, after which every player's
 relevant set absorbs any outside action that has climbed to its set
 average.  Stage 3 switches every player whose pure regret exceeds the
-correction threshold to their best response, all at once.
+correction threshold to their best response, all at once (stage 3 is
+`common.correct`).  Every threshold and allowance comes from
+`pipeline_constants(game, "m_action")`.
 
 Variance budgets (initial, per-move, per-addition) and the final regret
 bound are asserted as the pipeline runs; a breach raises BoundBreach.
@@ -18,36 +20,19 @@ bound are asserted as the pipeline runs; a breach raises BoundBreach.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import BoundBreach
-from ..game import (
-    BOUND_TOL,
-    MixedProfile,
-    PureProfile,
-    best_response_vector,
-    payoff_matrix,
-    regret_report,
-)
+from ..game import BOUND_TOL, MixedProfile, PureProfile, payoff_matrix
+from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
     PurifyTrace,
     check_input_regret,
-    default_target_epsilon,
+    pipeline_constants,
     record_bound,
     resolve_order,
     support_regret_max,
 )
-
-
-def thresholds_m(game):
-    """(eps0, eps1, delta0): input level, support level, stage-1 cutoff."""
-    n, lam = game.n, game.lam
-    eps0 = default_target_epsilon(game, "m_action")
-    delta0 = math.sqrt(2.0 * (n - 1) * lam * eps0)
-    eps1 = 2.0 * math.sqrt(2.0 * n * lam * eps0)
-    return eps0, eps1, delta0
 
 
 def ane_to_wsne_m(game, profile):
@@ -62,22 +47,22 @@ def ane_to_wsne_m(game, profile):
     needed the tolerance.
     """
     profile.validate_for(game)
-    eps0, eps1, delta0 = thresholds_m(game)
-    warning = check_input_regret(game, profile, eps0)
+    consts = pipeline_constants(game, "m_action")
+    warning = check_input_regret(game, profile, consts["input"])
 
     U = payoff_matrix(game, profile)
     reg = U.max(axis=1, keepdims=True) - U
     br = U.argmax(axis=1)
     probs = profile.probs.copy()
-    keep = reg <= delta0
+    keep = reg <= consts["snap"]
     moved = (probs * ~keep).sum(axis=1)
     probs *= keep
     probs[np.arange(game.n), br] += moved
     out = MixedProfile(probs)
 
     observed = support_regret_max(game, out)
-    if observed > eps1 + BOUND_TOL:
-        raise BoundBreach("wsne_support_regret", observed, eps1)
+    if observed > consts["support"] + BOUND_TOL:
+        raise BoundBreach("wsne_support_regret", observed, consts["support"])
     return out, warning
 
 
@@ -101,15 +86,18 @@ def purify_rounding_m(game, wsne, order=None):
     `replay` rebuilds the payoffs, sets and set statistics.
     """
     wsne.validate_for(game)
-    n, m, lam = game.n, game.m, game.lam
+    n, m = game.n, game.m
     order = resolve_order(n, order)
-    eps0, eps1, delta0 = thresholds_m(game)
+    consts = pipeline_constants(game, "m_action")
+    eps1 = consts["support"]
 
     trace = PurifyTrace(
         pipeline="m_action",
         order=order,
         wsne_profile=wsne,
-        thresholds={"epsilon0": eps0, "epsilon1": eps1, "delta0": delta0, "delta1": None},
+        thresholds=dict(
+            epsilon0=consts["input"], epsilon1=eps1, delta0=consts["snap"], delta1=None
+        ),
     )
     record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), eps1)
 
@@ -119,7 +107,7 @@ def purify_rounding_m(game, wsne, order=None):
     member = (u.max(axis=1, keepdims=True) - u) <= eps1
     _, var = _set_stats(u, member)
     vsum = float(var.sum())
-    record_bound(trace, "initial_variance", vsum, 2.0 * (n * lam * (m - 1) / m) ** 2)
+    record_bound(trace, "initial_variance", vsum, consts["initial_variance"])
     trace.additions.append(np.flatnonzero(member))
     trace.potentials.append(vsum)
 
@@ -160,55 +148,14 @@ def purify_rounding_m(game, wsne, order=None):
         trace.additions.append(np.flatnonzero(member & ~before))
         trace.potentials.append(vsum)
 
-    record_bound(trace, "move_variance_budget", move_increase, ((m - 1) * n * lam / m) ** 2)
-    record_bound(
-        trace,
-        "addition_variance_budget",
-        addition_increase,
-        # log here and below is natural; the harmonic-sum bound needs it.
-        4.0 * n * lam * lam * (math.log(m - 1) + 1.0),
-    )
-    record_bound(trace, "terminal_variance", vsum, 8.0 * n * n * lam * lam * math.log(3.0 * m))
+    for name, observed in (
+        ("move_variance_budget", move_increase),
+        ("addition_variance_budget", addition_increase),
+        ("terminal_variance", vsum),
+    ):
+        record_bound(trace, name, observed, consts[name])
     pure = PureProfile(P.argmax(axis=1))
     return pure, trace
-
-
-def correct_m(game, pure, trace):
-    """Stage 3: simultaneous best-response switch above the threshold.
-
-    The threshold is delta1 = 4 lam (n^2 m log 3m)^(1/3); every player
-    strictly above it switches, decisions taken against the input pure
-    profile.  Asserts the switcher budget 16 n^2 lam^2 m log(3m) /
-    delta1^2 and the final regret bound 6 lam (n^2 m log 3m)^(1/3).
-    """
-    pure.validate_for(game)
-    n, m, lam = game.n, game.m, game.lam
-    scale = n * n * m * math.log(3.0 * m)
-    delta1 = 4.0 * lam * scale ** (1.0 / 3.0)
-    trace.thresholds["delta1"] = delta1
-
-    as_mixed = MixedProfile.from_pure(pure, m)
-    report = regret_report(game, as_mixed)
-    switchers = np.flatnonzero(report.per_player_regret > delta1)
-    record_bound(
-        trace,
-        "switcher_count",
-        float(len(switchers)),
-        16.0 * n * n * lam * lam * m * math.log(3.0 * m) / (delta1 * delta1),
-    )
-
-    actions = pure.actions.copy()
-    if len(switchers):
-        br = best_response_vector(game, as_mixed)
-        actions[switchers] = br[switchers]
-    final = PureProfile(actions)
-    final_report = regret_report(game, MixedProfile.from_pure(final, m))
-    record_bound(trace, "final_regret", final_report.max_regret, 6.0 * lam * scale ** (1.0 / 3.0))
-
-    trace.switched_players = tuple(int(i) for i in switchers)
-    trace.final_profile = final
-    trace.final_max_regret = float(final_report.max_regret)
-    return final
 
 
 def _set_stats(u, member):

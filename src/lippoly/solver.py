@@ -89,15 +89,12 @@ def solve_mixed(game, config):
         )
 
     target = config.target_epsilon
-    best_probs, best_reg, iters = _anneal(game, config, config.seed, jitter=False)
-    if best_reg > target:
-        probs, reg, evals = _polish(game, best_probs, POLISH_CUT * target)
-        iters += evals
-        if reg < best_reg:
-            best_probs, best_reg = probs, reg
-    if best_reg > target:
-        # One cooled restart from a jittered start, then polish again.
-        probs, reg, used = _anneal(game, config, config.seed + 0x9E3779B9, jitter=True)
+    best_probs, best_reg, iters = None, math.inf, 0
+    # The plain start, then, only if the target is still missed, one cooled
+    # restart from a jittered start; after each anneal a best profile that
+    # misses the target is polished.
+    for seed, jitter in ((config.seed, False), (config.seed + 0x9E3779B9, True)):
+        probs, reg, used = _anneal(game, config, seed, jitter)
         iters += used
         if reg < best_reg:
             best_probs, best_reg = probs, reg
@@ -106,6 +103,8 @@ def solve_mixed(game, config):
             iters += evals
             if reg < best_reg:
                 best_probs, best_reg = probs, reg
+        if best_reg <= target:
+            break
 
     profile = MixedProfile(best_probs)
     achieved = regret_report(game, profile).max_regret

@@ -400,10 +400,16 @@ def test_game_json_one_based_blocks_and_zero_omission():
         ({"beta": [{"i": 1, "ip": 2, "matrix": [["x", 0], [0, 0]]}]}, "malformed game JSON"),
         ({"n": -1}, r"player count must be >= 1, got -1"),
         ({"m": -2}, r"action count must be >= 2, got -2"),
+        ({"n": 2.5}, r"player count must be an integer, got 2.5"),
+        ({"m": 2.5}, r"action count must be an integer, got 2.5"),
+        (
+            {"beta": [{"i": 1.7, "ip": 2, "matrix": [[0, 0], [0, 0]]}]},
+            r"block \(1.7, 2\) has a non-integer index",
+        ),
     ],
     ids=[
         "past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number",
-        "negative-n", "negative-m",
+        "negative-n", "negative-m", "fractional-n", "fractional-m", "fractional-i",
     ],
 )
 def test_game_from_json_rejects_malformed_blocks(fields, message):

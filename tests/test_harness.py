@@ -408,6 +408,20 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UsageError"
+    # Malformed profiles: a non-integer or non-number action, a non-number
+    # probability, ragged mixed rows.
+    for doc in (
+        {"pure": [1.5, 2, 1]},
+        {"pure": ["a", 1, 1]},
+        {"mixed": [["x", 0.5], [0.5, 0.5], [0.5, 0.5]]},
+        {"mixed": [[0.5, 0.5], [1.0], [0.5, 0.5]]},
+    ):
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps(doc))
+        rc = run_cli("purify", str(game_path), str(profile_path))
+        assert rc == 1, doc
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError", doc
 
 
 def test_cli_precondition_violation_exits_like_the_pipeline(tmp_path, capsys):

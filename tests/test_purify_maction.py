@@ -20,12 +20,12 @@ from lippoly import (
     SolverConfig,
     ane_to_wsne_m,
     correct_m,
+    pipeline_constants,
     purify,
     purify_rounding_m,
     regret_report,
     replay,
     solve_mixed,
-    thresholds_m,
     trace_to_json,
 )
 
@@ -68,12 +68,13 @@ def recompute_stats(game, profile, sets):
 
 def test_threshold_formulas():
     game = zero_game(n=10, m=4, lam=0.3)
-    eps0, eps1, delta0 = thresholds_m(game)
+    consts = pipeline_constants(game, "m_action")
+    eps0, eps1, delta0 = consts["input"], consts["support"], consts["snap"]
     assert eps0 == pytest.approx((3.0 / 4.0) ** 2 * 0.3, rel=1e-15)
     assert delta0 == pytest.approx(math.sqrt(2.0 * 9 * 0.3 * eps0), rel=1e-15)
     assert eps1 == pytest.approx(2.0 * math.sqrt(2.0 * 10 * 0.3 * eps0), rel=1e-15)
     # Degenerate m: the general input level is lam/4, not lam/8.
-    eps0_binary, _, _ = thresholds_m(zero_game(n=5, m=2, lam=0.8))
+    eps0_binary = pipeline_constants(zero_game(n=5, m=2, lam=0.8), "m_action")["input"]
     assert eps0_binary == pytest.approx(0.2, rel=1e-15)
 
 
@@ -106,7 +107,7 @@ def test_wsne_pure_zero_regret_unchanged():
 
 def test_wsne_forced_move_above_delta0():
     game = constant_gap_game([0.5, 0.0, 0.0], lam=0.1)
-    _, _, delta0 = thresholds_m(game)
+    delta0 = pipeline_constants(game, "m_action")["snap"]
     gaps = [0.5, 0.5 - 2.0 * delta0, 0.0]
     game = constant_gap_game(gaps, lam=0.1)
     profile = MixedProfile([[0.95, 0.05, 0.0], [1.0, 0.0, 0.0]])
@@ -118,7 +119,7 @@ def test_wsne_forced_move_above_delta0():
 
 def test_wsne_keeps_mass_below_delta0():
     game = constant_gap_game([0.5, 0.0, 0.0], lam=0.1)
-    _, _, delta0 = thresholds_m(game)
+    delta0 = pipeline_constants(game, "m_action")["snap"]
     gaps = [0.5, 0.5 - 0.5 * delta0, 0.0]
     game = constant_gap_game(gaps, lam=0.1)
     profile = MixedProfile([[0.9, 0.1, 0.0], [1.0, 0.0, 0.0]])
@@ -137,7 +138,7 @@ def test_wsne_support_bound_on_solver_output(pipelines):
 
 def test_precondition_ladder_m():
     game = constant_gap_game([1.0, 0.0, 0.0], lam=0.9)
-    eps0, _, _ = thresholds_m(game)  # 0.4
+    eps0 = pipeline_constants(game, "m_action")["input"]  # 0.4
 
     def with_regret(r):
         return MixedProfile([[1.0 - r, r, 0.0], [1.0, 0.0, 0.0]])
