@@ -16,6 +16,7 @@ import gc
 import hashlib
 import itertools
 import json
+import numbers
 import struct
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -414,9 +415,21 @@ def _check_sizes(n, m):
         raise UsageError(f"action count must be >= 2, got {m}")
 
 
+def _is_number(value):
+    """True for a JSON number; strings and booleans, which float() would
+    coerce, are not numbers on the wire."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, name):
+    if not _is_number(value):
+        raise UsageError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _count(value, name):
     """A size field of the wire format; 2.5 is refused, not truncated to 2."""
-    number = float(value)
+    number = _number(value, name)
     if not number.is_integer():
         raise UsageError(f"{name} must be an integer, got {value!r}")
     return int(number)
@@ -426,7 +439,7 @@ def game_from_json(data):
     try:
         n = _count(data["n"], "player count")
         m = _count(data["m"], "action count")
-        lam = float(data["lambda"])
+        lam = _number(data["lambda"], "lambda")
         raw_blocks = data.get("beta", [])
         # Streamed: a list of per-block tuples would set off garbage
         # collections that walk the whole parsed document.  Floats, so
@@ -501,17 +514,30 @@ def profile_to_json(profile):
 
 def profile_from_json(data):
     """A profile from its wire form: {"pure": [1-based actions]} or
-    {"mixed": [[probabilities]]}.  Entries that are not numbers, ragged
+    {"mixed": [[probabilities]]}.  A document that is not an object,
+    entries that are not numbers (strings and booleans included), ragged
     rows and non-integer actions raise UsageError."""
+    if not isinstance(data, dict):
+        raise UsageError(f"profile JSON must be an object, got {type(data).__name__}")
     try:
         if "pure" in data:
+            entries = data["pure"]
+            _require_numbers(entries)
             # Floats, so that PureProfile refuses 1.5 instead of it being cast to 1.
-            return PureProfile(np.asarray(data["pure"], dtype=np.float64) - 1)
+            return PureProfile(np.asarray(entries, dtype=np.float64) - 1)
         if "mixed" in data:
-            return MixedProfile(np.asarray(data["mixed"], dtype=np.float64))
+            rows = data["mixed"]
+            _require_numbers(itertools.chain.from_iterable(rows))
+            return MixedProfile(np.asarray(rows, dtype=np.float64))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed profile JSON: {exc}") from exc
     raise UsageError('profile JSON needs a "pure" or "mixed" key')
+
+
+def _require_numbers(entries):
+    for value in entries:
+        if not _is_number(value):
+            raise UsageError(f"malformed profile JSON: {value!r} is not a number")
 
 
 def canonical_bytes(obj):

@@ -74,7 +74,10 @@ def _emit(doc, out):
 
 def _load_mixed(path, game):
     data = load_json(path)
-    profile = profile_from_json(data.get("profile", data))
+    if isinstance(data, dict):
+        # A `lippoly solve` document holds its profile under "profile".
+        data = data.get("profile", data)
+    profile = profile_from_json(data)
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile, game.m)
     profile.validate_for(game)
@@ -145,6 +148,7 @@ def cmd_solve(args):
         "achieved_max_regret": result.achieved_max_regret,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
+        "phase": result.phase,
         "profile": profile_to_json(result.profile),
     }
     _emit(doc, args.out)

@@ -4,10 +4,15 @@ Two mechanisms:
 
 * `solve_mixed` runs simultaneous smoothed best-response dynamics under a
   geometrically cooled temperature, tracks the exact max regret of every
-  iterate, and keeps the best one.  If cooling alone misses the target, a
-  local minimization of the hinged squared regret excess (over softmax-
-  reparametrized strategies, with an analytic gradient) finishes the job;
-  a zero objective certifies every player at or below the requested level.
+  iterate, and keeps the best one.  The temperature falls from the payoff
+  spread to 0.4x the target over `max_iterations` (default 300).  If
+  cooling alone misses the target, a local minimization of the hinged
+  squared regret excess (over softmax-reparametrized strategies, with an
+  analytic gradient) finishes the job; a zero objective certifies every
+  player at or below the requested level.  The polish finishes within a
+  few evaluations from wherever cooling stops, so a longer horizon only
+  cools more slowly and waits for the stall exit (`STALL_WINDOW`) to hand
+  off.  `SolveResult.phase` names the stage that reached the target.
 * `brute_force_kuniform` exhaustively scans the grid of 1/k-uniform
   profiles for tiny instances and returns the exact grid minimizer.
 
@@ -46,10 +51,16 @@ class SolverConfig:
     (constant damping 0.25) or "harmonic" (damping 1/(t+2), fictitious-play
     style averaging).  uniform_grid_k, when set, routes the solve through the
     exhaustive k-uniform scan instead of the dynamics.
+
+    max_iterations caps each anneal and is also its cooling horizon: the
+    temperature reaches 0.4x the target at the last iteration, and polish
+    takes over from the best iterate.  300 suffices because polish closes
+    the remaining gap in a few evaluations; a longer horizon only delays
+    the hand-off until the STALL_WINDOW exit.
     """
 
     target_epsilon: float
-    max_iterations: int = 3000
+    max_iterations: int = 300
     step_schedule: str = "fixed"
     seed: int = 0
     uniform_grid_k: int | None = None
@@ -67,10 +78,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """iterations_used counts anneal iterations plus polish objective
+    evaluations over both starts (or grid points for the exhaustive scan).
+    phase names the stage whose profile reached the target: "anneal",
+    "polish", "restart_anneal", "restart_polish" (the jittered second
+    start) or "grid"; it is None when the solve did not converge."""
+
     profile: MixedProfile
     achieved_max_regret: float
     iterations_used: int
     converged: bool
+    phase: str | None
 
 
 def solve_mixed(game, config):
@@ -81,38 +99,43 @@ def solve_mixed(game, config):
     """
     if config.uniform_grid_k is not None:
         result = brute_force_kuniform(game, config.uniform_grid_k)
+        converged = result.achieved_max_regret <= config.target_epsilon
         return SolveResult(
             profile=result.profile,
             achieved_max_regret=result.achieved_max_regret,
             iterations_used=result.iterations_used,
-            converged=result.achieved_max_regret <= config.target_epsilon,
+            converged=converged,
+            phase="grid" if converged else None,
         )
 
     target = config.target_epsilon
-    best_probs, best_reg, iters = None, math.inf, 0
+    best_probs, best_reg, best_phase, iters = None, math.inf, None, 0
     # The plain start, then, only if the target is still missed, one cooled
     # restart from a jittered start; after each anneal a best profile that
     # misses the target is polished.
-    for seed, jitter in ((config.seed, False), (config.seed + 0x9E3779B9, True)):
+    starts = ((config.seed, False, ""), (config.seed + 0x9E3779B9, True, "restart_"))
+    for seed, jitter, prefix in starts:
         probs, reg, used = _anneal(game, config, seed, jitter)
         iters += used
         if reg < best_reg:
-            best_probs, best_reg = probs, reg
+            best_probs, best_reg, best_phase = probs, reg, prefix + "anneal"
         if best_reg > target:
             probs, reg, evals = _polish(game, best_probs, POLISH_CUT * target)
             iters += evals
             if reg < best_reg:
-                best_probs, best_reg = probs, reg
+                best_probs, best_reg, best_phase = probs, reg, prefix + "polish"
         if best_reg <= target:
             break
 
     profile = MixedProfile(best_probs)
     achieved = regret_report(game, profile).max_regret
+    converged = achieved <= target
     return SolveResult(
         profile=profile,
         achieved_max_regret=achieved,
         iterations_used=iters,
-        converged=achieved <= target,
+        converged=converged,
+        phase=best_phase if converged else None,
     )
 
 
@@ -269,4 +292,5 @@ def brute_force_kuniform(game, k):
         achieved_max_regret=achieved,
         iterations_used=total,
         converged=True,
+        phase="grid",
     )

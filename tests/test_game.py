@@ -406,10 +406,14 @@ def test_game_json_one_based_blocks_and_zero_omission():
             {"beta": [{"i": 1.7, "ip": 2, "matrix": [[0, 0], [0, 0]]}]},
             r"block \(1.7, 2\) has a non-integer index",
         ),
+        ({"n": "3", "lambda": "0.3"}, r"player count must be a number, got '3'"),
+        ({"lambda": "0.3"}, r"lambda must be a number, got '0.3'"),
+        ({"m": True}, r"action count must be a number, got True"),
     ],
     ids=[
         "past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number",
         "negative-n", "negative-m", "fractional-n", "fractional-m", "fractional-i",
+        "string-n", "string-lambda", "bool-m",
     ],
 )
 def test_game_from_json_rejects_malformed_blocks(fields, message):

@@ -332,6 +332,7 @@ def test_cli_solve_then_purify(tmp_path, capsys):
     assert rc == 0
     solved = json.loads(solved_path.read_text())
     assert solved["converged"] is True
+    assert solved["phase"] in ("anneal", "polish", "restart_anneal", "restart_polish")
     assert "mixed" in solved["profile"]
 
     rc = run_cli("purify", str(game_path), str(solved_path), "--trace", "potentials")
@@ -348,6 +349,7 @@ def test_cli_solve_not_converged_exit(tmp_path):
     rc = run_cli("solve", str(game_path), "--eps", "1e-300", "--out",
                  str(tmp_path / "s.json"))
     assert rc == 20
+    assert json.loads((tmp_path / "s.json").read_text())["phase"] is None
 
 
 def test_cli_reduce(tmp_path, capsys):
@@ -408,13 +410,15 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UsageError"
-    # Malformed profiles: a non-integer or non-number action, a non-number
-    # probability, ragged mixed rows.
+    # Malformed profiles: a non-integer, non-number or boolean action, a
+    # non-number probability, ragged mixed rows, a bare array.
     for doc in (
         {"pure": [1.5, 2, 1]},
         {"pure": ["a", 1, 1]},
+        {"pure": [True, 2, 1]},
         {"mixed": [["x", 0.5], [0.5, 0.5], [0.5, 0.5]]},
         {"mixed": [[0.5, 0.5], [1.0], [0.5, 0.5]]},
+        [1, 2, 1],
     ):
         profile_path = tmp_path / "profile.json"
         profile_path.write_text(json.dumps(doc))

@@ -21,7 +21,7 @@ from lippoly import (
     regret_report,
     solve_mixed,
 )
-from lippoly.solver import kuniform_grid, polish_objective
+from lippoly.solver import POLISH_CUT, _anneal, _polish, kuniform_grid, polish_objective
 
 
 def test_zero_game_uniform_profile_converged():
@@ -83,6 +83,10 @@ def test_grid_dispatch_matches_brute_force():
     direct = brute_force_kuniform(game, 50)
     assert np.array_equal(via_solver.profile.probs, direct.profile.probs)
     assert via_solver.achieved_max_regret == direct.achieved_max_regret
+    assert direct.phase == "grid"
+    # The 50-grid's best profile misses the 1e-6 target on this game.
+    assert not via_solver.converged
+    assert via_solver.phase is None
 
 
 def test_brute_force_is_grid_minimum():
@@ -139,6 +143,44 @@ def test_nonconvergence_is_soft():
     result = solve_mixed(game, SolverConfig(target_epsilon=1e-300))
     assert result.converged == (result.achieved_max_regret <= 1e-300)
     assert result.achieved_max_regret >= 0.0
+    assert result.phase is None
+
+
+# (n, seed, target as a fraction of the default, max_iterations) of a small
+# random binary game with lam = 1/n, for each phase that ends such a solve.
+# A one-iteration anneal returns its start, so polish has to close the gap;
+# at 1e-4 of the default target the plain start's polish stalls and the
+# jittered restart's polish gets there.
+PHASE_CASES = {
+    "anneal": (3, 0, 1.0, 300),
+    "polish": (3, 0, 1.0, 1),
+    "restart_polish": (4, 13, 1e-4, 1),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(PHASE_CASES))
+def test_phase_names_the_stage_that_reached_the_target(phase):
+    n, seed, scale, max_iterations = PHASE_CASES[phase]
+    game = random_game(n, 2, 1.0 / n, seed)
+    config = SolverConfig(
+        target_epsilon=scale * default_target_epsilon(game),
+        seed=seed,
+        max_iterations=max_iterations,
+    )
+    if phase == "restart_polish":
+        # The case rests on L-BFGS-B stalling above the target from the
+        # plain start; if that changes, another game is needed.
+        probs, _, _ = _anneal(game, config, config.seed, False)
+        _, polished, _ = _polish(game, probs, POLISH_CUT * config.target_epsilon)
+        assert polished > config.target_epsilon, "plain-start polish now reaches the target"
+    result = solve_mixed(game, config)
+    assert result.converged
+    assert result.phase == phase
+    # iterations_used still counts anneal iterations plus polish evaluations.
+    if phase == "anneal":
+        assert result.iterations_used <= max_iterations
+    else:
+        assert result.iterations_used > max_iterations
 
 
 def test_harmonic_schedule_supported():

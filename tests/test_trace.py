@@ -1,6 +1,8 @@
 """The purification trace: pinned JSON bytes, the replay, degenerate games."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,10 @@ from hypothesis import strategies as st
 from helpers import random_game, zero_game
 from lippoly import (
     BOUND_TOL,
-    SolverConfig,
+    MixedProfile,
     canonical_bytes,
     profile_from_json,
     purify,
-    solve_mixed,
     trace_to_json,
 )
 from lippoly.harness.pipeline import run_instance
@@ -30,13 +31,18 @@ GOLDEN = {
     ((8, 3, 0.03, 0), "potentials"): "c855a24afcf03ff674fec3618d501ddc50f0ebad12249db4538da395e99f9517",
 }
 
+# The mixed profiles the digests were taken from: solve_mixed's converged
+# output (3,000-iteration cooling) on the same games, stored so that the
+# digests pin the trace writer and not the solver.
+SOLVED = {
+    tuple(entry["shape"]): entry["mixed"]
+    for entry in json.loads((Path(__file__).parent / "solved_profiles.json").read_text())
+}
+
 
 def solved_trace(n, m, lam, seed):
     game = random_game(n, m, lam, seed)
-    target = lam / 8.0 if m == 2 else ((m - 1) / m) ** 2 * lam
-    solved = solve_mixed(game, SolverConfig(target_epsilon=target, seed=seed))
-    assert solved.converged
-    _, trace = purify(game, solved.profile)
+    _, trace = purify(game, MixedProfile(np.array(SOLVED[(n, m, lam, seed)])))
     return game, trace
 
 
