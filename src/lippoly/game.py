@@ -110,9 +110,11 @@ class PureProfile:
     def n(self):
         return self.actions.size
 
-    def validate_for(self, game):
-        if self.n != game.n:
-            raise UsageError(f"profile has {self.n} entries, game has {game.n} players")
+    def validate_for(self, game, L=1):
+        """Raise UsageError unless this is a profile of the game's L-fold
+        population lift: n*L entries, each an action in [0, m)."""
+        if self.n != game.n * L:
+            raise UsageError(f"profile has {self.n} entries, game has {game.n * L} players")
         if self.n and (self.actions.min() < 0 or self.actions.max() >= game.m):
             bad = int(np.argmax((self.actions < 0) | (self.actions >= game.m)))
             raise UsageError(

@@ -11,10 +11,13 @@ regret guarantee.
 
 A replica's payoffs are the base game's payoffs at the population
 averages.  A lifted profile in which all replicas of each population play
-the same strategy therefore has exactly the base profile's regrets, and
+the same strategy therefore has exactly the base profile's regrets, so
 `reduce_and_solve` finds its lifted starting point by solving the base
-game to the lifted target and replicating the result; only the lifted
-purification reads the lifted coefficients.
+game to the lifted target.  The lifted purification, `purify(base,
+profile, L=L)`, runs on per-population state for the same reason (see
+`lippoly.purify.common`): nothing in the round trip reads the lifted
+coefficients.  `induce` still builds them, for tests and callers that
+want the lift as a game.
 
 Replica l of population i is player i * L + l of the lift (zero based).
 """
@@ -26,18 +29,19 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded, UsageError
-from .game import MixedProfile, PolymatrixGame, PureProfile, regret_report
+from .game import PolymatrixGame, PureProfile, regret_report
 from .purify import default_target_epsilon, purify
+from .purify.common import aggregate_profile, replication
 from .solver import SolverConfig, solve_mixed
 
 # Largest lifted coefficient count (n L)^2 m^2 that `induce` allocates.
 LIFT_GUARD = 100_000_000
-
-
-def _replication(L):
-    if not math.isfinite(L) or int(L) != L or L < 1:
-        raise UsageError(f"replication L must be a positive integer, got {L!r}")
-    return int(L)
+# Largest lifted player count n L that `reduce_and_solve` purifies.  Each
+# lifted player holds about 0.2 KB of sweep state and trace (its order
+# entry, chosen action, potential, coefficient and lifted profile rows),
+# so the guard keeps that under about 0.4 GB; paper_L at n = 5, epsilon =
+# 0.3 is 1.29 million lifted players.
+REPLICA_GUARD = 2_000_000
 
 
 def induce(base, L):
@@ -47,7 +51,7 @@ def induce(base, L):
     The full (nL, nL, m, m) tensor is allocated, so a lift of more than
     LIFT_GUARD coefficients is refused with its size estimate.
     """
-    L = _replication(L)
+    L = replication(L)
     n, m = base.n, base.m
     entries = (n * L) ** 2 * m * m
     if entries > LIFT_GUARD:
@@ -65,46 +69,43 @@ def induce(base, L):
 def aggregate(base, L, pure):
     """Empirical action distribution of each population of a pure profile
     of the L-fold lift: a 1/L-uniform mixed profile of the base game."""
-    L = _replication(L)
+    L = replication(L)
     if not isinstance(pure, PureProfile):
         pure = PureProfile(pure)
-    n, m = base.n, base.m
-    if pure.n != n * L:
-        raise UsageError(f"expected {n * L} actions, got {pure.n}")
-    bad = (pure.actions < 0) | (pure.actions >= m)
-    if bad.any():
-        v = int(np.argmax(bad))
-        raise UsageError(f"replica {v} action {pure.actions[v]} out of range [0, {m})")
-    counts = np.zeros((n, m))
-    np.add.at(counts, (np.repeat(np.arange(n), L), pure.actions), 1.0)
-    return MixedProfile(counts / L)
+    pure.validate_for(base, L)
+    return aggregate_profile(base, L, pure.actions)
 
 
 def reduce_and_solve(base, epsilon, L, seed=0, config=None):
     """Full reduction round trip; returns (base profile, report dict).
 
     Solves the base game to the lifted purifier's input level (lam/(8L)
-    for m = 2), repeats the solution L times as the lifted profile (it
-    has the base regrets, see the module docstring), purifies that on the
-    lift built by `induce` (refused past LIFT_GUARD coefficients), and
-    aggregates the pure result back to a 1/L-uniform profile of the base
-    game.  `config`, when given, configures the base-game solve (its
-    uniform_grid_k scan included); by default it targets the lifted level
-    with `seed`.  The report compares the supplied L against
-    ceil(n^4 / epsilon^5), the scale the reduction needs for the
-    guarantee to reach epsilon.
+    for m = 2); every replica plays its population's row of the solution,
+    which gives each replica its population's base regret (see the module
+    docstring).  Purifies that lifted profile with `purify(base, profile,
+    L=L)` on per-population state, and aggregates the pure result back to
+    a 1/L-uniform profile of the base game.  `config`, when given,
+    configures the base-game solve (its uniform_grid_k scan included); by
+    default it targets the lifted level with `seed`.  An n*L above
+    REPLICA_GUARD is refused with BudgetExceeded before any work.  The
+    report compares the supplied L against ceil(n^4 / epsilon^5), the
+    scale the reduction needs for the guarantee to reach epsilon.
     """
     if not math.isfinite(epsilon) or epsilon <= 0:
         raise UsageError(f"epsilon must be positive and finite, got {epsilon}")
-    L = _replication(L)
-    lifted = induce(base, L)
+    L = replication(L)
+    players = base.n * L
+    if players > REPLICA_GUARD:
+        raise BudgetExceeded(
+            f"purifying {players} lifted players is over the budget of {REPLICA_GUARD:g}",
+            estimate=players,
+        )
 
     if config is None:
-        config = SolverConfig(target_epsilon=default_target_epsilon(lifted), seed=seed)
+        config = SolverConfig(target_epsilon=default_target_epsilon(base, L=L), seed=seed)
     result = solve_mixed(base, config)
-    start = MixedProfile(np.repeat(result.profile.probs, L, axis=0))
-    achieved = regret_report(lifted, start).max_regret
-    final, trace = purify(lifted, start)
+    achieved = result.achieved_max_regret
+    final, trace = purify(base, result.profile, L=L)
     profile = aggregate(base, L, final)
     base_report = regret_report(base, profile)
 
@@ -114,8 +115,8 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
         "m": base.m,
         "base_lambda": base.lam,
         "L": L,
-        "population_players": lifted.n,
-        "population_lambda": lifted.lam,
+        "population_players": players,
+        "population_lambda": base.lam / L,
         "epsilon": epsilon,
         "solver_target": config.target_epsilon,
         "solver_achieved": achieved,

@@ -20,7 +20,7 @@ from ..game import MixedProfile, profile_to_json
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .binary import ane_to_wsne_binary, purify_rounding_binary
 from .common import MODES, PurifyTrace, correct, default_target_epsilon, pipeline_constants
-from .common import resolve_mode
+from .common import lifted, replication, resolve_mode
 from .maction import _set_stats, ane_to_wsne_m, purify_rounding_m
 
 TRACE_DETAILS = ("full", "potentials")
@@ -48,13 +48,18 @@ __all__ = [
 ]
 
 
-def purify(game, profile, mode="auto", order=None):
+def purify(game, profile, mode="auto", order=None, L=1):
     """Run a full purification pipeline; returns (PureProfile, trace).
 
     mode "auto" picks the two-action pipeline exactly when m = 2,
     "binary" forces it (m = 2 only), "m_action" runs the general
     pipeline for any m.  order overrides the sweep order of the rounding
-    stage (default ascending).  The final profile's max regret is
+    stage (default ascending).  With L > 1 every player stands for L
+    replicas and the pipeline purifies the L-fold population lift
+    (`lippoly.population.induce`) in which each replica plays its
+    population's row of `profile`, on per-population state (see
+    `lippoly.purify.common`): the returned profile, `order` and the trace
+    are the lift's, over n*L players.  The final profile's max regret is
     evaluated once, by stage 3, which asserts it against the pipeline's
     bound (trace.bounds["final_regret"]) and stores it as
     trace.final_max_regret.  The tests' payoff_matrix_oracle and the
@@ -63,16 +68,17 @@ def purify(game, profile, mode="auto", order=None):
     the stage-1 warning flag, the thresholds and every bound checked.
     """
     mode = resolve_mode(game, mode)
+    L = replication(L)
     if mode == "binary":
-        wsne, warning = ane_to_wsne_binary(game, profile)
-        pure, trace = purify_rounding_binary(game, wsne, order=order)
-        final = correct_binary(game, pure, trace)
+        wsne, warning = ane_to_wsne_binary(game, profile, L)
+        pure, trace = purify_rounding_binary(game, wsne, order=order, L=L)
+        final = correct_binary(game, pure, trace, L)
     else:
-        wsne, warning = ane_to_wsne_m(game, profile)
-        pure, trace = purify_rounding_m(game, wsne, order=order)
-        final = correct_m(game, pure, trace)
+        wsne, warning = ane_to_wsne_m(game, profile, L)
+        pure, trace = purify_rounding_m(game, wsne, order=order, L=L)
+        final = correct_m(game, pure, trace, L)
 
-    trace.input_profile = profile
+    trace.input_profile = lifted(profile, L)
     trace.precondition_warning = warning
     return final, trace
 

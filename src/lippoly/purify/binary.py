@@ -25,16 +25,22 @@ from ..errors import BoundBreach
 from ..game import BOUND_TOL, MixedProfile, PureProfile, discrepancy_vector
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
+    NO_ADDITIONS,
     PurifyTrace,
+    actor_columns,
+    aggregate_profile,
     check_input_regret,
+    lifted,
+    lifted_indices,
     pipeline_constants,
     record_bound,
+    replication,
     resolve_order,
     support_regret_max,
 )
 
 
-def ane_to_wsne_binary(game, profile):
+def ane_to_wsne_binary(game, profile, L=1):
     """Stage 1: snap strongly decided players to their best response.
 
     Input must have max regret at most lam/8 (up to twice that is
@@ -43,12 +49,14 @@ def ane_to_wsne_binary(game, profile):
     profile.  On return every played action has regret at most
     lam*sqrt(n); asserted.  A still-mixed player plays both actions, so
     their |discrepancy| is the regret of one of them and is bounded by
-    the same check.  Returns (profile, warning), warning True when the
-    input regret needed the tolerance.
+    the same check.  At L > 1 the thresholds are the L-fold lift's and
+    every replica of a population plays its row of `profile`, so a
+    population snaps as one.  Returns (profile, warning), warning True
+    when the input regret needed the tolerance.
     """
-    consts = pipeline_constants(game, "binary")
+    consts = pipeline_constants(game, "binary", L)
     profile.validate_for(game)
-    warning = check_input_regret(game, profile, consts["input"])
+    warning = check_input_regret(game, profile, consts["input"], L)
 
     d = discrepancy_vector(game, profile)
     snap = np.abs(d) > consts["snap"]
@@ -63,21 +71,21 @@ def ane_to_wsne_binary(game, profile):
     return out, warning
 
 
-def sweep_step(game, d, p_i, i):
+def sweep_step(game, d, p_i, i, L=1):
     """The acting player's rounding vectors (c, ell), read off the operator.
 
     Every discrepancy is linear in p_i, d = c + ell * p_i, with slope ell
-    the change of player i's coefficient columns from action 0 to action
-    1 as seen in each player's payoff gap.  Given the current d this costs
-    O(n): four operator columns, no whole-profile evaluation.
+    the change of player i's coefficient columns (`actor_columns`, divided
+    by L in the lift) from action 0 to action 1 as seen in each player's
+    payoff gap.  Given the current d this costs O(n): four operator
+    columns, no whole-profile evaluation.
     """
-    B = game.operator
-    col0, col1 = 2 * i, 2 * i + 1
-    ell = (B[1::2, col1] - B[0::2, col1]) - (B[1::2, col0] - B[0::2, col0])
+    cols = actor_columns(game, i, L)
+    ell = (cols[1::2, 1] - cols[0::2, 1]) - (cols[1::2, 0] - cols[0::2, 0])
     return d - p_i * ell, ell
 
 
-def purify_rounding_binary(game, wsne, order=None):
+def purify_rounding_binary(game, wsne, order=None, L=1):
     """Stage 2: ordered sweep rounding every mixed player to a bit.
 
     For the acting player i the discrepancy of every player i' is linear
@@ -89,42 +97,51 @@ def purify_rounding_binary(game, wsne, order=None):
     Players whose discrepancy has come within the support bound join the
     relevant set after each step.
 
+    At L > 1 the sweep runs over the n*L replicas of the L-fold lift
+    (`order` is a permutation of them) on per-population state: every
+    replica of population i has the discrepancy d[i] and the same set
+    membership, and a replica plays its population's row of `wsne` until
+    its turn, so a step costs O(n) and the cost and A count each
+    population L times.
+
     Asserts the per-step cost increase allowance 4*lam^2*n (plus
-    lam^2*n per new member) and the terminal cost bound 5*lam^2*n^2.
-    The running d is checked against a whole-profile recomputation at
-    the end (bound sweep_drift, allowance BOUND_TOL), and the terminal
-    cost is taken from the recomputed d.  The trace logs, per step, the
-    bit, A, the cost and the players that joined: O(n) in all.
+    lam^2*n per new member) and the terminal cost bound 5*lam^2*n^2, at
+    the lift's n and lam.  The running d is checked against a recomputation
+    at the aggregate profile at the end (bound sweep_drift, allowance
+    BOUND_TOL), and the terminal cost is taken from the recomputed d.  The
+    trace logs, per step, the bit, A, the cost and the replicas that
+    joined: O(n*L) in all.
     """
-    consts = pipeline_constants(game, "binary")
+    L = replication(L)
+    consts = pipeline_constants(game, "binary", L)
     wsne.validate_for(game)
-    n = game.n
-    order = resolve_order(n, order)
+    order = resolve_order(game.n * L, order)
     support_bound = consts["support"]
 
     trace = PurifyTrace(
-        pipeline="binary", order=order, wsne_profile=wsne, thresholds={"delta": None}
+        pipeline="binary", order=order, wsne_profile=lifted(wsne, L), thresholds={"delta": None}
     )
     record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), support_bound)
 
-    P = wsne.probs.copy()
+    p = wsne.probs[:, 1].tolist()
     d = discrepancy_vector(game, wsne)
     S = np.abs(d) <= support_bound
-    cost = float(d[S] @ d[S])
-    trace.additions.append(np.flatnonzero(S))
+    cost = L * float(d[S] @ d[S])
+    trace.additions.append(lifted_indices(S, L))
     trace.potentials.append(cost)
 
     step_cap, entry_cap = consts["step_cost_increase"], consts["entry_cost"]
     worst_step_excess = -math.inf
-    for i in order:
-        p_i = float(P[i, 1])
+    for v in order:
+        i = v // L
+        p_i = p[i]
         if p_i == 0.0 or p_i == 1.0:
-            # Nothing to round; the cost cannot move on this turn.
+            # Nothing to round: d, the relevant set and the cost stay put.
             trace.coefficients.append(None)
-            bit = int(p_i)
+            bit, excess, added = int(p_i), 0.0, NO_ADDITIONS
         else:
-            c, ell = sweep_step(game, d, p_i, i)
-            A = float(2.0 * (c[S] @ ell[S]))
+            c, ell = sweep_step(game, d, p_i, i, L)
+            A = L * float(2.0 * (c[S] @ ell[S]))
             if A > 0.0:
                 bit = 0
             elif A < 0.0:
@@ -133,28 +150,29 @@ def purify_rounding_binary(game, wsne, order=None):
                 # Free choice; take the regret-minimizing bit.
                 bit = int(d[i] > 0.0)
             trace.coefficients.append(A)
-            P[i] = (1.0, 0.0) if bit == 0 else (0.0, 1.0)
             d = c if bit == 0 else c + ell
 
-        new_members = (np.abs(d) <= support_bound) & ~S
-        S = S | new_members
-        new_cost = float(d[S] @ d[S])
-        excess = new_cost - cost - entry_cap * int(new_members.sum())
+            new_members = (np.abs(d) <= support_bound) & ~S
+            joined = int(new_members.sum())
+            S = S | new_members
+            new_cost = L * float(d[S] @ d[S])
+            excess = new_cost - cost - entry_cap * (joined * L)
+            cost = new_cost
+            added = lifted_indices(new_members, L) if joined else NO_ADDITIONS
         worst_step_excess = max(worst_step_excess, excess)
         # Records the worst step so far; raises at the first step past the cap.
         record_bound(
-            trace, "step_cost_increase", worst_step_excess, step_cap, context=f"player {i}"
+            trace, "step_cost_increase", worst_step_excess, step_cap, context=f"player {v}"
         )
-        cost = new_cost
         trace.chosen_actions.append(bit)
-        trace.additions.append(np.flatnonzero(new_members))
+        trace.additions.append(added)
         trace.potentials.append(cost)
 
-    d_full = discrepancy_vector(game, MixedProfile(P))
+    actions = np.empty(len(order), dtype=np.int64)
+    actions[list(order)] = trace.chosen_actions
+    d_full = discrepancy_vector(game, aggregate_profile(game, L, actions))
     drift = float(np.abs(d_full - d).max())
     record_bound(trace, "sweep_drift", drift, BOUND_TOL)
-    trace.potentials[-1] = float(d_full[S] @ d_full[S])
+    trace.potentials[-1] = L * float(d_full[S] @ d_full[S])
     record_bound(trace, "terminal_cost", trace.potentials[-1], consts["terminal_cost"])
-    pure = PureProfile(P.argmax(axis=1))
-    return pure, trace
-
+    return PureProfile(actions), trace

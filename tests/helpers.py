@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from lippoly import MixedProfile, PolymatrixGame
+from lippoly import MixedProfile, PolymatrixGame, induce, purify, replay
 
 
 def random_game(n, m, lam, seed, spread_scale=1.0):
@@ -185,3 +185,64 @@ def lifted_payoff_oracle(base, L, profile):
     probs = getattr(profile, "probs", profile)
     means = probs.reshape(base.n, L, base.m).mean(axis=1)
     return np.repeat(np.einsum("abcd,bd->ac", base.beta, means), L, axis=0)
+
+
+def _scaled_gap(ref, got):
+    """Largest difference of two float sequences over the largest |ref|."""
+    ref, got = np.asarray(ref, dtype=float), np.asarray(got, dtype=float)
+    if ref.shape != got.shape:
+        return np.inf
+    scale = np.abs(ref).max() if ref.size else 0.0
+    gap = np.abs(ref - got).max() if ref.size else 0.0
+    return gap / scale if scale else (0.0 if gap == 0.0 else np.inf)
+
+
+def population_mismatches(base, profile, L, order=None, tol=1e-12):
+    """Differences between purify on per-population state and the reference
+    purify on the materialized lift induce(base, L).
+
+    Returns (problems, population trace).  Decisions must be identical:
+    final profile, chosen actions, set additions, switchers, stage-1
+    profile and the bound names, all held; the population trace must
+    replay on the lift to the reference's per-step profiles and sets.
+    Floats may differ by reassociation only: the potentials and the
+    rounding coefficients as sequences (b per step for m-action) within
+    tol of their largest magnitude, since single coefficients are
+    cancelling sums, and the final regret within tol relative.
+    """
+    lift = induce(base, L)
+    reference = MixedProfile(np.repeat(profile.probs, L, axis=0))
+    ref_final, ref = purify(lift, reference, order=order)
+    final, trace = purify(base, profile, order=order, L=L)
+    problems = []
+
+    def same(name, a, b):
+        if not a == b:
+            problems.append(name)
+
+    same("final profile", ref_final.actions.tolist(), final.actions.tolist())
+    same("order", ref.order, trace.order)
+    same("chosen actions", ref.chosen_actions, trace.chosen_actions)
+    same("additions", [a.tolist() for a in ref.additions], [a.tolist() for a in trace.additions])
+    same("switched players", ref.switched_players, trace.switched_players)
+    same("stage-1 profile", ref.wsne_profile.probs.tolist(), trace.wsne_profile.probs.tolist())
+    same("bound names", list(ref.bounds), list(trace.bounds))
+    ref_steps, steps = replay(ref, lift), replay(trace, lift)
+    same("replayed sets", ref_steps.relevant_sets, steps.relevant_sets)
+    same("replayed profiles", [p.probs.tolist() for p in ref_steps.profiles],
+         [p.probs.tolist() for p in steps.profiles])
+    if not all(entry["ok"] for entry in trace.bounds.values()):
+        problems.append("a bound failed")
+    if _scaled_gap(ref.potentials, trace.potentials) > tol:
+        problems.append("potentials")
+    same("unrounded steps", [c is None for c in ref.coefficients],
+         [c is None for c in trace.coefficients])
+    if trace.pipeline == "binary":
+        rounded = [c for c in ref.coefficients if c is not None]
+        if _scaled_gap(rounded, [c for c in trace.coefficients if c is not None]) > tol:
+            problems.append("coefficients")
+    elif any(_scaled_gap(a, b) > tol for a, b in zip(ref.coefficients, trace.coefficients)):
+        problems.append("coefficients")
+    if abs(ref.final_max_regret - trace.final_max_regret) > tol * abs(ref.final_max_regret):
+        problems.append("final regret")
+    return problems, trace

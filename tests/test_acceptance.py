@@ -16,6 +16,7 @@ from helpers import (
     lifted_payoff_oracle,
     mixed_payoff_oracle,
     payoff_matrix_oracle,
+    population_mismatches,
     random_game,
     random_mixed,
     regret_oracle,
@@ -27,6 +28,7 @@ from lippoly import (
     SolverConfig,
     Valid,
     check_game,
+    default_target_epsilon,
     induce,
     regret_report,
     replay,
@@ -42,6 +44,7 @@ from lippoly.harness.generator import GeneratorSpec, generate
 from lippoly.harness.pipeline import run_pipeline, write_report
 from lippoly.population import reduce_and_solve
 from lippoly.purify import purify
+from lippoly.purify.common import replica_regrets
 
 FAMILIES = ("uniform_coefficients", "sparse", "coordination_mix")
 
@@ -220,8 +223,8 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_population_round_trip():
     L = 50
-    probes = 0
-    worst_probe_gap = 0.0
+    probes = population_probes = 0
+    worst_probe_gap = worst_population_gap = 0.0
     failures = 0
     for idx in range(20):
         lam = 0.2 + 0.015 * idx
@@ -249,15 +252,37 @@ def test_criterion_5_population_round_trip():
             worst_probe_gap = max(worst_probe_gap, gap)
             probes += 1
 
-    ok = failures == 0 and probes >= 1000 and worst_probe_gap <= 1e-12
+        # The reduction purifies on per-population state: the same decisions
+        # as purify on the lift, and every replica's regret under the pure
+        # result is the one the lift's coefficients give.
+        config = SolverConfig(target_epsilon=default_target_epsilon(base, L=L), seed=idx)
+        problems, trace = population_mismatches(base, solve_mixed(base, config).profile, L)
+        if problems or trace.final_max_regret != report["purified_regret"]:
+            failures += 1
+        actions = trace.final_profile.actions
+        regrets = replica_regrets(base, L, actions)[0]
+        U = payoff_matrix_oracle(lifted, MixedProfile.from_pure(trace.final_profile, 2))
+        oracle = U.max(axis=1) - U[np.arange(lifted.n), actions]
+        for v in rng.integers(0, lifted.n, 50):
+            worst_population_gap = max(worst_population_gap, abs(regrets[v] - oracle[v]))
+            population_probes += 1
+
+    ok = (
+        failures == 0
+        and probes >= 1000
+        and population_probes >= 1000
+        and max(worst_probe_gap, worst_population_gap) <= 1e-12
+    )
     acceptance_log.record(
         5,
         ok,
         f"20 base games (n=3, m=2) at L=50: lifted games valid at lam/L, "
         f"aggregate regret <= purified regret on all, {probes} "
-        f"base-at-aggregates-vs-lifted probes within {worst_probe_gap:.2e}",
+        f"base-at-aggregates-vs-lifted probes within {worst_probe_gap:.2e}, "
+        f"population-state purification matches the lift's on all, {population_probes} "
+        f"replica-regret probes within {worst_population_gap:.2e}",
     )
-    assert ok, (failures, probes, worst_probe_gap)
+    assert ok, (failures, probes, worst_probe_gap, population_probes, worst_population_gap)
 
 
 def test_criterion_6_planted_witnesses():

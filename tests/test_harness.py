@@ -21,6 +21,7 @@ from lippoly import (
     regret_report,
     save_game,
 )
+from lippoly import population
 from lippoly.harness.baseline import sample_baseline
 from lippoly.harness.cli import main
 from lippoly.harness.generator import FAMILIES, GeneratorSpec, generate
@@ -218,7 +219,7 @@ def test_run_instance_reduction_branch():
     rec = run_instance(game, seed=9, L=3)
     assert rec.reduction["L"] == 3
     assert rec.reduction["aggregate_base_regret"] <= rec.reduction["purified_regret"] + 1e-9
-    capped = run_instance(game, seed=9, L=10_000)
+    capped = run_instance(game, seed=9, L=10**9)
     assert "error" in capped.reduction
     assert capped.outcome == "invalid"
 
@@ -360,6 +361,44 @@ def test_cli_reduce(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["population_players"] == 12
     assert doc["report"]["paper_L"] == math.ceil(3**4 / 0.4**5)
+
+
+def test_cli_reduce_at_paper_scale(tmp_path, capsys, monkeypatch):
+    # n = 3 at epsilon = 0.3 needs L = ceil(3^4 / 0.3^5) = 33,334.  This base
+    # game's equilibrium mixes two players, so stage 1 leaves two
+    # populations mixed and the sweep rounds their 66,668 replicas.
+    traces = []
+    purify = population.purify
+
+    def keep_trace(*args, **kwargs):
+        final, trace = purify(*args, **kwargs)
+        traces.append(trace)
+        return final, trace
+
+    monkeypatch.setattr(population, "purify", keep_trace)
+    game_path = tmp_path / "game.json"
+    save_game(random_game(3, 2, 0.3, seed=4), str(game_path))
+    rc = run_cli("reduce", str(game_path), "--L", "33334", "--eps", "0.3")
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["paper_L"] == 33334 and report["meets_paper_scale"] is True
+    assert report["population_players"] == 100002 and report["solver_converged"]
+
+    (trace,) = traces
+    assert len(trace.order) == len(trace.final_profile.actions) == 100002
+    assert sum(c is not None for c in trace.coefficients) == 2 * 33334
+    assert list(trace.bounds) == [
+        "wsne_support_regret", "step_cost_increase", "sweep_drift",
+        "terminal_cost", "switcher_count", "final_regret",
+    ]
+    assert all(entry["ok"] for entry in trace.bounds.values())
+    # The bounds are the lift's: lam/L on n*L players.
+    lam, players = 0.3 / 33334, 100002
+    assert trace.bounds["final_regret"]["allowed"] == pytest.approx(
+        lam * (70 * players ** 2) ** (1 / 3), rel=1e-12
+    )
+    assert report["purified_regret"] == trace.final_max_regret
+    assert report["aggregate_base_regret"] <= report["purified_regret"] + 1e-9
 
 
 def test_cli_baseline(tmp_path, capsys):

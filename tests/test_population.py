@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     coordination_game,
+    growing_set_game,
     lifted_payoff_oracle,
+    matching_pennies_game,
     payoff_matrix_oracle,
+    population_mismatches,
     random_game,
     random_mixed,
     zero_game,
@@ -33,7 +36,7 @@ from lippoly import (
     solve_mixed,
 )
 from lippoly.game import payoff_matrix
-from lippoly.purify import purify
+from lippoly.purify import purify, purify_rounding_m
 
 
 def lifted_profile(N, m, seed):
@@ -172,6 +175,79 @@ def test_materialization_budget():
     with pytest.raises(BudgetExceeded) as info:
         induce(base, 2000)
     assert info.value.estimate == 6000 * 6000 * 4
+    # The reduction keeps per-replica state only; a count no memory could
+    # hold is refused before any solve.
+    with pytest.raises(BudgetExceeded) as info:
+        reduce_and_solve(base, epsilon=0.3, L=10**9)
+    assert info.value.estimate == 3 * 10**9
+
+
+def test_reduce_past_the_lift_guard():
+    # 6,000 lifted players need 1.44e8 lifted coefficients, past LIFT_GUARD,
+    # so this would raise if the reduction still built the lift.
+    base = random_game(3, 2, 0.3, seed=4)
+    profile, report = reduce_and_solve(base, epsilon=0.3, L=2000)
+    assert report["population_players"] == 6000
+    assert report["solver_converged"]
+    assert report["aggregate_base_regret"] <= report["purified_regret"] + 1e-9
+    scaled = profile.probs * 2000
+    assert np.abs(scaled - np.round(scaled)).max() <= 1e-9
+    # The base game's equilibrium mixes two players: their populations split.
+    assert (profile.probs.max(axis=1) < 1.0).sum() == 2
+
+
+def solved_for_lift(base, L, seed=0):
+    config = SolverConfig(target_epsilon=default_target_epsilon(base, L=L), seed=seed)
+    return solve_mixed(base, config).profile
+
+
+# At L = 120 the lift's own payoff evaluation sums 720 terms per entry, and
+# its potentials and coefficients part from the population state's by up
+# to about 1e-12 of their largest value (1e-11 at L = 400); the decisions
+# stay identical.
+@pytest.mark.parametrize("L, tol", [(2, 1e-12), (7, 1e-12), (50, 1e-12), (120, 1e-11)])
+def test_binary_population_state_matches_the_lift(L, tol):
+    # Matching pennies mixes both players; random_game seed 4 mixes two of
+    # three.  Every replica of a mixed population is rounded by the sweep.
+    for base in (matching_pennies_game(), random_game(3, 2, 0.3, seed=4)):
+        profile = solved_for_lift(base, L)
+        problems, trace = population_mismatches(base, profile, L, tol=tol)
+        assert problems == []
+        assert sum(c is not None for c in trace.coefficients) >= L
+    order = np.random.default_rng(L).permutation(base.n * L)
+    problems, _ = population_mismatches(base, profile, L, order=order, tol=tol)
+    assert problems == []
+
+
+@pytest.mark.parametrize("L", [1, 2, 5])
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_maction_population_state_matches_the_lift(n, m, L):
+    for seed in range(5):
+        base = random_game(n, m, 0.3 if n < 5 else 0.2, seed=100 * n + 10 * m + seed)
+        problems, _ = population_mismatches(base, solved_for_lift(base, L, seed), L)
+        assert problems == [], seed
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_growing_sets_on_population_state(L):
+    # The sweep alone (the fixture's profile is not an equilibrium): a set
+    # grows late in the sweep, and the addition budget is asserted on the
+    # population state as on the lift.
+    game, profile = growing_set_game()
+    reference = MixedProfile(np.repeat(profile.probs, L, axis=0))
+    ref_pure, ref = purify_rounding_m(induce(game, L), reference)
+    pure, trace = purify_rounding_m(game, profile, L=L)
+    assert np.array_equal(pure.actions, ref_pure.actions)
+    assert trace.chosen_actions == ref.chosen_actions
+    assert [a.tolist() for a in trace.additions] == [a.tolist() for a in ref.additions]
+    grew = [k for k, added in enumerate(trace.additions) if k and added.size]
+    assert grew and trace.additions[grew[0]].size == L
+    observed = trace.bounds["addition_variance_budget"]["observed"]
+    assert observed > 0.0
+    assert abs(observed - ref.bounds["addition_variance_budget"]["observed"]) <= 1e-12 * observed
+    gap = np.abs(np.subtract(trace.potentials, ref.potentials)).max()
+    assert gap <= 1e-12 * max(ref.potentials)
 
 
 def test_lifted_game_passes_check_at_scaled_lambda():

@@ -23,12 +23,16 @@ from lippoly.harness.pipeline import run_instance
 # SHA-256 of canonical_bytes(trace_to_json(trace, detail)) on two seeded
 # games, taken from the two per-pipeline JSON writers this schema replaced.
 # The binary game's relevant set grows during the sweep (9 -> 12 players);
-# the m-action game's sets hold 19 of its 24 actions.
+# the m-action game's sets hold 19 of its 24 actions.  The m-action digests
+# were retaken when its sweep began updating the payoffs by the acting
+# player's operator columns: the bound table gained sweep_drift, and the
+# variance sums and b vectors moved in their last digits (the chosen
+# actions, sets and final profile did not).
 GOLDEN = {
     ((12, 2, 0.04, 6), "full"): "e5bdaaa265d2a9fd08d8cfc92f2e2868419ea78ebedba4c68c15fa27cecc503f",
     ((12, 2, 0.04, 6), "potentials"): "d25553826bad361b3ffc71c5a117bec7cf5e68c88c6bd9690d248ce86671f90d",
-    ((8, 3, 0.03, 0), "full"): "e3b82596aaa0c26bcdc2f87c1ce9621798a168eb7b167e69ce29fa31f9ee9269",
-    ((8, 3, 0.03, 0), "potentials"): "c855a24afcf03ff674fec3618d501ddc50f0ebad12249db4538da395e99f9517",
+    ((8, 3, 0.03, 0), "full"): "d4ad10748cce1e19c4be1a10d8909ee38daa7d432fec289aaf868cc8358f3e33",
+    ((8, 3, 0.03, 0), "potentials"): "9cf7902aabf0387efb7aa366f5aec5a54d866aa14f8503392bb65d77199b033d",
 }
 
 # The mixed profiles the digests were taken from: solve_mixed's converged
