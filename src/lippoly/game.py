@@ -58,7 +58,7 @@ class PolymatrixGame:
     operator : ndarray, shape (n*m, n*m), derived
         The payoff map holding the coefficients (beta is a view of it):
         entry [i*m + j, ip*m + jp] is beta[i, ip, j, jp], so the action
-        payoffs against a mixed profile P are (operator @ P.ravel()).reshape(n, m).
+        payoffs against a mixed profile P are `payoffs(game, P)`.
     """
 
     n: int
@@ -115,7 +115,7 @@ class PureProfile:
         population lift: n*L entries, each an action in [0, m)."""
         if self.n != game.n * L:
             raise UsageError(f"profile has {self.n} entries, game has {game.n * L} players")
-        if self.n and (self.actions.min() < 0 or self.actions.max() >= game.m):
+        if self.actions.min() < 0 or self.actions.max() >= game.m:
             bad = int(np.argmax((self.actions < 0) | (self.actions >= game.m)))
             raise UsageError(
                 f"player {bad} action {self.actions[bad]} out of range [0, {game.m})"
@@ -240,81 +240,54 @@ def pure_payoff(game, i, j, others):
     return float(cols.sum())
 
 
-def mixed_payoff(game, i, j, others):
-    """Expected payoff to player i for action j against a mixed profile.
+def payoffs(game, probs):
+    """Every action payoff against a mixed profile, or against each of a stack.
 
-    Exactly linear in each opponent's distribution; cost O(nm).
+    probs is an (n, m) probability array or a (k, n, m) stack of them; the
+    result has its shape, entry [..., i, j] being player i's payoff for
+    action j.  The one payoff kernel: one operator product, O(k n^2 m^2),
+    and no validation, so solver and purifier loops call it on raw arrays.
     """
-    _validate_indices(game, i, j)
-    others.validate_for(game)
-    return float((game.beta[i, :, j, :] * others.probs).sum())
+    n, m = game.n, game.m
+    return (probs.reshape(-1, n * m) @ game.operator.T).reshape(probs.shape)
 
 
-def payoff_vector(game, i, profile):
-    """All m action payoffs for player i (their operator rows); cost O(nm^2)."""
-    _validate_indices(game, i, 0)
-    profile.validate_for(game)
-    m = game.m
-    return game.operator[i * m:(i + 1) * m] @ profile.probs.ravel()
+def regrets(U, probs):
+    """Best payoff minus realized payoff, per player (and per profile of a
+    stack): U are the payoffs `payoffs` gives for probs."""
+    return U.max(axis=-1) - (U * probs).sum(axis=-1)
+
+
+def action_regrets(U):
+    """Best payoff minus each action's payoff, in the shape of the payoffs
+    U; entry [i, j] is the regret of player i playing action j purely."""
+    return U.max(axis=-1, keepdims=True) - U
 
 
 def payoff_matrix(game, profile):
     """The (n, m) matrix of every player's action payoffs; cost O(n^2 m^2)."""
     profile.validate_for(game)
-    return (game.operator @ profile.probs.ravel()).reshape(game.n, game.m)
-
-
-def expected_payoff(game, i, profile):
-    """Player i's expected payoff when everyone (i included) plays `profile`."""
-    return float(payoff_vector(game, i, profile) @ profile.probs[i])
-
-
-def regret(game, i, profile):
-    """Best-response payoff minus realized payoff for player i; >= 0."""
-    vec = payoff_vector(game, i, profile)
-    value = float(vec.max() - vec @ profile.probs[i])
-    return _clamp_regret(value)
+    return payoffs(game, profile.probs)
 
 
 def regret_report(game, profile):
     """Per-player regrets in one pass, with the (lowest-index) arg max."""
-    U = payoff_matrix(game, profile)
-    per = U.max(axis=1) - (U * profile.probs).sum(axis=1)
-    if per.size and per.min() < REGRET_FLOOR:
+    per = regrets(payoff_matrix(game, profile), profile.probs)
+    if per.min() < REGRET_FLOOR:
         raise InternalError(
             f"regret {per.min():.3g} below floor {REGRET_FLOOR}; evaluation is broken"
         )
     per = np.maximum(per, 0.0)
-    top = int(np.argmax(per)) if per.size else 0
-    return RegretReport(_freeze(per), float(per[top]) if per.size else 0.0, top)
-
-
-def action_regrets(game, profile):
-    """The (n, m) matrix of per-action regrets: best payoff minus each action's."""
-    U = payoff_matrix(game, profile)
-    return U.max(axis=1, keepdims=True) - U
-
-
-def discrepancy(game, i, profile):
-    """Signed payoff gap, action index 1 minus action index 0 (binary games)."""
-    if game.m != 2:
-        raise BinaryOnlyError(f"discrepancy requires a binary game, m={game.m}")
-    vec = payoff_vector(game, i, profile)
-    return float(vec[1] - vec[0])
+    top = int(np.argmax(per))
+    return RegretReport(_freeze(per), float(per[top]), top)
 
 
 def discrepancy_vector(game, profile):
-    """All players' discrepancies at once (binary games)."""
+    """All players' discrepancies, action 1's payoff minus action 0's (binary games)."""
     if game.m != 2:
         raise BinaryOnlyError(f"discrepancy requires a binary game, m={game.m}")
     U = payoff_matrix(game, profile)
     return U[:, 1] - U[:, 0]
-
-
-def best_response(game, i, profile):
-    """Arg max action for player i; ties broken by lowest index."""
-    vec = payoff_vector(game, i, profile)
-    return int(np.argmax(vec))
 
 
 def check_game(game):
@@ -328,13 +301,13 @@ def check_game(game):
     inequalities sum-of-max <= 1 and sum-of-min >= 0.
     """
     beta = game.beta
-    n, m = game.n, game.m
+    n = game.n
     hi = beta.max(axis=3)
     lo = beta.min(axis=3)
     spread = hi - lo
     idx = np.arange(n)
     spread[idx, idx] = 0.0
-    worst = float(spread.max()) if spread.size else 0.0
+    worst = float(spread.max())
     if worst > game.lam + BOUND_TOL:
         i, ip, j = np.unravel_index(int(np.argmax(spread)), spread.shape)
         j_hi = int(np.argmax(beta[i, ip, j]))
@@ -362,18 +335,13 @@ def check_game(game):
     mask[idx, idx] = False
     upper = np.where(mask[:, :, None], hi, 0.0).sum(axis=1)
     lower = np.where(mask[:, :, None], lo, 0.0).sum(axis=1)
-    if upper.size and upper.max() > 1.0 + BOUND_TOL:
+    if upper.max() > 1.0 + BOUND_TOL:
         i, j = np.unravel_index(int(np.argmax(upper)), upper.shape)
         return RangeViolation(player=int(i), action=int(j), direction="upper")
-    if lower.size and lower.min() < -BOUND_TOL:
+    if lower.min() < -BOUND_TOL:
         i, j = np.unravel_index(int(np.argmin(lower)), lower.shape)
         return RangeViolation(player=int(i), action=int(j), direction="lower")
     return Valid()
-
-
-def total_variation(p, q):
-    """Total variation distance between two discrete distributions."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 def _validate_indices(game, i, j):
@@ -381,14 +349,6 @@ def _validate_indices(game, i, j):
         raise UsageError(f"player index {i} out of range [0, {game.n})")
     if not (0 <= j < game.m):
         raise UsageError(f"action index {j} out of range [0, {game.m})")
-
-
-def _clamp_regret(value):
-    if value < REGRET_FLOOR:
-        raise InternalError(
-            f"regret {value:.3g} below floor {REGRET_FLOOR}; evaluation is broken"
-        )
-    return max(value, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from ..game import (
     load_json,
     profile_from_json,
     profile_to_json,
-    regret_report,
 )
 from ..population import reduce_and_solve
 from ..purify import MODES, TRACE_DETAILS, default_target_epsilon, purify, trace_to_json

@@ -85,7 +85,7 @@ def generate(spec):
     mask = np.ones((n, n), dtype=bool)
     mask[idx, idx] = False
     upper = np.where(mask[:, :, None], beta.max(axis=3), 0.0).sum(axis=1)
-    worst = float(upper.max()) if upper.size else 0.0
+    worst = float(upper.max())
     if worst > 1.0:
         beta *= (1.0 - 1e-12) / worst
 

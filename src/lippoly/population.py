@@ -31,7 +31,7 @@ import numpy as np
 from .errors import BudgetExceeded, UsageError
 from .game import PolymatrixGame, PureProfile, regret_report
 from .purify import default_target_epsilon, purify
-from .purify.common import aggregate_profile, replication
+from .purify.common import aggregate_profile, record_bound, replication
 from .solver import SolverConfig, solve_mixed
 
 # Largest lifted coefficient count (n L)^2 m^2 that `induce` allocates.
@@ -84,12 +84,15 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
     which gives each replica its population's base regret (see the module
     docstring).  Purifies that lifted profile with `purify(base, profile,
     L=L)` on per-population state, and aggregates the pure result back to
-    a 1/L-uniform profile of the base game.  `config`, when given,
-    configures the base-game solve (its uniform_grid_k scan included); by
-    default it targets the lifted level with `seed`.  An n*L above
-    REPLICA_GUARD is refused with BudgetExceeded before any work.  The
-    report compares the supplied L against ceil(n^4 / epsilon^5), the
-    scale the reduction needs for the guarantee to reach epsilon.
+    a 1/L-uniform profile of the base game, asserting on the lifted trace
+    that its regret is at most the purified regret (bound
+    aggregate_base_regret; a breach raises BoundBreach).  `config`, when
+    given, configures the base-game solve (its uniform_grid_k scan
+    included); by default it targets the lifted level with `seed`.  An
+    n*L above REPLICA_GUARD is refused with BudgetExceeded before any
+    work.  The report compares the supplied L against ceil(n^4 /
+    epsilon^5), the scale the reduction needs for the guarantee to reach
+    epsilon.
     """
     if not math.isfinite(epsilon) or epsilon <= 0:
         raise UsageError(f"epsilon must be positive and finite, got {epsilon}")
@@ -107,7 +110,9 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
     achieved = result.achieved_max_regret
     final, trace = purify(base, result.profile, L=L)
     profile = aggregate(base, L, final)
-    base_report = regret_report(base, profile)
+    # A population's base regret is the mean of its replicas' regrets.
+    base_regret = regret_report(base, profile).max_regret
+    record_bound(trace, "aggregate_base_regret", base_regret, trace.final_max_regret)
 
     paper_L = math.ceil(base.n ** 4 / epsilon ** 5)
     report = {
@@ -122,7 +127,7 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
         "solver_achieved": achieved,
         "solver_converged": bool(achieved <= config.target_epsilon),
         "purified_regret": trace.final_max_regret,
-        "aggregate_base_regret": base_report.max_regret,
+        "aggregate_base_regret": base_regret,
         "paper_L": paper_L,
         "meets_paper_scale": bool(L >= paper_L),
     }

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import UsageError
-from ..game import MixedProfile, profile_to_json
+from ..game import MixedProfile, payoffs, profile_to_json
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .binary import ane_to_wsne_binary, purify_rounding_binary
 from .common import MODES, PurifyTrace, correct, default_target_epsilon, pipeline_constants
@@ -106,8 +106,8 @@ def replay(trace, game):
     Starting from the stage-1 profile, step k sets player order[k-1] pure
     on its chosen action (a binary player with no coefficient was already
     pure) and adds additions[k] to the membership mask.  m-action payoffs
-    are (operator @ P.ravel()).reshape(n, m) and the statistics come from
-    the sweep's own `_set_stats`, so they equal what the sweep computed.
+    come from the kernel `payoffs` and the statistics from the sweep's own
+    `_set_stats`, so they equal what the sweep computed.
     """
     binary = trace.pipeline == "binary"
     n, m = game.n, game.m
@@ -127,7 +127,7 @@ def replay(trace, game):
         out.relevant_sets.append(
             tuple(frozenset(np.flatnonzero(row).tolist()) for row in member)
         )
-        u = (game.operator @ P.ravel()).reshape(n, m)
+        u = payoffs(game, P)
         mean, var = _set_stats(u, member)
         out.payoffs.append(u)
         out.means.append(mean)

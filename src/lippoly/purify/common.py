@@ -190,11 +190,8 @@ def check_input_regret(game, profile, required, L=1):
 
 def support_regret_max(game, profile):
     """Largest regret of any action actually played (probability > 0)."""
-    reg = action_regrets(game, profile)
-    on_support = profile.probs > 0.0
-    if not on_support.any():
-        return 0.0
-    return float(reg[on_support].max())
+    reg = action_regrets(payoff_matrix(game, profile))
+    return float(reg[profile.probs > 0.0].max())
 
 
 def lifted(profile, L):
@@ -240,7 +237,7 @@ def replica_regrets(game, L, actions):
     """
     U = payoff_matrix(game, aggregate_profile(game, L, actions))
     pops = np.repeat(np.arange(game.n), L)
-    return U.max(axis=1)[pops] - U[pops, actions], U.argmax(axis=1)
+    return action_regrets(U)[pops, actions], U.argmax(axis=1)
 
 
 def resolve_order(n, order):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BoundBreach
-from ..game import BOUND_TOL, MixedProfile, PureProfile, payoff_matrix
+from ..game import BOUND_TOL, MixedProfile, PureProfile, action_regrets, payoff_matrix
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
     NO_ADDITIONS,
@@ -58,7 +58,7 @@ def ane_to_wsne_m(game, profile, L=1):
     warning = check_input_regret(game, profile, consts["input"], L)
 
     U = payoff_matrix(game, profile)
-    reg = U.max(axis=1, keepdims=True) - U
+    reg = action_regrets(U)
     br = U.argmax(axis=1)
     probs = profile.probs.copy()
     keep = reg <= consts["snap"]
@@ -123,7 +123,7 @@ def purify_rounding_m(game, wsne, order=None, L=1):
 
     W = wsne.probs
     u = payoff_matrix(game, wsne)
-    member = (u.max(axis=1, keepdims=True) - u) <= eps1
+    member = action_regrets(u) <= eps1
     _, var = _set_stats(u, member)
     vsum = L * float(var.sum())
     record_bound(trace, "initial_variance", vsum, consts["initial_variance"])

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BudgetExceeded, UsageError
-from .game import MixedProfile, regret_report
+from .game import MixedProfile, payoffs, regret_report, regrets
 
 # Exhaustive scan refuses above this many candidate profiles.
 BRUTE_FORCE_GUARD = 10_000_000
@@ -141,7 +141,6 @@ def solve_mixed(game, config):
 
 def _anneal(game, config, seed, jitter):
     n, m = game.n, game.m
-    B = game.operator
     target = config.target_epsilon
     probs = np.full((n, m), 1.0 / m)
     if jitter:
@@ -150,8 +149,8 @@ def _anneal(game, config, seed, jitter):
         probs = np.abs(probs)
         probs /= probs.sum(axis=1, keepdims=True)
 
-    U0 = (B @ probs.ravel()).reshape(n, m)
-    spread = float((U0.max(axis=1) - U0.min(axis=1)).max()) if n else 0.0
+    U0 = payoffs(game, probs)
+    spread = float((U0.max(axis=1) - U0.min(axis=1)).max())
     tau_hi = max(spread, 4.0 * target)
     tau_lo = 0.4 * target
 
@@ -160,9 +159,8 @@ def _anneal(game, config, seed, jitter):
     last_gain = 0
     total = config.max_iterations
     for t in range(total):
-        U = (B @ probs.ravel()).reshape(n, m)
-        per = U.max(axis=1) - (U * probs).sum(axis=1)
-        reg = float(per.max()) if n else 0.0
+        U = payoffs(game, probs)
+        reg = float(regrets(U, probs).max())
         if reg < best_reg:
             best_reg = reg
             best_probs = probs.copy()
@@ -214,14 +212,11 @@ def polish_objective(z, game, cut):
     is the own-row term (only the realized payoff depends on P[a]).
     """
     n, m = game.n, game.m
-    rows = np.arange(n)
     P = _softmax_rows(z.reshape(n, m))
-    U = (game.operator @ P.ravel()).reshape(n, m)
-    jstar = U.argmax(axis=1)
-    reg = U[rows, jstar] - (U * P).sum(axis=1)
-    h = np.maximum(reg - cut, 0.0)
+    U = payoffs(game, P)
+    h = np.maximum(regrets(U, P) - cut, 0.0)
     v = -P
-    v[rows, jstar] += 1.0
+    v[np.arange(n), U.argmax(axis=1)] += 1.0
     v *= (2.0 * h)[:, None]
     G = (v.ravel() @ game.operator).reshape(n, m) - (2.0 * h)[:, None] * U
     GZ = P * (G - (P * G).sum(axis=1, keepdims=True))
@@ -269,8 +264,7 @@ def brute_force_kuniform(game, k):
             estimate=total,
         )
 
-    n, m = game.n, game.m
-    dims = (per_player,) * n
+    dims = (per_player,) * game.n
     best_val = math.inf
     best_idx = None
     for start in range(0, total, CHUNK):
@@ -278,9 +272,7 @@ def brute_force_kuniform(game, k):
         flat = np.arange(start, stop)
         idx = np.stack(np.unravel_index(flat, dims), axis=1)
         chunk = grid[idx]
-        U = (chunk.reshape(-1, n * m) @ game.operator.T).reshape(-1, n, m)
-        reg = U.max(axis=2) - (U * chunk).sum(axis=2)
-        worst = reg.max(axis=1)
+        worst = regrets(payoffs(game, chunk), chunk).max(axis=1)
         pos = int(np.argmin(worst))
         if worst[pos] < best_val:
             best_val = float(worst[pos])

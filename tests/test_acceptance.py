@@ -36,8 +36,10 @@ from lippoly import (
 )
 from lippoly.game import (
     discrepancy_vector,
-    mixed_payoff,
+    payoff_matrix,
+    payoffs,
     pure_payoff,
+    regrets,
 )
 from lippoly.harness.baseline import sample_baseline
 from lippoly.harness.generator import GeneratorSpec, generate
@@ -191,11 +193,11 @@ def test_criterion_4_oracle_equivalence():
         n = 4 + idx % 7
         game = random_game(n, 2, lams[idx % 3], seed=500 + idx)
         probs = random_mixed(n, 2, seed=900 + idx)
+        U = payoff_matrix(game, probs)
         for i in range(n):
             for j in range(2):
-                got = mixed_payoff(game, i, j, probs)
                 want = mixed_payoff_oracle(game, i, j, probs.probs)
-                worst_payoff_gap = max(worst_payoff_gap, abs(got - want))
+                worst_payoff_gap = max(worst_payoff_gap, abs(U[i, j] - want))
 
     worst_regret_gap = 0.0
     for idx in range(30):
@@ -210,15 +212,32 @@ def test_criterion_4_oracle_equivalence():
                 worst_regret_gap, abs(report.per_player_regret[i] - want)
             )
 
-    ok = worst_payoff_gap <= 1e-9 and worst_regret_gap <= 1e-9
+    # The kernel on a (k, n, m) stack: each profile's payoffs against the
+    # contraction oracle, its regrets against regret_report.
+    worst_stack_gap = 0.0
+    for idx in range(10):
+        n, m = 3 + idx % 5, 2 + idx % 3
+        game = random_game(n, m, 0.2, seed=2500 + idx)
+        stack = np.stack([random_mixed(n, m, seed=2600 + 8 * idx + k).probs for k in range(8)])
+        U = payoffs(game, stack)
+        for P, U_k, reg_k in zip(stack, U, regrets(U, stack)):
+            per = regret_report(game, MixedProfile(P)).per_player_regret
+            worst_stack_gap = max(
+                worst_stack_gap,
+                float(np.abs(U_k - payoff_matrix_oracle(game, P)).max()),
+                float(np.abs(np.maximum(reg_k, 0.0) - per).max()),
+            )
+
+    ok = worst_payoff_gap <= 1e-9 and worst_regret_gap <= 1e-9 and worst_stack_gap <= 1e-12
     acceptance_log.record(
         4,
         ok,
         f"50 binary games n<=10: worst exhaustive-expectation gap "
         f"{worst_payoff_gap:.2e}; 30 games n<=4 m<=3: worst enumerated-regret "
-        f"gap {worst_regret_gap:.2e}",
+        f"gap {worst_regret_gap:.2e}; 10 stacks of 8 profiles: worst "
+        f"contraction/regret gap {worst_stack_gap:.2e}",
     )
-    assert ok, (worst_payoff_gap, worst_regret_gap)
+    assert ok, (worst_payoff_gap, worst_regret_gap, worst_stack_gap)
 
 
 def test_criterion_5_population_round_trip():

@@ -28,24 +28,19 @@ from lippoly import (
     RangeViolation,
     UsageError,
     Valid,
-    best_response,
     canonical_bytes,
     check_game,
-    discrepancy,
-    expected_payoff,
     game_digest,
     game_from_json,
     game_to_json,
     load_game,
-    mixed_payoff,
     profile_from_json,
     profile_to_json,
     pure_payoff,
-    regret,
     regret_report,
-    total_variation,
 )
-from lippoly.game import payoff_matrix, payoff_vector
+from lippoly.game import discrepancy_vector, payoff_matrix
+from lippoly.purify.common import replica_regrets
 
 
 def test_pure_payoff_zero_game():
@@ -88,17 +83,17 @@ def test_pure_payoff_rejects_bad_indices():
 def test_mixed_payoff_coordination_half():
     game = coordination_game()
     profile = MixedProfile([[1.0, 0.0], [0.5, 0.5]])
-    assert mixed_payoff(game, 0, 0, profile) == pytest.approx(0.5, abs=1e-15)
+    assert payoff_matrix(game, profile)[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mixed_payoff_pure_valued_equals_pure():
     game = random_game(5, 3, 0.2, 7)
     actions = random_pure_actions(5, 3, 11)
     pure = PureProfile(actions)
-    mixed = MixedProfile.from_pure(pure, 3)
+    U = payoff_matrix(game, MixedProfile.from_pure(pure, 3))
     for i in range(5):
         for j in range(3):
-            assert mixed_payoff(game, i, j, mixed) == pytest.approx(
+            assert U[i, j] == pytest.approx(
                 pure_payoff(game, i, j, pure), abs=1e-12
             )
 
@@ -108,9 +103,10 @@ def test_mixed_payoff_exhaustive_expectation():
         n = 3 + seed
         game = random_game(n, 2, 1.0 / n, seed)
         profile = random_mixed(n, 2, seed + 40)
+        U = payoff_matrix(game, profile)
         for i in range(n):
             for j in range(2):
-                got = mixed_payoff(game, i, j, profile)
+                got = U[i, j]
                 want = mixed_payoff_oracle(game, i, j, profile.probs)
                 assert abs(got - want) <= 1e-9
 
@@ -156,8 +152,6 @@ def test_operator_matches_the_contraction_oracle(n, m, seed):
     profile = random_mixed(n, m, seed + 1)
     U = payoff_matrix_oracle(game, profile)
     assert np.abs(payoff_matrix(game, profile) - U).max() <= 1e-12
-    for i in range(n):
-        assert np.abs(payoff_vector(game, i, profile) - U[i]).max() <= 1e-12
     per = np.maximum(U.max(axis=1) - (U * profile.probs).sum(axis=1), 0.0)
     assert np.abs(regret_report(game, profile).per_player_regret - per).max() <= 1e-12
 
@@ -167,16 +161,15 @@ def test_regret_zero_for_played_best_response():
     profile = random_mixed(4, 3, 9)
     probs = profile.probs.copy()
     probs[1] = 0.0
-    probs[1, best_response(game, 1, profile)] = 1.0
+    probs[1, int(np.argmax(payoff_matrix(game, profile)[1]))] = 1.0
     # Opponent rows unchanged, so player 1's payoffs are unchanged too.
-    assert regret(game, 1, MixedProfile(probs)) == 0.0
+    assert regret_report(game, MixedProfile(probs)).per_player_regret[1] == 0.0
 
 
 def test_regret_zero_game():
     game = zero_game(n=3, m=3)
     profile = random_mixed(3, 3, 1)
-    for i in range(3):
-        assert regret(game, i, profile) == 0.0
+    assert not regret_report(game, profile).per_player_regret.any()
 
 
 def test_regret_matches_enumeration():
@@ -188,7 +181,6 @@ def test_regret_matches_enumeration():
         report = regret_report(game, profile)
         for i in range(n):
             want = regret_oracle(game, i, profile.probs)
-            assert abs(regret(game, i, profile) - want) <= 1e-9
             assert abs(report.per_player_regret[i] - want) <= 1e-9
         assert report.max_regret == report.per_player_regret.max()
         assert report.argmax_player == int(np.argmax(report.per_player_regret))
@@ -197,50 +189,56 @@ def test_regret_matches_enumeration():
 def test_discrepancy_symmetric_coordination_zero():
     game = coordination_game()
     profile = MixedProfile([[0.5, 0.5], [0.5, 0.5]])
-    assert discrepancy(game, 0, profile) == 0.0
+    assert discrepancy_vector(game, profile)[0] == 0.0
 
 
 def test_discrepancy_coordination_opponent_pure_high():
     game = coordination_game()
     profile = MixedProfile([[0.5, 0.5], [0.0, 1.0]])
-    assert discrepancy(game, 0, profile) == 1.0
+    assert discrepancy_vector(game, profile)[0] == 1.0
 
 
 def test_discrepancy_matches_payoff_difference():
     for seed in range(5):
         game = random_game(6, 2, 0.2, seed + 70)
         profile = random_mixed(6, 2, seed + 80)
+        d = discrepancy_vector(game, profile)
         for i in range(6):
-            want = mixed_payoff(game, i, 1, profile) - mixed_payoff(game, i, 0, profile)
-            assert abs(discrepancy(game, i, profile) - want) <= 1e-12
+            want = (mixed_payoff_oracle(game, i, 1, profile.probs)
+                    - mixed_payoff_oracle(game, i, 0, profile.probs))
+            assert abs(d[i] - want) <= 1e-12
 
 
 def test_discrepancy_rejects_three_actions():
     game = zero_game(n=2, m=3)
     with pytest.raises(BinaryOnlyError):
-        discrepancy(game, 0, MixedProfile(np.full((2, 3), 1.0 / 3.0)))
+        discrepancy_vector(game, MixedProfile(np.full((2, 3), 1.0 / 3.0)))
+
+
+# Best responses as stage 3 takes them: `replica_regrets` at L = 1.
 
 
 def test_best_response_zero_game_tie_breaks_low():
     game = zero_game(n=3, m=4)
-    profile = random_mixed(3, 4, 2)
-    for i in range(3):
-        assert best_response(game, i, profile) == 0
+    _, best = replica_regrets(game, 1, random_pure_actions(3, 4, 2))
+    assert not best.any()
 
 
 def test_best_response_coordination():
     game = coordination_game()
-    profile = MixedProfile([[0.5, 0.5], [0.0, 1.0]])
-    assert best_response(game, 0, profile) == 1
+    _, best = replica_regrets(game, 1, np.array([0, 1]))
+    assert best[0] == 1
 
 
 def test_best_response_is_argmax_of_recomputed_payoffs():
     for seed in range(5):
         game = random_game(5, 3, 0.25, seed + 90)
-        profile = random_mixed(5, 3, seed + 95)
+        actions = random_pure_actions(5, 3, seed + 95)
+        per, best = replica_regrets(game, 1, actions)
         for i in range(5):
-            values = [mixed_payoff(game, i, j, profile) for j in range(3)]
-            assert best_response(game, i, profile) == int(np.argmax(values))
+            values = [payoff_oracle(game, i, j, actions) for j in range(3)]
+            assert best[i] == int(np.argmax(values))
+            assert abs(per[i] - (max(values) - values[actions[i]])) <= 1e-12
 
 
 def test_check_game_zero_valid():
@@ -328,8 +326,9 @@ def test_payoff_is_tv_lipschitz_between_profiles(seed):
     i = int(rng.integers(0, n))
     q_rows[i] = p.probs[i]
     q = MixedProfile(q_rows)
-    moved = sum(total_variation(p.probs[ip], q.probs[ip]) for ip in range(n))
-    gap = abs(expected_payoff(game, i, p) - expected_payoff(game, i, q))
+    moved = 0.5 * float(np.abs(p.probs - q.probs).sum())  # total variation, summed over rows
+    realized = [payoff_matrix(game, r)[i] @ r.probs[i] for r in (p, q)]
+    gap = abs(realized[0] - realized[1])
     assert gap <= game.lam * moved + 1e-9
 
 
@@ -348,8 +347,11 @@ def test_regret_is_two_lambda_lipschitz_in_one_row(seed):
     q_rows = p.probs.copy()
     other = random_mixed(n, m, seed + 7).probs[k]
     q_rows[k] = other
-    rho = total_variation(p.probs[k], other)
-    gap = abs(regret(game, i, p) - regret(game, i, MixedProfile(q_rows)))
+    rho = 0.5 * float(np.abs(p.probs[k] - other).sum())  # total variation of row k
+    before, after = (
+        regret_report(game, r).per_player_regret[i] for r in (p, MixedProfile(q_rows))
+    )
+    gap = abs(before - after)
     assert gap <= 2.0 * game.lam * rho + 1e-9
 
 
@@ -453,9 +455,3 @@ def test_pure_valued_round_trip():
     assert mixed.is_pure_valued()
     assert np.array_equal(mixed.to_pure().actions, pure.actions)
     assert not random_mixed(3, 3, 8).is_pure_valued()
-
-
-def test_total_variation_basics():
-    assert total_variation([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert total_variation([0.75, 0.25], [0.25, 0.75]) == pytest.approx(0.5)

@@ -7,7 +7,13 @@ import subprocess
 import numpy as np
 import pytest
 
-from helpers import matching_pennies_game, random_game, zero_game
+from helpers import (
+    matching_pennies_game,
+    payoff_oracle,
+    random_game,
+    random_mixed,
+    zero_game,
+)
 from lippoly import (
     MixedProfile,
     PolymatrixGame,
@@ -146,6 +152,20 @@ def test_baseline_matching_pennies_every_draw_regrets_one():
     assert report.regrets == again.regrets
     with pytest.raises(UsageError):
         sample_baseline(game, mixed, trials=0)
+
+
+def test_baseline_min_regret_matches_the_direct_summation_oracle():
+    for seed in range(4):
+        n, m = 6, 2 + seed % 2
+        game = random_game(n, m, 0.15, seed=30 + seed)
+        report = sample_baseline(game, random_mixed(n, m, seed=40 + seed), trials=64, seed=seed)
+        actions = report.best_profile.actions
+        want = 0.0
+        for i in range(n):
+            values = [payoff_oracle(game, i, j, actions) for j in range(m)]
+            want = max(want, max(values) - values[actions[i]])
+        assert abs(report.min_regret - want) <= 1e-12
+        assert report.min_regret == min(report.regrets)
 
 
 # ----------------------------------------------------- instance records
@@ -389,7 +409,7 @@ def test_cli_reduce_at_paper_scale(tmp_path, capsys, monkeypatch):
     assert sum(c is not None for c in trace.coefficients) == 2 * 33334
     assert list(trace.bounds) == [
         "wsne_support_regret", "step_cost_increase", "sweep_drift",
-        "terminal_cost", "switcher_count", "final_regret",
+        "terminal_cost", "switcher_count", "final_regret", "aggregate_base_regret",
     ]
     assert all(entry["ok"] for entry in trace.bounds.values())
     # The bounds are the lift's: lam/L on n*L players.

@@ -19,7 +19,9 @@ from helpers import (
     random_mixed,
     zero_game,
 )
+import lippoly.population
 from lippoly import (
+    BoundBreach,
     BudgetExceeded,
     MixedProfile,
     PolymatrixGame,
@@ -36,6 +38,7 @@ from lippoly import (
     solve_mixed,
 )
 from lippoly.game import payoff_matrix
+from lippoly.harness.pipeline import run_instance
 from lippoly.purify import purify, purify_rounding_m
 
 
@@ -194,6 +197,29 @@ def test_reduce_past_the_lift_guard():
     assert np.abs(scaled - np.round(scaled)).max() <= 1e-9
     # The base game's equilibrium mixes two players: their populations split.
     assert (profile.probs.max(axis=1) < 1.0).sum() == 2
+
+
+def test_reduce_asserts_the_aggregate_regret_bound(monkeypatch):
+    # A population's base regret is the mean of its replicas' regrets, so
+    # it cannot exceed the purified lifted regret.  An aggregation that
+    # returns the base game's worst pure profile instead must be caught.
+    base = random_game(3, 2, 0.3, seed=2)
+    _, report = reduce_and_solve(base, epsilon=0.3, L=4, seed=2)
+    pures = [
+        MixedProfile(np.eye(2)[[a, b, c]]) for a in range(2) for b in range(2) for c in range(2)
+    ]
+    worst = max(pures, key=lambda p: regret_report(base, p).max_regret)
+    assert regret_report(base, worst).max_regret > report["purified_regret"] + 1e-9
+    monkeypatch.setattr(lippoly.population, "aggregate", lambda base, L, pure: worst)
+
+    with pytest.raises(BoundBreach) as info:
+        reduce_and_solve(base, epsilon=0.3, L=4, seed=2)
+    assert info.value.bound_name == "aggregate_base_regret"
+    assert info.value.allowed == report["purified_regret"]
+
+    rec = run_instance(base, seed=2, L=4)
+    assert rec.outcome == "bound_breach"
+    assert "aggregate_base_regret" in rec.reduction["error"]
 
 
 def solved_for_lift(base, L, seed=0):

@@ -29,7 +29,7 @@ from lippoly import (
     solve_mixed,
     trace_to_json,
 )
-from lippoly.game import BOUND_TOL, action_regrets, discrepancy_vector
+from lippoly.game import BOUND_TOL, action_regrets, discrepancy_vector, payoff_matrix
 from lippoly.purify.binary import sweep_step
 
 PIPELINE_SEEDS = (0, 1, 2, 3, 4, 5)
@@ -78,7 +78,7 @@ def test_wsne_support_bound_on_solver_output(pipelines):
     for game, _, _, trace in pipelines:
         wsne = trace.wsne_profile
         bound = game.lam * math.sqrt(game.n)
-        reg = action_regrets(game, wsne)
+        reg = action_regrets(payoff_matrix(game, wsne))
         support = wsne.probs > 0.0
         assert reg[support].max() <= bound + 1e-9
         d = discrepancy_vector(game, wsne)
