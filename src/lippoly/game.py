@@ -383,6 +383,18 @@ def _is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _all_numbers(values):
+    """True when every value is a number in the sense of _is_number.
+
+    One pass collects the distinct types, at C speed; only those few are
+    then checked, so a block array of a million entries costs one walk.
+    """
+    return all(
+        issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+        for kind in set(map(type, values))
+    )
+
+
 def _number(value, name):
     if not _is_number(value):
         raise UsageError(f"{name} must be a number, got {value!r}")
@@ -403,6 +415,13 @@ def game_from_json(data):
         m = _count(data["m"], "action count")
         lam = _number(data["lambda"], "lambda")
         raw_blocks = data.get("beta", [])
+        indices = map(itemgetter("i", "ip"), raw_blocks)
+        if not _all_numbers(itertools.chain.from_iterable(indices)):
+            entry = next(e for e in raw_blocks if not _all_numbers((e["i"], e["ip"])))
+            raise UsageError(
+                f"malformed game JSON: block ({entry['i']!r}, {entry['ip']!r}) "
+                "has an index that is not a number"
+            )
         # Streamed: a list of per-block tuples would set off garbage
         # collections that walk the whole parsed document.  Floats, so
         # that an index like 1.7 is refused, not truncated.
@@ -439,10 +458,12 @@ def game_from_json(data):
 def _block_matrices(raw_blocks, m):
     """All blocks' matrices as one (k, m, m) array.
 
-    Once every matrix is seen to hold m rows of m entries, the entries
-    stream through one np.fromiter (np.array on the nested lists keeps a
-    record per list while it converts, several times the result's size).
-    Otherwise the error names the first block whose matrix is not m x m.
+    Once every matrix is seen to hold m rows of m entries, all of them
+    numbers (strings and booleans, which float() would coerce, are not),
+    the entries stream through one np.fromiter (np.array on the nested
+    lists keeps a record per list while it converts, several times the
+    result's size).  Otherwise the error names the first block whose
+    matrix is not m x m or holds a non-number.
     """
     try:
         matrices = [entry["matrix"] for entry in raw_blocks]
@@ -450,6 +471,12 @@ def _block_matrices(raw_blocks, m):
         if all(len(matrix) == m for matrix in matrices) and all(
             len(row) == m for row in flatten(matrices)
         ):
+            if not _all_numbers(flatten(flatten(matrices))):
+                entry = next(e for e in raw_blocks if not _all_numbers(flatten(e["matrix"])))
+                raise UsageError(
+                    f"malformed game JSON: block ({entry['i']}, {entry['ip']}) "
+                    "has an entry that is not a number"
+                )
             values = flatten(flatten(matrices))
             count = len(matrices) * m * m
             return np.fromiter(values, dtype=np.float64, count=count).reshape(-1, m, m)
@@ -518,16 +545,19 @@ def game_digest(game):
 def load_json(path):
     """Parse a JSON file, refusing the non-standard NaN/Infinity literals.
 
-    The cyclic garbage collector is paused while the parser runs: a parsed
-    document holds no reference cycles, and on a large game file the
-    collections that its many new lists and dicts trigger cost more than
-    the parse itself.
+    A file that is not UTF-8 or not well-formed JSON raises UsageError
+    naming the file.  The cyclic garbage collector is paused while the
+    parser runs: a parsed document holds no reference cycles, and on a
+    large game file the collections that its many new lists and dicts
+    trigger cost more than the parse itself.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
     finally:
         if was_enabled:
             gc.enable()

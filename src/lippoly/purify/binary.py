@@ -101,12 +101,19 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     (`order` is a permutation of them) on per-population state: every
     replica of population i has the discrepancy d[i] and the same set
     membership, and a replica plays its population's row of `wsne` until
-    its turn, so a step costs O(n) and the cost and A count each
-    population L times.
+    its turn, so the cost and A count each population L times.  The
+    order falls into runs of consecutive replicas of one population, in
+    which p_i and ell stay fixed and d moves along ell only.  The first
+    step of a run is taken on the vectors as above; while the set stays
+    fixed, the rest of the run advances scalars (`_Sweep.glide`), O(1)
+    per replica, and hands a step back to the vectors at an exact tie or
+    where a player would join the set.  Runs of already-pure replicas
+    are logged in one go.  At L = 1 every run is one step long.
 
     Asserts the per-step cost increase allowance 4*lam^2*n (plus
     lam^2*n per new member) and the terminal cost bound 5*lam^2*n^2, at
-    the lift's n and lam.  The running d is checked against a recomputation
+    the lift's n and lam; a step past the allowance raises naming its
+    (lifted) player.  The running d is checked against a recomputation
     at the aggregate profile at the end (bound sweep_drift, allowance
     BOUND_TOL), and the terminal cost is taken from the recomputed d.  The
     trace logs, per step, the bit, A, the cost and the replicas that
@@ -116,63 +123,190 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     consts = pipeline_constants(game, "binary", L)
     wsne.validate_for(game)
     order = resolve_order(game.n * L, order)
-    support_bound = consts["support"]
 
     trace = PurifyTrace(
         pipeline="binary", order=order, wsne_profile=lifted(wsne, L), thresholds={"delta": None}
     )
-    record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), support_bound)
+    record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), consts["support"])
 
     p = wsne.probs[:, 1].tolist()
-    d = discrepancy_vector(game, wsne)
-    S = np.abs(d) <= support_bound
-    cost = L * float(d[S] @ d[S])
-    trace.additions.append(lifted_indices(S, L))
-    trace.potentials.append(cost)
-
-    step_cap, entry_cap = consts["step_cost_increase"], consts["entry_cost"]
-    worst_step_excess = -math.inf
-    for v in order:
-        i = v // L
+    sweep = _Sweep(game, discrepancy_vector(game, wsne), order, L, consts, trace)
+    lifted_order = np.asarray(order, dtype=np.intp)
+    pops = lifted_order // L
+    edges = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1).tolist(), len(order)]
+    for start, end in zip(edges[:-1], edges[1:]):
+        i = int(pops[start])
         p_i = p[i]
         if p_i == 0.0 or p_i == 1.0:
-            # Nothing to round: d, the relevant set and the cost stay put.
-            trace.coefficients.append(None)
-            bit, excess, added = int(p_i), 0.0, NO_ADDITIONS
-        else:
-            c, ell = sweep_step(game, d, p_i, i, L)
-            A = L * float(2.0 * (c[S] @ ell[S]))
-            if A > 0.0:
-                bit = 0
-            elif A < 0.0:
-                bit = 1
-            else:
-                # Free choice; take the regret-minimizing bit.
-                bit = int(d[i] > 0.0)
-            trace.coefficients.append(A)
-            d = c if bit == 0 else c + ell
-
-            new_members = (np.abs(d) <= support_bound) & ~S
-            joined = int(new_members.sum())
-            S = S | new_members
-            new_cost = L * float(d[S] @ d[S])
-            excess = new_cost - cost - entry_cap * (joined * L)
-            cost = new_cost
-            added = lifted_indices(new_members, L) if joined else NO_ADDITIONS
-        worst_step_excess = max(worst_step_excess, excess)
-        # Records the worst step so far; raises at the first step past the cap.
-        record_bound(
-            trace, "step_cost_increase", worst_step_excess, step_cap, context=f"player {v}"
-        )
-        trace.chosen_actions.append(bit)
-        trace.additions.append(added)
-        trace.potentials.append(cost)
+            sweep.keep(end - start, int(p_i))
+            continue
+        k = start
+        while k < end:
+            # The first step of a run, and a step right after the set grew,
+            # is taken on the vectors.
+            ell, joined = sweep.exact_step(k, i, p_i)
+            k += 1
+            if not joined:
+                k = sweep.glide(k, end, i, p_i, ell)
+    record_bound(trace, "step_cost_increase", sweep.worst, consts["step_cost_increase"])
 
     actions = np.empty(len(order), dtype=np.int64)
-    actions[list(order)] = trace.chosen_actions
+    actions[lifted_order] = trace.chosen_actions
+    d, S = sweep.d, sweep.S
     d_full = discrepancy_vector(game, aggregate_profile(game, L, actions))
     drift = float(np.abs(d_full - d).max())
     record_bound(trace, "sweep_drift", drift, BOUND_TOL)
     trace.potentials[-1] = L * float(d_full[S] @ d_full[S])
     record_bound(trace, "terminal_cost", trace.potentials[-1], consts["terminal_cost"])
     return PureProfile(actions), trace
+
+
+class _Sweep:
+    """The running state of one stage-2 sweep and the trace it logs to.
+
+    d holds every population's discrepancy, S the relevant set, cost the
+    running cost and worst the largest step excess so far (cost increase
+    less the entry allowance of the replicas that joined).
+    """
+
+    def __init__(self, game, d, order, L, consts, trace):
+        self.game, self.order, self.L, self.trace = game, order, L, trace
+        self.bound = consts["support"]
+        self.entry_cap = consts["entry_cost"]
+        self.step_cap = consts["step_cost_increase"]
+        self.d = d
+        self.S = S = np.abs(d) <= self.bound
+        self.cost = L * float(d[S] @ d[S])
+        self.worst = -math.inf
+        trace.additions.append(lifted_indices(S, L))
+        trace.potentials.append(self.cost)
+
+    def _breach(self, k, excess):
+        # The first step past the allowance; record_bound raises naming it.
+        record_bound(
+            self.trace, "step_cost_increase", excess, self.step_cap,
+            context=f"player {self.order[k]}",
+        )
+
+    def keep(self, count, bit):
+        """Log `count` steps of already-pure replicas: nothing moves."""
+        trace = self.trace
+        trace.coefficients.extend([None] * count)
+        trace.chosen_actions.extend([bit] * count)
+        trace.additions.extend([NO_ADDITIONS] * count)
+        trace.potentials.extend([self.cost] * count)
+        self.worst = max(self.worst, 0.0)
+
+    def exact_step(self, k, i, p_i):
+        """Step k, by a replica of population i, on the vectors; returns
+        ell and the number of populations that joined the set."""
+        L, d, S = self.L, self.d, self.S
+        c, ell = sweep_step(self.game, d, p_i, i, L)
+        A = L * float(2.0 * (c[S] @ ell[S]))
+        if A > 0.0:
+            bit = 0
+        elif A < 0.0:
+            bit = 1
+        else:
+            # Free choice; take the regret-minimizing bit.
+            bit = int(d[i] > 0.0)
+        self.d = d = c if bit == 0 else c + ell
+
+        new_members = (np.abs(d) <= self.bound) & ~S
+        joined = int(new_members.sum())
+        self.S = S = S | new_members
+        new_cost = L * float(d[S] @ d[S])
+        excess = new_cost - self.cost - self.entry_cap * (joined * L)
+        self.cost = new_cost
+        if excess > self.worst:
+            self.worst = excess
+            if excess > self.step_cap + BOUND_TOL:
+                self._breach(k, excess)
+        trace = self.trace
+        trace.coefficients.append(A)
+        trace.chosen_actions.append(bit)
+        trace.additions.append(lifted_indices(new_members, L) if joined else NO_ADDITIONS)
+        trace.potentials.append(new_cost)
+        return ell, joined
+
+    def glide(self, k, end, i, p_i, ell):
+        """Steps k .. end - 1 of a run of population i on scalars, for as
+        long as the relevant set stays fixed; returns the first step not
+        taken.
+
+        With S fixed, d = d0 + t*ell after the run moved t = sum(bit - p_i)
+        since d0.  So with h = ell[S].ell[S] and g = d0[S].ell[S], the
+        coefficient is A = 2L*h*x for x = g/h + t - p_i, the cost is
+        L*(q + 2t*g + t^2*h) with q = d0[S].d0[S], and an outside player j
+        joins once d0[j] + t*ell[j] reaches the support bound, at a t
+        computed here once.  An exact tie (x = 0) is stepped on the vectors
+        at d0 + t*ell (`exact_step`), and the scalars go on from there
+        unless the set grew.  The loop stops before a step that would
+        reach an outside player's bound, and at once if h = 0; d is rebuilt
+        from t before it returns.
+        """
+        if k == end:
+            return k
+        L, d0, S = self.L, self.d, self.S
+        ell_S = ell[S]
+        h = float(ell_S @ ell_S)
+        if h == 0.0:
+            return k
+        d_S = d0[S]
+        g = float(d_S @ ell_S)
+        q = float(d_S @ d_S)
+        # Outside players have |d| > bound; each moves toward the set as t
+        # rises (d*ell < 0) or as it falls, and joins `reach` away.
+        outside = ~S & (ell != 0.0)
+        d_out, ell_out = d0[outside], ell[outside]
+        reach = (np.abs(d_out) - self.bound) / np.abs(ell_out)
+        rising = d_out * ell_out < 0.0
+        t_high = float(reach[rising].min(initial=math.inf))
+        t_low = -float(reach[~rising].min(initial=math.inf))
+
+        x0 = g / h - p_i
+        two_Lh = 2.0 * L * h
+        down, up = -p_i, 1.0 - p_i
+        limit = self.step_cap + BOUND_TOL
+        cost, worst = self.cost, self.worst
+        t = t_synced = 0.0  # t_synced: where self.d was last set
+        trace = self.trace
+        log_A = trace.coefficients.append
+        log_bit = trace.chosen_actions.append
+        log_added = trace.additions.append
+        log_cost = trace.potentials.append
+        while k < end:
+            x = x0 + t
+            if x > 0.0:
+                bit, move = 0, down
+            elif x < 0.0:
+                bit, move = 1, up
+            else:
+                self.d, self.cost, self.worst = d0 + t * ell, cost, worst
+                _, joined = self.exact_step(k, i, p_i)
+                k += 1
+                if joined:
+                    return k
+                t = t_synced = t + (trace.chosen_actions[-1] - p_i)
+                cost, worst = self.cost, self.worst
+                continue
+            t_next = t + move
+            if not t_low < t_next < t_high:
+                break
+            t = t_next
+            new_cost = L * (q + t * (2.0 * g + t * h))
+            excess = new_cost - cost
+            cost = new_cost
+            if excess > worst:
+                worst = excess
+                if excess > limit:
+                    self._breach(k, excess)
+            log_A(two_Lh * x)
+            log_bit(bit)
+            log_added(NO_ADDITIONS)
+            log_cost(cost)
+            k += 1
+        self.cost, self.worst = cost, worst
+        if t != t_synced:
+            self.d = d0 + t * ell
+        return k

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BudgetExceeded, UsageError
 from .game import MixedProfile, payoffs, regret_report, regrets
@@ -185,8 +184,12 @@ def _polish(game, probs0, cut, maxiter=400):
     """Drive every regret at or below `cut` by L-BFGS on softmax logits.
 
     Objective: sum of max(regret_i - cut, 0)^2.  Players already under the
-    cut contribute nothing, so the search only moves the offenders.
+    cut contribute nothing, so the search only moves the offenders.  scipy
+    is imported here, at the first polish, so that `import lippoly` does
+    not load it.
     """
+    from scipy.optimize import minimize
+
     n, m = game.n, game.m
     z0 = np.log(np.clip(probs0, 1e-12, None))
     res = minimize(

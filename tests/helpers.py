@@ -7,10 +7,24 @@ they are deliberately slow and simple.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from lippoly import MixedProfile, PolymatrixGame, induce, purify, replay
+from lippoly import MixedProfile, PolymatrixGame, PureProfile, induce, purify, replay
+from lippoly.game import BOUND_TOL, discrepancy_vector
+from lippoly.purify.binary import sweep_step
+from lippoly.purify.common import (
+    NO_ADDITIONS,
+    PurifyTrace,
+    aggregate_profile,
+    lifted,
+    lifted_indices,
+    pipeline_constants,
+    record_bound,
+    resolve_order,
+    support_regret_max,
+)
 
 
 def random_game(n, m, lam, seed, spread_scale=1.0):
@@ -152,6 +166,95 @@ def reference_sweep(game, probs, order):
         S |= np.abs(d) <= bound
         bits.append(bit)
     return bits
+
+
+def per_replica_sweep(game, wsne, order=None, L=1):
+    """The binary sweep (stage 2) one replica at a time on the vectors.
+
+    Every rounded step reads (c, ell) through `sweep_step`, takes A from
+    c[S].ell[S] and updates d, the set and the cost in O(n), and every
+    step records the step bound; this is the library's sweep as it was
+    before runs of one population advanced on scalars, kept as the
+    reference for the run-wise sweep.  Returns (PureProfile, PurifyTrace).
+    """
+    consts = pipeline_constants(game, "binary", L)
+    order = resolve_order(game.n * L, order)
+    support_bound = consts["support"]
+    trace = PurifyTrace(
+        pipeline="binary", order=order, wsne_profile=lifted(wsne, L), thresholds={"delta": None}
+    )
+    record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), support_bound)
+
+    p = wsne.probs[:, 1].tolist()
+    d = discrepancy_vector(game, wsne)
+    S = np.abs(d) <= support_bound
+    cost = L * float(d[S] @ d[S])
+    trace.additions.append(lifted_indices(S, L))
+    trace.potentials.append(cost)
+
+    step_cap, entry_cap = consts["step_cost_increase"], consts["entry_cost"]
+    worst_step_excess = -math.inf
+    for v in order:
+        i = v // L
+        p_i = p[i]
+        if p_i == 0.0 or p_i == 1.0:
+            trace.coefficients.append(None)
+            bit, excess, added = int(p_i), 0.0, NO_ADDITIONS
+        else:
+            c, ell = sweep_step(game, d, p_i, i, L)
+            A = L * float(2.0 * (c[S] @ ell[S]))
+            bit = 0 if A > 0.0 else 1 if A < 0.0 else int(d[i] > 0.0)
+            trace.coefficients.append(A)
+            d = c if bit == 0 else c + ell
+            new_members = (np.abs(d) <= support_bound) & ~S
+            joined = int(new_members.sum())
+            S = S | new_members
+            new_cost = L * float(d[S] @ d[S])
+            excess = new_cost - cost - entry_cap * (joined * L)
+            cost = new_cost
+            added = lifted_indices(new_members, L) if joined else NO_ADDITIONS
+        worst_step_excess = max(worst_step_excess, excess)
+        record_bound(
+            trace, "step_cost_increase", worst_step_excess, step_cap, context=f"player {v}"
+        )
+        trace.chosen_actions.append(bit)
+        trace.additions.append(added)
+        trace.potentials.append(cost)
+
+    actions = np.empty(len(order), dtype=np.int64)
+    actions[list(order)] = trace.chosen_actions
+    d_full = discrepancy_vector(game, aggregate_profile(game, L, actions))
+    record_bound(trace, "sweep_drift", float(np.abs(d_full - d).max()), BOUND_TOL)
+    trace.potentials[-1] = L * float(d_full[S] @ d_full[S])
+    record_bound(trace, "terminal_cost", trace.potentials[-1], consts["terminal_cost"])
+    return PureProfile(actions), trace
+
+
+def sweep_mismatches(ref, trace, tol=1e-12):
+    """Differences between two binary sweep traces of the same input.
+
+    Decisions must be identical: chosen actions, set additions, which
+    steps were rounded, and the bound names, all held.  Coefficients and
+    potentials, as sequences, may differ within tol of their largest
+    magnitude.
+    """
+    problems = []
+    if trace.chosen_actions != ref.chosen_actions:
+        problems.append("chosen actions")
+    if [a.tolist() for a in trace.additions] != [a.tolist() for a in ref.additions]:
+        problems.append("additions")
+    if [c is None for c in trace.coefficients] != [c is None for c in ref.coefficients]:
+        problems.append("unrounded steps")
+    elif _scaled_gap([c for c in ref.coefficients if c is not None],
+                     [c for c in trace.coefficients if c is not None]) > tol:
+        problems.append("coefficients")
+    if _scaled_gap(ref.potentials, trace.potentials) > tol:
+        problems.append("potentials")
+    if list(trace.bounds) != list(ref.bounds):
+        problems.append("bound names")
+    if not all(entry["ok"] for entry in trace.bounds.values()):
+        problems.append("a bound failed")
+    return problems
 
 
 def growing_set_game(n=16, lam=0.06, level=0.85):

@@ -411,11 +411,31 @@ def test_game_json_one_based_blocks_and_zero_omission():
         ({"n": "3", "lambda": "0.3"}, r"player count must be a number, got '3'"),
         ({"lambda": "0.3"}, r"lambda must be a number, got '0.3'"),
         ({"m": True}, r"action count must be a number, got True"),
+        (
+            {"beta": [{"i": 1, "ip": 2, "matrix": [["0.1", 0], [0, 0]]}]},
+            r"block \(1, 2\) has an entry that is not a number",
+        ),
+        (
+            {"beta": [
+                {"i": 1, "ip": 2, "matrix": [[0.1, 0], [0, 0]]},
+                {"i": 2, "ip": 1, "matrix": [[0.1, True], [0, 0]]},
+            ]},
+            r"block \(2, 1\) has an entry that is not a number",
+        ),
+        (
+            {"beta": [{"i": "1", "ip": 2, "matrix": [[0.1, 0], [0, 0]]}]},
+            r"block \('1', 2\) has an index that is not a number",
+        ),
+        (
+            {"beta": [{"i": 1, "ip": True, "matrix": [[0.1, 0], [0, 0]]}]},
+            r"block \(1, True\) has an index that is not a number",
+        ),
     ],
     ids=[
         "past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number",
         "negative-n", "negative-m", "fractional-n", "fractional-m", "fractional-i",
-        "string-n", "string-lambda", "bool-m",
+        "string-n", "string-lambda", "bool-m", "string-entry", "bool-entry", "string-index",
+        "bool-index",
     ],
 )
 def test_game_from_json_rejects_malformed_blocks(fields, message):

@@ -335,6 +335,29 @@ def test_cli_check_rejects_non_finite_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("data", [b'{"n": 2,', b'{"n": 2, "m": 2, "lambda": 0.5, "beta": []}\xff'])
+def test_cli_check_rejects_unreadable_json(tmp_path, capsys, data):
+    # A truncated document and one with a byte that is not UTF-8.
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    assert run_cli("check", str(path)) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "UsageError"
+    assert str(path) in error["message"]
+
+
+def test_cli_purify_rejects_an_unreadable_profile(tmp_path, capsys):
+    game_path = tmp_path / "game.json"
+    save_game(random_game(3, 2, 0.3, seed=1), str(game_path))
+    profile_path = tmp_path / "profile.json"
+    for data in (b'{"mixed": [[0.5, 0.5],', b'{"pure": [1, 2, 1]}\xfe'):
+        profile_path.write_bytes(data)
+        assert run_cli("purify", str(game_path), str(profile_path)) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "UsageError"
+        assert str(profile_path) in error["message"]
+
+
 def test_cli_check_rejects_negative_sizes(tmp_path, capsys):
     path = tmp_path / "negative.json"
     path.write_text('{"n": -1, "m": 2, "lambda": 0.5, "beta": []}')

@@ -1,6 +1,10 @@
 """Mixed-equilibrium search and the exhaustive grid fallback."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +221,16 @@ def test_polish_gradient_matches_central_differences():
         numeric[k] = (polish_objective(z + e, game, 0.0)[0]
                       - polish_objective(z - e, game, 0.0)[0]) / (2.0 * step)
     assert np.abs(grad - numeric).max() <= 1e-7 * max(1.0, np.abs(numeric).max())
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize is most of the import time and only the polish uses
+    # it, so the package and its command line load without it.
+    import lippoly
+
+    env = dict(os.environ, PYTHONPATH=str(Path(lippoly.__file__).parents[1]))
+    code = "import sys, lippoly, lippoly.harness.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -1,0 +1,194 @@
+"""The binary sweep's runs of one population's replicas, stepped on
+scalars, against the per-replica reference sweep (`per_replica_sweep`)."""
+
+import importlib
+import importlib.util
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import matching_pennies_game, per_replica_sweep, random_game, sweep_mismatches
+from lippoly import (
+    BoundBreach,
+    MixedProfile,
+    PolymatrixGame,
+    SolverConfig,
+    default_target_epsilon,
+    solve_mixed,
+)
+from lippoly.purify import ane_to_wsne_binary, purify_rounding_binary
+
+binary = importlib.import_module("lippoly.purify.binary")
+
+GAMES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "games.py"
+# Solved once to the level the largest L needs, which every smaller L accepts.
+L_MAX = 1000
+
+
+@lru_cache(maxsize=None)
+def benchmark_reduce_games():
+    """The benchmark's reduce-L120 base games for seeds 1-10, four per seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_games", GAMES_PATH)
+    games = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = games  # its dataclasses look their module up
+    spec.loader.exec_module(games)
+    workload = games.WORKLOADS["reduce-L120"]
+    return tuple(
+        PolymatrixGame(n=g.n, m=g.m, beta=g.beta, lam=g.lam)
+        for seed in range(1, 11)
+        for g in games.make_inputs(workload, seed)
+    )
+
+
+@lru_cache(maxsize=None)
+def small_games():
+    """Matching pennies and random_game at n = 3, 4, 5, 40 seeds each."""
+    return (matching_pennies_game(),) + tuple(
+        random_game(n, 2, 0.3 if n < 5 else 0.2, seed=seed)
+        for n in (3, 4, 5)
+        for seed in range(40)
+    )
+
+
+_solved = {}
+
+
+def sweep_input(game, L):
+    """Stage 1's output at L for a solve to the level L_MAX needs."""
+    key = (game.n, game.lam, game.operator.tobytes())
+    if key not in _solved:
+        config = SolverConfig(target_epsilon=default_target_epsilon(game, L=L_MAX), seed=0)
+        _solved[key] = solve_mixed(game, config).profile
+    wsne, _ = ane_to_wsne_binary(game, _solved[key], L)
+    return wsne
+
+
+def sweep_cases(L):
+    """The benchmark's reduce games at L = 1, 7, 120 and 1000, and the small
+    games at every L but 1."""
+    games = small_games() if L != 1 else ()
+    if L in (1, 7, 120, 1000):
+        games += benchmark_reduce_games()
+    for game in games:
+        yield game, sweep_input(game, L)
+
+
+@pytest.fixture
+def exact_steps(monkeypatch):
+    """The steps the sweep takes on the vectors, in the order taken."""
+    taken = []
+    original = binary._Sweep.exact_step
+
+    def recorded(self, k, i, p_i):
+        taken.append(k)
+        return original(self, k, i, p_i)
+
+    monkeypatch.setattr(binary._Sweep, "exact_step", recorded)
+    return taken
+
+
+def run_starts(order, L):
+    pops = np.asarray(order) // L
+    return {0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1).tolist()}
+
+
+# Coefficients and potentials stay within 1e-12 of their largest magnitude
+# at every L tried, L = 1000 included.
+@pytest.mark.parametrize("L", [1, 2, 7, 120, 1000])
+def test_run_wise_sweep_matches_the_per_replica_sweep(L):
+    rng = np.random.default_rng(L)
+    scalar_steps = 0
+    for game, wsne in sweep_cases(L):
+        for order in (None, rng.permutation(game.n * L)):
+            _, ref = per_replica_sweep(game, wsne, order=order, L=L)
+            pure, trace = purify_rounding_binary(game, wsne, order=order, L=L)
+            assert sweep_mismatches(ref, trace) == []
+            assert pure.actions.tolist() == [ref.chosen_actions[k] for k in np.argsort(ref.order)]
+            rounded = [k for k, c in enumerate(trace.coefficients) if c is not None]
+            scalar_steps += len(set(rounded) - run_starts(trace.order, L))
+    # Beyond L = 1 the default order's runs are long enough to glide.
+    assert scalar_steps > 0 or L == 1
+
+
+def test_a_set_grown_inside_a_run_is_followed_by_an_exact_step(exact_steps):
+    # Population 2 (p = 0.959) is rounded in one run of 120 replicas, and
+    # two players join the set while it glides.
+    game, L = random_game(5, 2, 0.2, seed=13), 120
+    wsne = sweep_input(game, L)
+    _, ref = per_replica_sweep(game, wsne, L=L)
+    _, trace = purify_rounding_binary(game, wsne, L=L)
+    assert sweep_mismatches(ref, trace) == []
+
+    starts = run_starts(trace.order, L)
+    grown = [k for k in range(len(trace.order)) if trace.additions[k + 1].size and k not in starts]
+    assert grown
+    for k in grown:
+        assert k in exact_steps and k + 1 in exact_steps
+    # Most of the run is stepped on scalars.
+    run = range(2 * L, 3 * L)
+    assert sum(k in exact_steps for k in run) <= 10
+
+
+def test_an_exact_tie_is_handed_back_to_the_vectors(exact_steps):
+    # Matching pennies at (1/2, 1/2): d starts at 0, the first replica of a
+    # population rounds to 1, and the next one faces A = 0 exactly.  The
+    # tie rule takes bit 0 (d[i] = 0), so every second replica is a tie.
+    game, L = matching_pennies_game(), 8
+    wsne = MixedProfile(np.full((2, 2), 0.5))
+    _, ref = per_replica_sweep(game, wsne, L=L)
+    _, trace = purify_rounding_binary(game, wsne, L=L)
+    assert sweep_mismatches(ref, trace) == []
+
+    ties = [k for k, c in enumerate(trace.coefficients) if c == 0.0]
+    assert ties == [1, 3, 5, 7, 9, 11, 13, 15]
+    assert exact_steps == sorted({0, L} | set(ties))
+    assert trace.chosen_actions == [1, 0] * L
+    # The steps in between glide on scalars.
+    assert trace.coefficients[2] == ref.coefficients[2] < 0.0
+
+
+def test_a_step_past_the_allowance_raises_naming_its_replica(monkeypatch, exact_steps):
+    # The mixed-equilibrium base game of the benchmark's seed 1 rounds two
+    # populations of 120.  Pick the gliding step whose cost increase is the
+    # first to beat all earlier ones by a margin, and set the allowance just
+    # under it.
+    game, L = benchmark_reduce_games()[3], 120
+    wsne = sweep_input(game, L)
+    _, ref = per_replica_sweep(game, wsne, L=L)
+    excess = np.diff(ref.potentials[:-1])  # no step of this sweep grows the set
+    assert not any(a.size for a in ref.additions[1:])
+    starts = run_starts(ref.order, L)
+    record = np.maximum.accumulate(np.concatenate(([0.0], excess[:-1])))
+    step = next(
+        k for k in range(len(excess))
+        if k not in starts and ref.coefficients[k] is not None and excess[k] > record[k] + 1e-6
+    )
+    allowed = (record[step] + excess[step]) / 2.0
+    consts = binary.pipeline_constants
+
+    def lowered(game_, mode="auto", L_=1):
+        table = dict(consts(game_, mode, L_))
+        table["step_cost_increase"] = allowed
+        return table
+
+    monkeypatch.setattr(binary, "pipeline_constants", lowered)
+    with pytest.raises(BoundBreach) as info:
+        purify_rounding_binary(game, wsne, L=L)
+    assert info.value.bound_name == "step_cost_increase"
+    assert info.value.context == f"player {ref.order[step]}"
+    assert info.value.observed == pytest.approx(excess[step], rel=1e-9)
+    assert step not in exact_steps
+
+
+def test_pure_runs_are_logged_whole():
+    game = random_game(3, 2, 0.3, seed=4)
+    probs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    pure, trace = purify_rounding_binary(game, MixedProfile(probs), L=50)
+    assert trace.coefficients == [None] * 150
+    assert trace.chosen_actions == [0] * 50 + [1] * 50 + [0] * 50
+    assert len(set(trace.potentials)) == 1 and len(trace.additions) == 151
+    assert trace.bounds["step_cost_increase"]["observed"] == 0.0
+    assert pure.actions.tolist() == trace.chosen_actions
