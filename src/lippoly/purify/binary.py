@@ -104,11 +104,12 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     its turn, so the cost and A count each population L times.  The
     order falls into runs of consecutive replicas of one population, in
     which p_i and ell stay fixed and d moves along ell only.  The first
-    step of a run is taken on the vectors as above; while the set stays
-    fixed, the rest of the run advances scalars (`_Sweep.glide`), O(1)
-    per replica, and hands a step back to the vectors at an exact tie or
-    where a player would join the set.  Runs of already-pure replicas
-    are logged in one go.  At L = 1 every run is one step long.
+    step of a run, and a step right after the set grew, is taken on the
+    vectors as above; while the set stays fixed, the rest of the run
+    advances scalars (`_Sweep.glide`), O(1) per replica, and hands a step
+    back to the vectors at an exact tie or where a player would join the
+    set.  Runs of already-pure replicas are logged in one go.  At L = 1
+    every run is one step long.
 
     Asserts the per-step cost increase allowance 4*lam^2*n (plus
     lam^2*n per new member) and the terminal cost bound 5*lam^2*n^2, at
