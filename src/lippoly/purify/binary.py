@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ..errors import BoundBreach
-from ..game import BOUND_TOL, MixedProfile, PureProfile, discrepancy_vector
+from ..game import BOUND_TOL, MixedProfile, PureProfile, discrepancy_vector, payoff_matrix
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
     NO_ADDITIONS,
@@ -65,7 +65,7 @@ def ane_to_wsne_binary(game, profile, L=1):
     probs[snap] = np.eye(2)[(d > 0.0).astype(int)][snap]
     out = MixedProfile(probs)
 
-    observed = support_regret_max(game, out)
+    observed = support_regret_max(payoff_matrix(game, out), out.probs)
     if observed > consts["support"] + BOUND_TOL:
         raise BoundBreach("wsne_support_regret", observed, consts["support"])
     return out, warning
@@ -104,12 +104,11 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     its turn, so the cost and A count each population L times.  The
     order falls into runs of consecutive replicas of one population, in
     which p_i and ell stay fixed and d moves along ell only.  The first
-    step of a run, and a step right after the set grew, is taken on the
-    vectors as above; while the set stays fixed, the rest of the run
-    advances scalars (`_Sweep.glide`), O(1) per replica, and hands a step
-    back to the vectors at an exact tie or where a player would join the
-    set.  Runs of already-pure replicas are logged in one go.  At L = 1
-    every run is one step long.
+    step of a run, and a step that would bring an outside population to
+    the support bound, is taken on the vectors as above; every other step
+    advances scalars (`_Sweep.glide`), O(1) per replica, exact ties
+    included.  Runs of already-pure replicas are logged in one go.  At
+    L = 1 every run is one step long.
 
     Asserts the per-step cost increase allowance 4*lam^2*n (plus
     lam^2*n per new member) and the terminal cost bound 5*lam^2*n^2, at
@@ -128,10 +127,11 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     trace = PurifyTrace(
         pipeline="binary", order=order, wsne_profile=lifted(wsne, L), thresholds={"delta": None}
     )
-    record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), consts["support"])
+    U = payoff_matrix(game, wsne)
+    record_bound(trace, "wsne_support_regret", support_regret_max(U, wsne.probs), consts["support"])
 
     p = wsne.probs[:, 1].tolist()
-    sweep = _Sweep(game, discrepancy_vector(game, wsne), order, L, consts, trace)
+    sweep = _Sweep(game, U[:, 1] - U[:, 0], order, L, consts, trace)
     lifted_order = np.asarray(order, dtype=np.intp)
     pops = lifted_order // L
     edges = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1).tolist(), len(order)]
@@ -143,12 +143,10 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
             continue
         k = start
         while k < end:
-            # The first step of a run, and a step right after the set grew,
-            # is taken on the vectors.
-            ell, joined = sweep.exact_step(k, i, p_i)
-            k += 1
-            if not joined:
-                k = sweep.glide(k, end, i, p_i, ell)
+            # The first step of a run, and a step that would bring an outside
+            # population to the support bound, is taken on the vectors.
+            ell = sweep.exact_step(k, i, p_i)
+            k = sweep.glide(k + 1, end, i, p_i, ell)
     record_bound(trace, "step_cost_increase", sweep.worst, consts["step_cost_increase"])
 
     actions = np.empty(len(order), dtype=np.int64)
@@ -199,8 +197,7 @@ class _Sweep:
         self.worst = max(self.worst, 0.0)
 
     def exact_step(self, k, i, p_i):
-        """Step k, by a replica of population i, on the vectors; returns
-        ell and the number of populations that joined the set."""
+        """Step k, by a replica of population i, on the vectors; returns ell."""
         L, d, S = self.L, self.d, self.S
         c, ell = sweep_step(self.game, d, p_i, i, L)
         A = L * float(2.0 * (c[S] @ ell[S]))
@@ -228,7 +225,7 @@ class _Sweep:
         trace.chosen_actions.append(bit)
         trace.additions.append(lifted_indices(new_members, L) if joined else NO_ADDITIONS)
         trace.potentials.append(new_cost)
-        return ell, joined
+        return ell
 
     def glide(self, k, end, i, p_i, ell):
         """Steps k .. end - 1 of a run of population i on scalars, for as
@@ -240,19 +237,17 @@ class _Sweep:
         coefficient is A = 2L*h*x for x = g/h + t - p_i, the cost is
         L*(q + 2t*g + t^2*h) with q = d0[S].d0[S], and an outside player j
         joins once d0[j] + t*ell[j] reaches the support bound, at a t
-        computed here once.  An exact tie (x = 0) is stepped on the vectors
-        at d0 + t*ell (`exact_step`), and the scalars go on from there
-        unless the set grew.  The loop stops before a step that would
-        reach an outside player's bound, and at once if h = 0; d is rebuilt
-        from t before it returns.
+        computed here once.  At an exact tie (x = 0, or h = 0, where A = 0
+        at every step) the tie rule reads d[i], which the zero self block
+        keeps at d0[i] along the run.  The loop stops before a step that
+        would reach an outside player's bound; d is rebuilt from t before
+        it returns.
         """
         if k == end:
             return k
         L, d0, S = self.L, self.d, self.S
         ell_S = ell[S]
         h = float(ell_S @ ell_S)
-        if h == 0.0:
-            return k
         d_S = d0[S]
         g = float(d_S @ ell_S)
         q = float(d_S @ d_S)
@@ -265,12 +260,13 @@ class _Sweep:
         t_high = float(reach[rising].min(initial=math.inf))
         t_low = -float(reach[~rising].min(initial=math.inf))
 
-        x0 = g / h - p_i
+        # NaN at h = 0, so that every step takes the tie branch below.
+        x0 = g / h - p_i if h else math.nan
         two_Lh = 2.0 * L * h
-        down, up = -p_i, 1.0 - p_i
+        tie_bit = int(d0[i] > 0.0)
         limit = self.step_cap + BOUND_TOL
         cost, worst = self.cost, self.worst
-        t = t_synced = 0.0  # t_synced: where self.d was last set
+        t = 0.0
         trace = self.trace
         log_A = trace.coefficients.append
         log_bit = trace.chosen_actions.append
@@ -279,19 +275,13 @@ class _Sweep:
         while k < end:
             x = x0 + t
             if x > 0.0:
-                bit, move = 0, down
+                bit = 0
             elif x < 0.0:
-                bit, move = 1, up
+                bit = 1
             else:
-                self.d, self.cost, self.worst = d0 + t * ell, cost, worst
-                _, joined = self.exact_step(k, i, p_i)
-                k += 1
-                if joined:
-                    return k
-                t = t_synced = t + (trace.chosen_actions[-1] - p_i)
-                cost, worst = self.cost, self.worst
-                continue
-            t_next = t + move
+                # Free choice; take the regret-minimizing bit.
+                bit, x = tie_bit, 0.0
+            t_next = t + (bit - p_i)
             if not t_low < t_next < t_high:
                 break
             t = t_next
@@ -308,6 +298,5 @@ class _Sweep:
             log_cost(cost)
             k += 1
         self.cost, self.worst = cost, worst
-        if t != t_synced:
-            self.d = d0 + t * ell
+        self.d = d0 + t * ell
         return k

@@ -17,6 +17,7 @@ the stages are the plain per-player pipelines.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -92,9 +93,15 @@ def resolve_mode(game, mode):
     return mode
 
 
+def _integer_type(kind):
+    """True for int and numpy's integer types; bool, float and str, which
+    int() would coerce, are not integers here."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
 def replication(L):
     """The replication count L as an int; UsageError unless a positive integer."""
-    if not math.isfinite(L) or int(L) != L or L < 1:
+    if not _integer_type(type(L)) or L < 1:
         raise UsageError(f"replication L must be a positive integer, got {L!r}")
     return int(L)
 
@@ -188,10 +195,10 @@ def check_input_regret(game, profile, required, L=1):
     raise PreconditionViolation(report.argmax_player * L, measured, required)
 
 
-def support_regret_max(game, profile):
-    """Largest regret of any action actually played (probability > 0)."""
-    reg = action_regrets(payoff_matrix(game, profile))
-    return float(reg[profile.probs > 0.0].max())
+def support_regret_max(U, probs):
+    """Largest regret of any action actually played (probability > 0), from
+    the payoffs U of the profile probs."""
+    return float(action_regrets(U)[probs > 0.0].max())
 
 
 def lifted(profile, L):
@@ -241,13 +248,15 @@ def replica_regrets(game, L, actions):
 
 
 def resolve_order(n, order):
-    """Normalize the sweep order: default ascending, else a permutation."""
+    """Normalize the sweep order: default ascending, else a permutation of
+    integers."""
     if order is None:
         return tuple(range(n))
-    out = tuple(int(i) for i in order)
-    if sorted(out) != list(range(n)):
+    out = tuple(order)
+    # One check per distinct entry type, not per entry.
+    if not all(map(_integer_type, set(map(type, out)))) or sorted(out) != list(range(n)):
         raise UsageError(f"order must be a permutation of 0..{n - 1}, got {order!r}")
-    return out
+    return tuple(map(int, out))
 
 
 def correct(game, pure, trace, L=1):

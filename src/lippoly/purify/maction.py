@@ -67,7 +67,7 @@ def ane_to_wsne_m(game, profile, L=1):
     probs[np.arange(game.n), br] += moved
     out = MixedProfile(probs)
 
-    observed = support_regret_max(game, out)
+    observed = support_regret_max(payoff_matrix(game, out), out.probs)
     if observed > consts["support"] + BOUND_TOL:
         raise BoundBreach("wsne_support_regret", observed, consts["support"])
     return out, warning
@@ -119,10 +119,9 @@ def purify_rounding_m(game, wsne, order=None, L=1):
             epsilon0=consts["input"], epsilon1=eps1, delta0=consts["snap"], delta1=None
         ),
     )
-    record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), eps1)
-
     W = wsne.probs
     u = payoff_matrix(game, wsne)
+    record_bound(trace, "wsne_support_regret", support_regret_max(u, W), eps1)
     member = action_regrets(u) <= eps1
     _, var = _set_stats(u, member)
     vsum = L * float(var.sum())

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from lippoly import MixedProfile, PolymatrixGame, PureProfile, induce, purify, replay
-from lippoly.game import BOUND_TOL, discrepancy_vector
+from lippoly.game import BOUND_TOL, discrepancy_vector, payoff_matrix
 from lippoly.purify.binary import sweep_step
 from lippoly.purify.common import (
     NO_ADDITIONS,
@@ -62,6 +62,17 @@ def matching_pennies_game():
     beta[0, 1] = np.eye(2)
     beta[1, 0] = 1.0 - np.eye(2)
     return PolymatrixGame(n=2, m=2, beta=beta, lam=1.0)
+
+
+def cycle_game(n, lam):
+    """Matching pennies around a cycle: player i is paid lam for matching
+    player i+1, and the last player lam for mismatching player 0.  Its
+    only equilibrium plays every action with probability 1/2."""
+    beta = np.zeros((n, n, 2, 2))
+    for i in range(n - 1):
+        beta[i, i + 1] = lam * np.eye(2)
+    beta[n - 1, 0] = lam * (1.0 - np.eye(2))
+    return PolymatrixGame(n=n, m=2, beta=beta, lam=lam)
 
 
 def constant_gap_game(gaps, lam, n=2):
@@ -183,7 +194,10 @@ def per_replica_sweep(game, wsne, order=None, L=1):
     trace = PurifyTrace(
         pipeline="binary", order=order, wsne_profile=lifted(wsne, L), thresholds={"delta": None}
     )
-    record_bound(trace, "wsne_support_regret", support_regret_max(game, wsne), support_bound)
+    record_bound(
+        trace, "wsne_support_regret",
+        support_regret_max(payoff_matrix(game, wsne), wsne.probs), support_bound,
+    )
 
     p = wsne.probs[:, 1].tolist()
     d = discrepancy_vector(game, wsne)

@@ -50,7 +50,7 @@ def lifted_profile(N, m, seed):
 
 def test_induce_validates_arguments():
     base = zero_game()
-    for L in (0, 1.5, math.nan, math.inf, -math.inf):
+    for L in (0, 1.5, math.nan, math.inf, -math.inf, "3", True):
         with pytest.raises(UsageError):
             induce(base, L)
 

@@ -381,6 +381,17 @@ def test_sweep_order_variants_keep_bounds():
         assert fresh <= lam * (70.0 * n * n) ** (1.0 / 3.0) + 1e-9
 
 
+@pytest.mark.parametrize("mode", ["binary", "m_action"])
+@pytest.mark.parametrize(
+    "order", [[2, 0.5, 1.9], [True, 0, 2], ["1", 0, 2], [0, 1, 1], [0, 1]],
+    ids=["fractional", "bool", "string", "repeated", "short"],
+)
+def test_sweep_order_must_be_a_permutation_of_integers(mode, order):
+    profile = MixedProfile(np.full((3, 2), 0.5))
+    with pytest.raises(UsageError):
+        purify(zero_game(), profile, mode=mode, order=order)
+
+
 def permute_game(game, perm):
     return PolymatrixGame(
         n=game.n, m=game.m, beta=game.beta[np.ix_(perm, perm)], lam=game.lam

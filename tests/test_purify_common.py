@@ -1,18 +1,27 @@
-"""What both purification pipelines share: the constants table and stage 3."""
+"""What both purification pipelines share: the constants table, the
+payoff evaluations and stage 3."""
+
+import importlib
 
 import numpy as np
 import pytest
 
-from helpers import constant_gap_game, zero_game
+from helpers import constant_gap_game, random_game, zero_game
 from lippoly import (
     MixedProfile,
     PureProfile,
     PurifyTrace,
+    SolverConfig,
     correct_binary,
     correct_m,
+    default_target_epsilon,
     pipeline_constants,
+    purify,
     regret_report,
+    solve_mixed,
 )
+
+game_module = importlib.import_module("lippoly.game")
 
 
 @pytest.mark.parametrize("n, lam", [(1, 1.0), (7, 0.1), (300, 1.0 / 300)])
@@ -48,6 +57,27 @@ def test_m_action_constants_match_the_bound_table(n, m, lam):
         "final_regret": 6 * lam * np.cbrt(n**2 * m * np.log(3 * m)),
     }
     assert consts == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_purify_evaluates_payoffs_seven_times(monkeypatch, m):
+    # The input twice (input regret, stage 1), the stage-1 output twice
+    # (stage 1's support check, then stage 2's bound and initial values),
+    # the sweep's aggregate twice (sweep_drift, stage 3) and the final
+    # profile once.
+    game = random_game(12, m, 1.0 / 12, seed=1)
+    config = SolverConfig(target_epsilon=default_target_epsilon(game), seed=1)
+    profile = solve_mixed(game, config).profile
+    calls = []
+    kernel = game_module.payoffs
+
+    def counted(game_, probs):
+        calls.append(probs.shape)
+        return kernel(game_, probs)
+
+    monkeypatch.setattr(game_module, "payoffs", counted)
+    purify(game, profile)
+    assert calls == [(12, m)] * 7
 
 
 @pytest.mark.parametrize("pipeline, switches", [("binary", True), ("m_action", False)])

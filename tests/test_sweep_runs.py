@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import matching_pennies_game, per_replica_sweep, random_game, sweep_mismatches
+from helpers import (
+    cycle_game,
+    matching_pennies_game,
+    per_replica_sweep,
+    random_game,
+    sweep_mismatches,
+)
 from lippoly import (
     BoundBreach,
     MixedProfile,
@@ -113,7 +119,7 @@ def test_run_wise_sweep_matches_the_per_replica_sweep(L):
     assert scalar_steps > 0 or L == 1
 
 
-def test_a_set_grown_inside_a_run_is_followed_by_an_exact_step(exact_steps):
+def test_a_set_grown_inside_a_run_grows_on_a_vector_step(exact_steps):
     # Population 2 (p = 0.959) is rounded in one run of 120 replicas, and
     # two players join the set while it glides.
     game, L = random_game(5, 2, 0.2, seed=13), 120
@@ -125,14 +131,13 @@ def test_a_set_grown_inside_a_run_is_followed_by_an_exact_step(exact_steps):
     starts = run_starts(trace.order, L)
     grown = [k for k in range(len(trace.order)) if trace.additions[k + 1].size and k not in starts]
     assert grown
-    for k in grown:
-        assert k in exact_steps and k + 1 in exact_steps
+    assert set(grown) <= set(exact_steps)
     # Most of the run is stepped on scalars.
     run = range(2 * L, 3 * L)
     assert sum(k in exact_steps for k in run) <= 10
 
 
-def test_an_exact_tie_is_handed_back_to_the_vectors(exact_steps):
+def test_an_exact_tie_is_decided_on_scalars(exact_steps):
     # Matching pennies at (1/2, 1/2): d starts at 0, the first replica of a
     # population rounds to 1, and the next one faces A = 0 exactly.  The
     # tie rule takes bit 0 (d[i] = 0), so every second replica is a tie.
@@ -144,10 +149,45 @@ def test_an_exact_tie_is_handed_back_to_the_vectors(exact_steps):
 
     ties = [k for k, c in enumerate(trace.coefficients) if c == 0.0]
     assert ties == [1, 3, 5, 7, 9, 11, 13, 15]
-    assert exact_steps == sorted({0, L} | set(ties))
+    assert exact_steps == [0, L]
     assert trace.chosen_actions == [1, 0] * L
-    # The steps in between glide on scalars.
     assert trace.coefficients[2] == ref.coefficients[2] < 0.0
+
+
+def test_a_cycle_at_the_paper_scale_takes_one_vector_step_per_run(exact_steps):
+    # The cycle's only equilibrium is (1/2, ..., 1/2), so every replica is
+    # rounded and every second one is a tie; L is paper_L at n = 3,
+    # epsilon = 0.3.
+    game, L = cycle_game(3, 0.3), 33_334
+    wsne = MixedProfile(np.full((3, 2), 0.5))
+    _, ref = per_replica_sweep(game, wsne, L=L)
+    _, trace = purify_rounding_binary(game, wsne, L=L)
+    assert sweep_mismatches(ref, trace) == []
+    assert exact_steps == [0, L, 2 * L]
+
+
+def test_a_segment_the_set_does_not_see_is_all_ties(exact_steps):
+    # Player 0 has no payoffs (d = 0) and is mixed, player 1 is paid 0.1
+    # plus 0.3 times player 0's mean for action 1, player 2 has no payoffs.
+    # Player 0's replicas move only player 1, who starts outside the set,
+    # so h = 0: every step is a tie (bit 0, as d[0] = 0) until player 1's
+    # discrepancy falls to the support bound and player 1 joins.
+    beta = np.zeros((3, 3, 2, 2))
+    beta[1, 0, 1] = (0.0, 0.3)
+    beta[1, 2, 1] = 0.1
+    game, L = PolymatrixGame(n=3, m=2, beta=beta, lam=0.3), 20
+    wsne = MixedProfile([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+    for order in (np.random.default_rng(0).permutation(3 * L), None):
+        exact_steps.clear()
+        _, ref = per_replica_sweep(game, wsne, order=order, L=L)
+        _, trace = purify_rounding_binary(game, wsne, order=order, L=L)
+        assert sweep_mismatches(ref, trace) == []
+
+    joined = [k for k in range(3 * L) if trace.additions[k + 1].size]
+    assert joined == [17]
+    assert exact_steps == [0, 17]
+    assert [k for k, c in enumerate(trace.coefficients) if c == 0.0] == list(range(18))
+    assert trace.chosen_actions[:L] == [0] * L
 
 
 def test_a_step_past_the_allowance_raises_naming_its_replica(monkeypatch, exact_steps):
