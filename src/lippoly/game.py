@@ -18,6 +18,7 @@ import itertools
 import json
 import numbers
 import struct
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -410,6 +411,15 @@ def _count(value, name):
 
 
 def game_from_json(data):
+    """A game from its wire form: {"n", "m", "lambda", "beta": [blocks]},
+    each block {"i", "ip", "matrix"} with 1-based indices and an m x m
+    matrix of numbers.  Anything else raises UsageError."""
+    return _game_from_document(data, None)
+
+
+def _game_from_document(data, values):
+    """game_from_json, with the blocks' matrix entries either read from the
+    blocks (values None) or given as one flat float64 array in block order."""
     try:
         n = _count(data["n"], "player count")
         m = _count(data["m"], "action count")
@@ -447,29 +457,32 @@ def game_from_json(data):
         raise UsageError(f"block ({entry['i']}, {entry['ip']}) appears more than once")
     beta = np.zeros((n, n, m, m))
     if raw_blocks:
-        beta[i, ip] = _block_matrices(raw_blocks, m)
+        beta[i, ip] = _block_matrices(raw_blocks, m) if values is None else values.reshape(-1, m, m)
     return PolymatrixGame(n=n, m=m, beta=beta, lam=lam)
 
 
 def _block_matrices(raw_blocks, m):
     """All blocks' matrices as one (k, m, m) array.
 
-    Once every matrix is seen to hold m rows of m entries, the entries
+    Once every matrix is seen to hold m rows of m numbers, the entries
     stream through one np.fromiter (np.array on the nested lists keeps a
     record per list while it converts, several times the result's size).
-    Otherwise the error names the first block whose matrix is not m x m.
+    Otherwise the error names the first block whose matrix is not m x m,
+    or the first entry that is not a number.
     """
+    flatten = itertools.chain.from_iterable
     try:
         matrices = [entry["matrix"] for entry in raw_blocks]
-        flatten = itertools.chain.from_iterable
         if all(len(matrix) == m for matrix in matrices) and all(
             len(row) == m for row in flatten(matrices)
         ):
+            if not _all_numbers(flatten(flatten(matrices))):
+                _require_numbers(flatten(flatten(matrices)), "game")
             values = flatten(flatten(matrices))
             count = len(matrices) * m * m
             return np.fromiter(values, dtype=np.float64, count=count).reshape(-1, m, m)
         error = None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         error = exc
     for entry in raw_blocks:
         try:
@@ -499,22 +512,22 @@ def profile_from_json(data):
     try:
         if "pure" in data:
             entries = data["pure"]
-            _require_numbers(entries)
+            _require_numbers(entries, "profile")
             # Floats, so that PureProfile refuses 1.5 instead of it being cast to 1.
             return PureProfile(np.asarray(entries, dtype=np.float64) - 1)
         if "mixed" in data:
             rows = data["mixed"]
-            _require_numbers(itertools.chain.from_iterable(rows))
+            _require_numbers(itertools.chain.from_iterable(rows), "profile")
             return MixedProfile(np.asarray(rows, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed profile JSON: {exc}") from exc
     raise UsageError('profile JSON needs a "pure" or "mixed" key')
 
 
-def _require_numbers(entries):
+def _require_numbers(entries, kind):
     for value in entries:
         if not _is_number(value):
-            raise UsageError(f"malformed profile JSON: {value!r} is not a number")
+            raise UsageError(f"malformed {kind} JSON: {value!r} is not a number")
 
 
 def canonical_bytes(obj):
@@ -534,17 +547,32 @@ def load_json(path):
     """Parse a JSON file, refusing the non-standard NaN/Infinity literals.
 
     A file that is not UTF-8 or not well-formed JSON raises UsageError
-    naming the file.  The cyclic garbage collector is paused while the
-    parser runs: a parsed document holds no reference cycles, and on a
-    large game file the collections that its many new lists and dicts
-    trigger cost more than the parse itself.
+    naming the file.
+    """
+    return _parse_json(path, _read_text(path))
+
+
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
+
+
+def _parse_json(path, text, object_hook=None):
+    """json.loads of a file's text, with load_json's errors.
+
+    The cyclic garbage collector is paused while the parser runs: a parsed
+    document holds no reference cycles, and on a large game file the
+    collections that its many new lists and dicts trigger cost more than
+    the parse itself.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return json.loads(text, parse_constant=_reject_constant, object_hook=object_hook)
+    except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
     finally:
         if was_enabled:
@@ -555,8 +583,64 @@ def _reject_constant(name):
     raise UsageError(f"non-finite number {name} in JSON input")
 
 
+# Stands in for a block's matrix once load_game has moved its entries out.
+_TAKEN = object()
+
+
 def load_game(path):
-    return game_from_json(load_json(path))
+    """Read a game file: the game, or the UsageError, that
+    game_from_json(load_json(path)) gives, at a fraction of its memory."""
+    document, values = _parse_game(path)
+    return _game_from_document(document, values)
+
+
+def _parse_game(path):
+    """A game file's document, and its block matrices' entries as one flat
+    float64 array in block order (None when they stay in the document).
+
+    An object hook moves each block's matrix into flat buffers as soon as
+    the parser has built it, so no Python float per coefficient outlives
+    its block: the buffers take the entries, the row count of the matrix
+    and the width of each row, and the block keeps _TAKEN.  A document
+    whose matrices cannot all be taken, in block order and as m x m
+    numbers (an entry that is not a number, a second "beta", a "matrix"
+    key outside a block, another shape), is parsed again with its
+    matrices in place, for game_from_json to read or refuse.
+    """
+    text = _read_text(path)
+    # Every boolean ("true", "false") holds a "u" or an "f", and no number
+    # or key of the format does; a float64 buffer would take a boolean as
+    # 1.0 or 0.0.
+    if "u" in text or "f" in text:
+        return _parse_json(path, text), None
+    # Sizes are small ints, which Python keeps cached, so a list of them
+    # costs a pointer each; array.fromlist converts a row at C speed and
+    # refuses anything but a list of numbers.
+    sizes, values = [], array("d")
+    # Bound once: the hook runs once per block, up to n(n-1) times.
+    add_size, add_sizes, add_row = sizes.append, sizes.extend, values.fromlist
+
+    def take(block):
+        matrix = block.get("matrix")
+        if matrix is not None:
+            add_size(len(matrix))
+            add_sizes(map(len, matrix))
+            for row in matrix:
+                add_row(row)
+            block["matrix"] = _TAKEN
+        return block
+
+    try:
+        document = _parse_json(path, text, take)
+        blocks = document.get("beta", [])
+        m = document.get("m")
+        taken = list(map(dict.get, blocks, itertools.repeat("matrix"))).count(_TAKEN)
+        # A taken matrix adds m + 1 sizes, all equal to m, exactly when it is m x m.
+        if taken == len(blocks) and len(sizes) == taken * (m + 1) == sizes.count(m):
+            return document, np.frombuffer(values)
+    except (AttributeError, TypeError, OverflowError):
+        pass
+    return _parse_json(path, text), None
 
 
 def save_game(game, path):

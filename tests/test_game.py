@@ -1,6 +1,7 @@
 """Game representation, payoff/regret evaluation, validity checking."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from lippoly import (
     profile_to_json,
     pure_payoff,
     regret_report,
+    save_game,
 )
 from lippoly.game import discrepancy_vector, payoff_matrix
 from lippoly.purify.common import replica_regrets
@@ -426,17 +428,112 @@ def test_game_json_one_based_blocks_and_zero_omission():
             {"beta": [{"i": 1, "ip": True, "matrix": [[0.1, 0], [0, 0]]}]},
             r"block \(1, True\) has an index that is not a number",
         ),
+        (
+            {"beta": [
+                {"i": 1, "ip": 2, "matrix": [[0.1, 0], [0, 0]]},
+                {"i": 2, "ip": 1, "matrix": [["0.1", 0], [0, 0]]},
+            ]},
+            r"malformed game JSON: '0.1' is not a number",
+        ),
+        (
+            {"beta": [{"i": 1, "ip": 2, "matrix": [[0.1, True], [0, 0]]}]},
+            "malformed game JSON: True is not a number",
+        ),
+        (
+            {"beta": [{"i": 1, "ip": 2, "matrix": [[10**400, 0], [0, 0]]}]},
+            "malformed game JSON: int too large to convert to float",
+        ),
+        (
+            {"beta": [{"i": 1, "ip": 2, "matrix": []}]},
+            r"block \(1, 2\) has shape \(0,\), want \(2, 2\)",
+        ),
+        (
+            # As many objects carry a matrix as there are blocks, but one of
+            # them is not a block.
+            {"beta": [{"i": 1, "ip": 2}], "note": {"matrix": [[0, 0], [0, 0]]}},
+            r"block \(1, 2\) has shape \(\), want \(2, 2\)",
+        ),
+        (
+            # The last "beta" counts; the first one's matrix is no block's.
+            [("beta", [{"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]}]), ("beta", [{"i": 2, "ip": 1}])],
+            r"block \(2, 1\) has shape \(\), want \(2, 2\)",
+        ),
     ],
     ids=[
         "past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number",
         "negative-n", "negative-m", "fractional-n", "fractional-m", "fractional-i",
         "string-n", "string-lambda", "bool-m", "second-string-index", "string-index",
-        "bool-index",
+        "bool-index", "string-entry", "bool-entry", "huge-entry", "empty-matrix",
+        "matrix-outside-block", "second-beta",
     ],
 )
-def test_game_from_json_rejects_malformed_blocks(fields, message):
-    with pytest.raises(UsageError, match=message):
-        game_from_json({"n": 3, "m": 2, "lambda": 0.5, "beta": [], **fields})
+def test_game_from_json_rejects_malformed_blocks(fields, message, tmp_path):
+    # Both entry points: the parsed document, and the file load_game reads.
+    text = _game_document_text(fields)
+    with pytest.raises(UsageError, match=message) as from_json:
+        game_from_json(json.loads(text))
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    with pytest.raises(UsageError) as loaded:
+        load_game(str(path))
+    assert str(loaded.value) == str(from_json.value)
+
+
+def _game_document_text(fields):
+    """A 3-player binary game document as JSON text, with fields merged in;
+    a list of (key, value) pairs is appended instead, repeated keys kept."""
+    base = {"n": 3, "m": 2, "lambda": 0.5, "beta": []}
+    if isinstance(fields, dict):
+        return json.dumps({**base, **fields})
+    pairs = "".join(f", {json.dumps(key)}: {json.dumps(value)}" for key, value in fields)
+    return json.dumps(base)[:-1] + pairs + "}"
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 2, 1), (9, 2, 2), (6, 3, 3), (5, 8, 4)])
+def test_load_game_is_bit_identical_to_game_from_json(tmp_path, n, m, seed):
+    game = random_game(n, m, 0.2, seed)
+    # Drop some blocks, which the wire format then omits.
+    beta = game.beta.copy()
+    keep = np.random.default_rng(seed).random((n, n)) < 0.7
+    beta[~keep] = 0.0
+    path = tmp_path / "game.json"
+    save_game(PolymatrixGame(n=n, m=m, beta=beta, lam=game.lam), str(path))
+    with open(path) as fh:
+        expected = game_from_json(json.load(fh))
+    loaded = load_game(str(path))
+    assert (loaded.n, loaded.m, loaded.lam) == (expected.n, expected.m, expected.lam)
+    assert loaded.operator.tobytes() == expected.operator.tobytes()
+
+
+def test_load_game_reads_integer_and_exponent_literals(tmp_path):
+    text = ('{"n": 2, "m": 2, "lambda": 0.5, "beta": [{"i": 2, "ip": 1, '
+            '"matrix": [[1, 0], [2.5e-1, -0.0]]}]}')
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    loaded = load_game(str(path))
+    assert loaded.beta[1, 0].tolist() == [[1.0, 0.0], [0.25, 0.0]]
+    assert loaded.operator.tobytes() == game_from_json(json.loads(text)).operator.tobytes()
+
+
+def test_load_game_peak_memory(tmp_path):
+    # The file's bytes and its decoded text are both alive once, while it is
+    # read (2x the file); no parsed coefficient may outlive its block.
+    path = tmp_path / "game.json"
+    save_game(random_game(60, 8, 0.005, 3), str(path))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        load_game(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * size, f"peak {peak} bytes for a {size}-byte file"
+
+
+def test_profile_from_json_refuses_numbers_too_large_for_a_float():
+    for doc in ({"mixed": [[10**400, 0]]}, {"pure": [10**400, 1]}):
+        with pytest.raises(UsageError, match="malformed profile JSON"):
+            profile_from_json(doc)
 
 
 def test_profile_json_round_trip():

@@ -358,6 +358,24 @@ def test_cli_purify_rejects_an_unreadable_profile(tmp_path, capsys):
         assert str(profile_path) in error["message"]
 
 
+def test_cli_refuses_numbers_too_large_for_a_float(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    game_path = tmp_path / "huge.json"
+    game_path.write_text('{"n": 2, "m": 2, "lambda": 0.5, "beta": '
+                         f'[{{"i": 1, "ip": 2, "matrix": [[{huge}, 0], [0, 0]]}}]}}')
+    assert run_cli("check", str(game_path)) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "UsageError"
+    assert "too large" in error["message"]
+    save_game(random_game(2, 2, 0.3, seed=1), str(game_path))
+    profile_path = tmp_path / "profile.json"
+    for text in (f'{{"pure": [{huge}, 1]}}', f'{{"mixed": [[{huge}, 0], [0.5, 0.5]]}}'):
+        profile_path.write_text(text)
+        assert run_cli("purify", str(game_path), str(profile_path)) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "UsageError", text
+
+
 def test_cli_check_rejects_negative_sizes(tmp_path, capsys):
     path = tmp_path / "negative.json"
     path.write_text('{"n": -1, "m": 2, "lambda": 0.5, "beta": []}')
