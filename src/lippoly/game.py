@@ -202,6 +202,7 @@ class RegretReport:
     per_player_regret: np.ndarray
     max_regret: float
     argmax_player: int
+    payoffs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -272,15 +273,17 @@ def payoff_matrix(game, profile):
 
 
 def regret_report(game, profile):
-    """Per-player regrets in one pass, with the (lowest-index) arg max."""
-    per = regrets(payoff_matrix(game, profile), profile.probs)
+    """Per-player regrets in one pass, with the (lowest-index) arg max and
+    the read-only payoff matrix they come from, as `payoffs`."""
+    U = payoff_matrix(game, profile)
+    per = regrets(U, profile.probs)
     if per.min() < REGRET_FLOOR:
         raise InternalError(
             f"regret {per.min():.3g} below floor {REGRET_FLOOR}; evaluation is broken"
         )
     per = np.maximum(per, 0.0)
     top = int(np.argmax(per))
-    return RegretReport(_freeze(per), float(per[top]), top)
+    return RegretReport(_freeze(per), float(per[top]), top, _freeze(U))
 
 
 def discrepancy_vector(game, profile):
@@ -382,6 +385,20 @@ def _is_number(value):
     """True for a JSON number; strings and booleans, which float() would
     coerce, are not numbers on the wire."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer_type(kind):
+    """True for int and numpy's integer types; bool, float and str, which
+    int() would coerce, are not integers here."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def _integer(value, name):
+    """A count or seed passed through the Python API, as an int; 2.5, True
+    and "3" are refused with UsageError, not truncated or coerced."""
+    if not _integer_type(type(value)):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _all_numbers(values):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import UsageError
-from ..game import PureProfile, payoffs, regret_report, regrets
+from ..game import PureProfile, _integer, payoffs, regret_report, regrets
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ class BaselineReport:
 
 def sample_baseline(game, mixed, trials, seed=0):
     """Draw `trials` pure realizations of `mixed` and tabulate regrets."""
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     mixed.validate_for(game)
@@ -72,8 +73,8 @@ def sample_baseline(game, mixed, trials, seed=0):
     threshold = game.lam * math.sqrt(8.0 * n * math.log(2.0 * m * n))
     best = int(np.argmin(worst))
     return BaselineReport(
-        trials=int(trials),
-        seed=int(seed),
+        trials=trials,
+        seed=seed,
         input_regret=regret_report(game, mixed).max_regret,
         threshold=float(threshold),
         regrets=tuple(float(r) for r in worst),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import UsageError
-from ..game import PolymatrixGame
+from ..game import PolymatrixGame, _integer, _number
 
 FAMILIES = ("uniform_coefficients", "sparse", "coordination_mix")
 
@@ -38,6 +38,11 @@ class GeneratorSpec:
     weight: float | None = None
 
     def __post_init__(self):
+        for name in ("n", "m", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("lam", "density", "weight"):
+            if getattr(self, name) is not None:
+                _number(getattr(self, name), name)
         if self.n < 2:
             raise UsageError(f"generator needs n >= 2, got {self.n}")
         if self.m < 2:

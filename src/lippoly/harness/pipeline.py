@@ -27,6 +27,7 @@ from ..errors import BoundBreach, LippolyError, PreconditionViolation, UsageErro
 from ..game import (
     LipschitzViolation,
     RangeViolation,
+    _integer,
     canonical_bytes,
     check_game,
     game_digest,
@@ -215,7 +216,7 @@ def run_pipeline(
     if game_path is not None:
         records.append(run_instance(load_game(game_path), seed=seed, **options))
     else:
-        if trials < 1:
+        if _integer(trials, "trials") < 1:
             raise UsageError(f"trials must be >= 1, got {trials}")
         for t in range(trials):
             inst = dataclasses.replace(spec, seed=spec.seed + t)

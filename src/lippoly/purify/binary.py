@@ -10,9 +10,9 @@ every player whose pure regret reached the correction threshold switch
 to their best response, all at once.  Every threshold and allowance comes
 from `pipeline_constants(game, "binary")`.
 
-Each stage asserts the bound it must preserve; a violated bound raises
-BoundBreach rather than returning a bad profile.  What the sweep decided
-lands in a PurifyTrace.
+Each bound is asserted once, stage 1's support bound by stage 2 on its
+input; a violated bound raises BoundBreach rather than returning a bad
+profile.  What the sweep decided lands in a PurifyTrace.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from ..errors import BoundBreach
 from ..game import BOUND_TOL, MixedProfile, PureProfile, discrepancy_vector, payoff_matrix
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
@@ -46,29 +45,24 @@ def ane_to_wsne_binary(game, profile, L=1):
     Input must have max regret at most lam/8 (up to twice that is
     tolerated with a warning).  Every player with |discrepancy| above
     (lam/2)*sqrt(n) goes pure, all decisions taken against the input
-    profile.  On return every played action has regret at most
-    lam*sqrt(n); asserted.  A still-mixed player plays both actions, so
-    their |discrepancy| is the regret of one of them and is bounded by
-    the same check.  At L > 1 the thresholds are the L-fold lift's and
-    every replica of a population plays its row of `profile`, so a
-    population snaps as one.  Returns (profile, warning), warning True
-    when the input regret needed the tolerance.
+    profile (the input check's payoffs).  On return every played action
+    has regret at most lam*sqrt(n), a still-mixed player's |discrepancy|
+    included; stage 2 asserts that (bound wsne_support_regret).  At L > 1
+    the thresholds are the L-fold lift's and every replica of a
+    population snaps as one, playing its row of `profile`.  Returns
+    (profile, warning), warning True when the input regret needed the
+    tolerance.
     """
     consts = pipeline_constants(game, "binary", L)
     profile.validate_for(game)
-    warning = check_input_regret(game, profile, consts["input"], L)
+    warning, U = check_input_regret(game, profile, consts["input"], L)
 
-    d = discrepancy_vector(game, profile)
+    d = U[:, 1] - U[:, 0]
     snap = np.abs(d) > consts["snap"]
     probs = profile.probs.copy()
     # d > 0 favors action 1; snap implies d != 0, so no tie to break.
     probs[snap] = np.eye(2)[(d > 0.0).astype(int)][snap]
-    out = MixedProfile(probs)
-
-    observed = support_regret_max(payoff_matrix(game, out), out.probs)
-    if observed > consts["support"] + BOUND_TOL:
-        raise BoundBreach("wsne_support_regret", observed, consts["support"])
-    return out, warning
+    return MixedProfile(probs), warning
 
 
 def sweep_step(game, d, p_i, i, L=1):

@@ -17,7 +17,6 @@ the stages are the plain per-player pipelines.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ from ..game import (
     BOUND_TOL,
     MixedProfile,
     PureProfile,
+    _integer_type,
     action_regrets,
     payoff_matrix,
     regret_report,
@@ -91,12 +91,6 @@ def resolve_mode(game, mode):
     if mode == "binary" and game.m != 2:
         raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
     return mode
-
-
-def _integer_type(kind):
-    """True for int and numpy's integer types; bool, float and str, which
-    int() would coerce, are not integers here."""
-    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
 
 
 def replication(L):
@@ -171,10 +165,12 @@ def record_bound(trace, name, observed, allowed, context=""):
 
 
 def check_input_regret(game, profile, required, L=1):
-    """Enforce the pipeline's input regret level.
+    """Enforce the pipeline's input regret level; returns (warning,
+    payoffs), payoffs being the profile's read-only payoff matrix, which
+    stage 1 snaps from.
 
     Clean inputs pass silently.  Inputs within twice the required level get
-    a warning and a True return (stage 1 hands it on; `purify` records it
+    a warning and warning True (stage 1 hands it on; `purify` records it
     in the trace), so bound slack can be explored without forging inputs.
     Anything worse raises, naming the first player of highest regret; in
     the L-fold lift every replica has its population's regret, so that is
@@ -183,7 +179,7 @@ def check_input_regret(game, profile, required, L=1):
     report = regret_report(game, profile)
     measured = report.max_regret
     if measured <= required + BOUND_TOL:
-        return False
+        return False, report.payoffs
     if measured <= 2.0 * required + BOUND_TOL:
         warnings.warn(
             f"input max regret {measured:.6g} exceeds the required "
@@ -191,7 +187,7 @@ def check_input_regret(game, profile, required, L=1):
             RuntimeWarning,
             stacklevel=3,
         )
-        return True
+        return True, report.payoffs
     raise PreconditionViolation(report.argmax_player * L, measured, required)
 
 

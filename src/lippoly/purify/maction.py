@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BoundBreach
 from ..game import BOUND_TOL, MixedProfile, PureProfile, action_regrets, payoff_matrix
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
@@ -46,18 +45,18 @@ def ane_to_wsne_m(game, profile, L=1):
 
     Input must have max regret at most eps0 = ((m-1)/m)^2 * lam (twice
     that tolerated with a warning).  Every action whose regret against
-    the input profile exceeds delta0 = sqrt(2 (n-1) lam eps0) loses its
-    probability to the owner's best response.  On return every played
-    action has regret at most eps1 = 2 sqrt(2 n lam eps0); asserted.  At
+    the input profile (the input check's payoffs) exceeds delta0 =
+    sqrt(2 (n-1) lam eps0) loses its probability to the owner's best
+    response.  On return every played action has regret at most eps1 =
+    2 sqrt(2 n lam eps0), which stage 2 asserts (wsne_support_regret).  At
     L > 1 the thresholds are the L-fold lift's and every replica of a
     population plays its row of `profile`.  Returns (profile, warning),
     warning True when the input regret needed the tolerance.
     """
     profile.validate_for(game)
     consts = pipeline_constants(game, "m_action", L)
-    warning = check_input_regret(game, profile, consts["input"], L)
+    warning, U = check_input_regret(game, profile, consts["input"], L)
 
-    U = payoff_matrix(game, profile)
     reg = action_regrets(U)
     br = U.argmax(axis=1)
     probs = profile.probs.copy()
@@ -65,12 +64,7 @@ def ane_to_wsne_m(game, profile, L=1):
     moved = (probs * ~keep).sum(axis=1)
     probs *= keep
     probs[np.arange(game.n), br] += moved
-    out = MixedProfile(probs)
-
-    observed = support_regret_max(payoff_matrix(game, out), out.probs)
-    if observed > consts["support"] + BOUND_TOL:
-        raise BoundBreach("wsne_support_regret", observed, consts["support"])
-    return out, warning
+    return MixedProfile(probs), warning
 
 
 def purify_rounding_m(game, wsne, order=None, L=1):
@@ -131,9 +125,9 @@ def purify_rounding_m(game, wsne, order=None, L=1):
 
     scale = 2.0 * L
     move_increase = addition_increase = 0.0
+    sizes = member.sum(axis=1).astype(float)
     for v in order:
         actor = v // L
-        sizes = member.sum(axis=1).astype(float)
         # The acting replica's influence on u, to be stripped from the
         # centering and then moved to the chosen action.
         cols = actor_columns(game, actor, L)
@@ -150,17 +144,18 @@ def purify_rounding_m(game, wsne, order=None, L=1):
         chosen = int(inside[np.argmin(b[inside])])
         u = u_other + cols[:, chosen].reshape(n, m)
 
-        _, var = _set_stats(u, member)
+        mean, var = _set_stats(u, member)
         moved_sum = L * float(var.sum())
         move_increase += moved_sum - vsum
 
-        grown = _grow_sets(u, member)
+        grown = _grow_sets(u, member, mean)
         if grown is None:
             vsum = moved_sum
             trace.additions.append(NO_ADDITIONS)
         else:
             _, var = _set_stats(u, member)
             vsum = L * float(var.sum())
+            sizes = member.sum(axis=1).astype(float)
             trace.additions.append(lifted_indices(grown, L))
         addition_increase += vsum - moved_sum
 
@@ -192,15 +187,14 @@ def _set_stats(u, member):
     return mean, var
 
 
-def _grow_sets(u, member):
+def _grow_sets(u, member, mean):
     """Absorb outside actions that reach their set's running mean.
 
     Per player: while the best action outside the set has payoff >= the
-    set mean, add it (lowest index on ties) and recompute the mean.
-    Mutates the membership mask; returns the mask of the actions added,
-    or None when no set grew.
+    set mean (at first `mean`, from `_set_stats`), add it (lowest index on
+    ties) and recompute the mean.  Mutates the membership mask; returns
+    the mask of the actions added, or None when no set grew.
     """
-    mean = (u * member).sum(axis=1) / member.sum(axis=1)
     outside_best = np.where(member, -np.inf, u).max(axis=1)
     candidates = np.flatnonzero(outside_best >= mean)
     if not candidates.size:

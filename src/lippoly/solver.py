@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, UsageError
-from .game import MixedProfile, payoffs, regret_report, regrets
+from .game import MixedProfile, _integer, _number, payoffs, regret_report, regrets
 
 # Exhaustive scan refuses above this many candidate profiles.
 BRUTE_FORCE_GUARD = 10_000_000
@@ -65,6 +65,10 @@ class SolverConfig:
     uniform_grid_k: int | None = None
 
     def __post_init__(self):
+        _number(self.target_epsilon, "target_epsilon")
+        for name in ("max_iterations", "seed", "uniform_grid_k"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not math.isfinite(self.target_epsilon) or self.target_epsilon <= 0:
             raise UsageError(
                 f"target_epsilon must be positive and finite, got {self.target_epsilon}"
@@ -148,8 +152,9 @@ def _anneal(game, config, seed, jitter):
         probs = np.abs(probs)
         probs /= probs.sum(axis=1, keepdims=True)
 
-    U0 = payoffs(game, probs)
-    spread = float((U0.max(axis=1) - U0.min(axis=1)).max())
+    # The start's payoffs set the temperature and serve iteration 0.
+    U = payoffs(game, probs)
+    spread = float((U.max(axis=1) - U.min(axis=1)).max())
     tau_hi = max(spread, 4.0 * target)
     tau_lo = 0.4 * target
 
@@ -158,7 +163,8 @@ def _anneal(game, config, seed, jitter):
     last_gain = 0
     total = config.max_iterations
     for t in range(total):
-        U = payoffs(game, probs)
+        if t:
+            U = payoffs(game, probs)
         reg = float(regrets(U, probs).max())
         if reg < best_reg:
             best_reg = reg
@@ -255,7 +261,7 @@ def brute_force_kuniform(game, k):
     attaining the minimum (in player-0-major lexicographic order) is
     returned, so the result is deterministic.
     """
-    if k < 1:
+    if _integer(k, "grid resolution k") < 1:
         raise UsageError(f"grid resolution k must be >= 1, got {k}")
     grid = kuniform_grid(game.m, k)
     per_player = grid.shape[0]

@@ -188,6 +188,19 @@ def test_regret_matches_enumeration():
         assert report.argmax_player == int(np.argmax(report.per_player_regret))
 
 
+@pytest.mark.parametrize("n, m, seed", [(1, 2, 0), (5, 2, 1), (7, 4, 2)])
+def test_regret_report_carries_its_payoffs_read_only(n, m, seed):
+    game = random_game(n, m, 0.3, seed) if n > 1 else zero_game(n=1, m=m)
+    profile = random_mixed(n, m, seed + 10)
+    U = regret_report(game, profile).payoffs
+    assert U.dtype == np.float64
+    assert np.array_equal(U, payoff_matrix(game, profile))
+    assert U.tobytes() == payoff_matrix(game, profile).tobytes()
+    assert not U.flags.writeable
+    with pytest.raises(ValueError):
+        U[0, 0] = 1.0
+
+
 def test_discrepancy_symmetric_coordination_zero():
     game = coordination_game()
     profile = MixedProfile([[0.5, 0.5], [0.5, 0.5]])

@@ -18,8 +18,10 @@ from lippoly import (
     MixedProfile,
     PolymatrixGame,
     PureProfile,
+    SolverConfig,
     UsageError,
     Valid,
+    brute_force_kuniform,
     canonical_bytes,
     check_game,
     game_digest,
@@ -114,6 +116,49 @@ def test_generator_spec_validation():
         GeneratorSpec(n=3, m=2, lam=0.5, family="sparse")
     with pytest.raises(UsageError):
         GeneratorSpec(n=3, m=2, lam=0.5, family="coordination_mix", weight=1.5)
+
+
+# Python-API counts, seeds and levels of the wrong type: each is refused
+# with UsageError naming the argument, not a TypeError from deep inside
+# and not a silent coercion (True as k = 1, a float seed until the
+# jittered restart uses it).
+BAD_API_ARGUMENTS = {
+    "spec n float": lambda: GeneratorSpec(n=3.0, m=2, lam=0.3),
+    "spec m bool": lambda: GeneratorSpec(n=3, m=True, lam=0.3),
+    "spec seed float": lambda: GeneratorSpec(n=3, m=2, lam=0.3, seed=0.5),
+    "spec lam string": lambda: GeneratorSpec(n=3, m=2, lam="0.3"),
+    "spec density string": lambda: GeneratorSpec(
+        n=3, m=2, lam=0.3, family="sparse", density="0.5"
+    ),
+    "config max_iterations float": lambda: SolverConfig(target_epsilon=0.1, max_iterations=2.5),
+    "config target_epsilon string": lambda: SolverConfig(target_epsilon="x"),
+    "config uniform_grid_k float": lambda: SolverConfig(target_epsilon=0.1, uniform_grid_k=2.5),
+    "config seed float": lambda: SolverConfig(target_epsilon=0.1, seed=0.5),
+    "grid k float": lambda: brute_force_kuniform(zero_game(n=2), 2.5),
+    "grid k bool": lambda: brute_force_kuniform(zero_game(n=2), True),
+    "baseline trials float": lambda: sample_baseline(
+        zero_game(n=2), random_mixed(2, 2, 0), trials=2.5
+    ),
+    "baseline seed float": lambda: sample_baseline(
+        zero_game(n=2), random_mixed(2, 2, 0), trials=3, seed=0.5
+    ),
+    "pipeline trials float": lambda: run_pipeline(
+        spec=GeneratorSpec(n=3, m=2, lam=0.3), trials=2.5
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_API_ARGUMENTS))
+def test_api_arguments_of_the_wrong_type_raise_usage_errors(case):
+    with pytest.raises(UsageError, match="must be an? (integer|number)"):
+        BAD_API_ARGUMENTS[case]()
+
+
+def test_api_counts_accept_numpy_integers():
+    spec = GeneratorSpec(n=np.int64(3), m=np.int32(2), lam=0.3, seed=np.int64(4))
+    assert (spec.n, spec.m, spec.seed) == (3, 2, 4) and type(spec.seed) is int
+    report = sample_baseline(zero_game(n=2), random_mixed(2, 2, 0), np.int64(3), seed=np.int64(5))
+    assert (report.trials, report.seed) == (3, 5)
 
 
 # -------------------------------------------------------------- baseline

@@ -8,10 +8,14 @@ import pytest
 
 from helpers import constant_gap_game, random_game, zero_game
 from lippoly import (
+    BoundBreach,
     MixedProfile,
+    PolymatrixGame,
     PureProfile,
     PurifyTrace,
     SolverConfig,
+    ane_to_wsne_binary,
+    ane_to_wsne_m,
     correct_binary,
     correct_m,
     default_target_epsilon,
@@ -60,13 +64,15 @@ def test_m_action_constants_match_the_bound_table(n, m, lam):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_purify_evaluates_payoffs_seven_times(monkeypatch, m):
-    # The input twice (input regret, stage 1), the stage-1 output twice
-    # (stage 1's support check, then stage 2's bound and initial values),
-    # the sweep's aggregate twice (sweep_drift, stage 3) and the final
-    # profile once.
+@pytest.mark.parametrize("L", [1, 3])
+def test_purify_evaluates_payoffs_five_times(monkeypatch, m, L):
+    # The input once (the input check, whose payoffs stage 1 snaps from),
+    # the stage-1 output once (stage 2's support bound and initial
+    # values), the sweep's aggregate twice (sweep_drift, stage 3) and the
+    # final profile once.  At L > 1 every call is on the base game's
+    # per-population profiles.
     game = random_game(12, m, 1.0 / 12, seed=1)
-    config = SolverConfig(target_epsilon=default_target_epsilon(game), seed=1)
+    config = SolverConfig(target_epsilon=default_target_epsilon(game, L=L), seed=1)
     profile = solve_mixed(game, config).profile
     calls = []
     kernel = game_module.payoffs
@@ -76,8 +82,33 @@ def test_purify_evaluates_payoffs_seven_times(monkeypatch, m):
         return kernel(game_, probs)
 
     monkeypatch.setattr(game_module, "payoffs", counted)
-    purify(game, profile)
-    assert calls == [(12, m)] * 7
+    purify(game, profile, L=L)
+    assert calls == [(12, m)] * 5
+
+
+@pytest.mark.parametrize(
+    "mode, stage1", [("binary", ane_to_wsne_binary), ("m_action", ane_to_wsne_m)]
+)
+def test_a_stage1_output_over_the_support_allowance_breaches_in_stage2(mode, stage1):
+    # The declared lam = 0.01 understates the coefficients, which purify
+    # does not scan for.  Player 0 is paid 0.008 more for action 1 and
+    # leaves 0.1 on action 0 (input regret 0.0008); player 1 is indifferent
+    # at that mix, but 0.1 ahead on action 1 once player 0 snaps to action
+    # 1.  So stage 1 returns player 1 still mixed on an action 0.1 behind,
+    # over the support allowance (0.014 binary, 0.02 m-action).
+    beta = np.zeros((2, 2, 2, 2))
+    beta[0, 1] = [[0.0, 0.0], [0.008, 0.008]]
+    beta[1, 0] = [[0.9, 0.0], [0.0, 0.1]]
+    game = PolymatrixGame(n=2, m=2, beta=beta, lam=0.01)
+    profile = MixedProfile([[0.1, 0.9], [0.5, 0.5]])
+    wsne, warning = stage1(game, profile)
+    assert not warning
+    assert wsne.probs.tolist() == [[0.0, 1.0], [0.5, 0.5]]
+    with pytest.raises(BoundBreach) as info:
+        purify(game, profile, mode=mode)
+    assert info.value.bound_name == "wsne_support_regret"
+    assert info.value.observed == pytest.approx(0.1, abs=1e-12)
+    assert info.value.allowed == pipeline_constants(game, mode)["support"]
 
 
 @pytest.mark.parametrize("pipeline, switches", [("binary", True), ("m_action", False)])

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lippoly.game as game_module
+import lippoly.solver as solver_module
 from helpers import (
     coordination_game,
     matching_pennies_game,
@@ -129,6 +131,26 @@ def test_determinism_bit_for_bit():
     assert a.achieved_max_regret == b.achieved_max_regret
     assert a.iterations_used == b.iterations_used
     assert a.converged == b.converged
+
+
+def test_an_anneal_solve_evaluates_payoffs_once_per_iteration_and_once_more(monkeypatch):
+    # The start's payoffs serve both the temperature and iteration 0; the
+    # one call beyond the iterations is the final regret report.
+    game = random_game(12, 2, 1.0 / 12, 1)
+    config = SolverConfig(target_epsilon=default_target_epsilon(game), seed=1)
+    calls = []
+    kernel = game_module.payoffs
+
+    def counted(game_, probs):
+        calls.append(probs.shape)
+        return kernel(game_, probs)
+
+    monkeypatch.setattr(game_module, "payoffs", counted)
+    monkeypatch.setattr(solver_module, "payoffs", counted)
+    result = solve_mixed(game, config)
+    assert result.phase == "anneal"
+    assert result.iterations_used == 135
+    assert len(calls) == result.iterations_used + 1
 
 
 def test_seed_changes_are_allowed_to_differ():
