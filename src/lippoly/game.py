@@ -18,6 +18,7 @@ import itertools
 import json
 import numbers
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -69,10 +70,8 @@ class PolymatrixGame:
     operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_sizes(self.n, self.m)
-        if not (0.0 < self.lam <= 1.0):
-            raise UsageError(f"Lipschitz parameter must be in (0, 1], got {self.lam}")
-        n, m = self.n, self.m
+        n, m = _check_sizes(self.n, self.m)
+        lam = _number(self.lam, "Lipschitz parameter", "lambda")
         beta = np.asarray(self.beta, dtype=np.float64)
         if beta.shape != (n, n, m, m):
             raise UsageError(
@@ -87,7 +86,7 @@ class PolymatrixGame:
         _freeze(flat)
         object.__setattr__(self, "operator", flat.reshape(n * m, n * m))
         object.__setattr__(self, "beta", flat.transpose(0, 2, 1, 3))
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
@@ -309,8 +308,6 @@ def check_game(game):
     hi = beta.max(axis=3)
     lo = beta.min(axis=3)
     spread = hi - lo
-    idx = np.arange(n)
-    spread[idx, idx] = 0.0
     worst = float(spread.max())
     if worst > game.lam + BOUND_TOL:
         i, ip, j = np.unravel_index(int(np.argmax(spread)), spread.shape)
@@ -335,10 +332,9 @@ def check_game(game):
         )
         return LipschitzViolation(witness)
 
-    mask = np.ones((n, n), dtype=bool)
-    mask[idx, idx] = False
-    upper = np.where(mask[:, :, None], hi, 0.0).sum(axis=1)
-    lower = np.where(mask[:, :, None], lo, 0.0).sum(axis=1)
+    # Self blocks are zero (PolymatrixGame zeroes them), so they add nothing.
+    upper = hi.sum(axis=1)
+    lower = lo.sum(axis=1)
     if upper.max() > 1.0 + BOUND_TOL:
         i, j = np.unravel_index(int(np.argmax(upper)), upper.shape)
         return RangeViolation(player=int(i), action=int(j), direction="upper")
@@ -375,16 +371,14 @@ def game_to_json(game):
 
 
 def _check_sizes(n, m):
-    if n < 1:
-        raise UsageError(f"player count must be >= 1, got {n}")
-    if m < 2:
-        raise UsageError(f"action count must be >= 2, got {m}")
+    """The player and action counts as ints, n >= 1 and m >= 2."""
+    return _integer(n, "player count", least=1), _integer(m, "action count", least=2)
 
 
-def _is_number(value):
-    """True for a JSON number; strings and booleans, which float() would
-    coerce, are not numbers on the wire."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _number_type(kind):
+    """True for int, float and numpy's real types; str and bool, which
+    float() would coerce, are not numbers here, nor on the wire."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
 def _integer_type(kind):
@@ -393,30 +387,53 @@ def _integer_type(kind):
     return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
 
 
-def _integer(value, name):
-    """A count or seed passed through the Python API, as an int; 2.5, True
-    and "3" are refused with UsageError, not truncated or coerced."""
+# The entry checks: every count, level and choice passed in from outside
+# goes through _integer, _number or _choice, whose UsageError names it.
+def _integer(value, name, least=None):
+    """A count or seed as an int; 2.5, True and "3" are refused, not
+    truncated or coerced, and so is a value below `least`."""
     if not _integer_type(type(value)):
         raise UsageError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise UsageError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
+# The ranges _number holds a value to: name -> (test, how a refusal reads).
+# A level is at most the largest float, so an int too large for one is refused.
+_RANGES = {
+    "level": (lambda x: 0.0 < x <= sys.float_info.max, "positive and finite"),
+    "lambda": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+    "fraction": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+}
+
+
+def _number(value, name, within=None):
+    """A number as a float; strings and booleans are refused, and so is a
+    value outside the range named by `within` (a key of _RANGES)."""
+    if not _number_type(type(value)):
+        raise UsageError(f"{name} must be a number, got {value!r}")
+    if within is not None:
+        test, phrase = _RANGES[within]
+        if not test(value):
+            raise UsageError(f"{name} must be {phrase}, got {value}")
+    return float(value)
+
+
+def _choice(value, name, options):
+    """One of a tuple of options, as given."""
+    if value not in options:
+        raise UsageError(f"{name} must be one of {options}, got {value!r}")
+    return value
+
+
 def _all_numbers(values):
-    """True when every value is a number in the sense of _is_number.
+    """True when every value is a number in the sense of _number_type.
 
     One pass collects the distinct types at C speed; only those few are
     then checked.
     """
-    return all(
-        issubclass(kind, numbers.Real) and not issubclass(kind, bool)
-        for kind in set(map(type, values))
-    )
-
-
-def _number(value, name):
-    if not _is_number(value):
-        raise UsageError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return all(map(_number_type, set(map(type, values))))
 
 
 def _count(value, name):
@@ -446,7 +463,7 @@ def _game_from_document(data, values):
         # collections that walk the whole parsed document.
         indices = list(itertools.chain.from_iterable(map(itemgetter("i", "ip"), raw_blocks)))
         if not _all_numbers(indices):
-            entry = raw_blocks[next(k for k, v in enumerate(indices) if not _is_number(v)) // 2]
+            entry = raw_blocks[next(k for k, v in enumerate(indices) if not _number_type(type(v))) // 2]
             raise UsageError(
                 f"malformed game JSON: block ({entry['i']!r}, {entry['ip']!r}) "
                 "has an index that is not a number"
@@ -543,7 +560,7 @@ def profile_from_json(data):
 
 def _require_numbers(entries, kind):
     for value in entries:
-        if not _is_number(value):
+        if not _number_type(type(value)):
             raise UsageError(f"malformed {kind} JSON: {value!r} is not a number")
 
 
@@ -563,8 +580,8 @@ def game_digest(game):
 def load_json(path):
     """Parse a JSON file, refusing the non-standard NaN/Infinity literals.
 
-    A file that is not UTF-8 or not well-formed JSON raises UsageError
-    naming the file.
+    A file that cannot be read (missing, a directory, no permission), is
+    not UTF-8 or is not well-formed JSON raises UsageError naming the file.
     """
     return _parse_json(path, _read_text(path))
 
@@ -575,6 +592,8 @@ def _read_text(path):
             return fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
 
 
 def _parse_json(path, text, object_hook=None):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import UsageError
 from ..game import PureProfile, _integer, payoffs, regret_report, regrets
 
 
@@ -55,9 +54,7 @@ class BaselineReport:
 
 def sample_baseline(game, mixed, trials, seed=0):
     """Draw `trials` pure realizations of `mixed` and tabulate regrets."""
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    trials, seed = _integer(trials, "trials", least=1), _integer(seed, "seed")
     mixed.validate_for(game)
     n, m = game.n, game.m
     rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))

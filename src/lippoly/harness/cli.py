@@ -28,22 +28,21 @@ from ..game import (
     profile_to_json,
 )
 from ..population import reduce_and_solve
-from ..purify import MODES, TRACE_DETAILS, default_target_epsilon, purify, trace_to_json
+from ..purify import MODES, default_target_epsilon, purify, trace_to_json
 from ..solver import STEP_SCHEDULES, SolverConfig, solve_mixed
 from .baseline import sample_baseline
 from .generator import FAMILIES, GeneratorSpec, generate
 from .pipeline import (
+    EXIT_INVALID,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_WITNESS,
+    TRACE_CHOICES,
     error_exit_code,
     run_pipeline,
     witness_to_json,
     write_report,
 )
-
-# Trace detail levels for --trace; "off" leaves the trace out.
-TRACE_CHOICES = TRACE_DETAILS + ("off",)
 
 
 def main(argv=None):
@@ -125,7 +124,7 @@ def cmd_check(args):
             },
             args.out,
         )
-        return 1
+        return EXIT_INVALID
     _emit({"outcome": "valid", "lambda": game.lam, "digest": game_digest(game)}, args.out)
     return EXIT_OK
 

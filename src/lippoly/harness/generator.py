@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import UsageError
-from ..game import PolymatrixGame, _integer, _number
+from ..game import PolymatrixGame, _choice, _integer, _number
 
 FAMILIES = ("uniform_coefficients", "sparse", "coordination_mix")
 
@@ -38,27 +37,13 @@ class GeneratorSpec:
     weight: float | None = None
 
     def __post_init__(self):
-        for name in ("n", "m", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        for name in ("lam", "density", "weight"):
-            if getattr(self, name) is not None:
-                _number(getattr(self, name), name)
-        if self.n < 2:
-            raise UsageError(f"generator needs n >= 2, got {self.n}")
-        if self.m < 2:
-            raise UsageError(f"generator needs m >= 2, got {self.m}")
-        if not (0.0 < self.lam <= 1.0):
-            raise UsageError(f"lam must be in (0, 1], got {self.lam}")
-        if self.family not in FAMILIES:
-            raise UsageError(f"unknown family {self.family!r}; pick one of {FAMILIES}")
-        if self.family == "sparse":
-            d = self.density
-            if d is None or not (0.0 <= d <= 1.0):
-                raise UsageError(f"sparse family needs density in [0, 1], got {d}")
-        if self.family == "coordination_mix":
-            w = self.weight
-            if w is None or not (0.0 <= w <= 1.0):
-                raise UsageError(f"coordination_mix needs weight in [0, 1], got {w}")
+        for name, least in (("n", 2), ("m", 2), ("seed", None)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        _number(self.lam, "lam", "lambda")
+        _choice(self.family, "family", FAMILIES)
+        for name, family in (("density", "sparse"), ("weight", "coordination_mix")):
+            if self.family == family or getattr(self, name) is not None:
+                _number(getattr(self, name), name, "fraction")
 
 
 def generate(spec):
@@ -82,14 +67,11 @@ def generate(spec):
     beta[idx, idx] = 0.0
 
     # Column shift: per block, per opponent action, drop the minimum over the
-    # receiver's actions to zero.  Keeps entries in [0, lam].
+    # receiver's actions to zero.  Keeps entries in [0, lam], self blocks zero.
     beta -= beta.min(axis=2, keepdims=True)
-    beta[idx, idx] = 0.0
 
     # Global scale so the worst-case payoff sum stays at or below 1.
-    mask = np.ones((n, n), dtype=bool)
-    mask[idx, idx] = False
-    upper = np.where(mask[:, :, None], beta.max(axis=3), 0.0).sum(axis=1)
+    upper = beta.max(axis=3).sum(axis=1)
     worst = float(upper.max())
     if worst > 1.0:
         beta *= (1.0 - 1e-12) / worst

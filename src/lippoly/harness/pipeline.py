@@ -27,7 +27,9 @@ from ..errors import BoundBreach, LippolyError, PreconditionViolation, UsageErro
 from ..game import (
     LipschitzViolation,
     RangeViolation,
+    _choice,
     _integer,
+    _number,
     canonical_bytes,
     check_game,
     game_digest,
@@ -35,9 +37,13 @@ from ..game import (
 )
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from ..population import reduce_and_solve
-from ..purify import default_target_epsilon, purify, trace_to_json
+from ..purify import MODES, TRACE_DETAILS, default_target_epsilon, purify, trace_to_json
+from ..purify.common import replication
 from ..solver import SolverConfig, solve_mixed
 from .generator import generate
+
+# Trace detail levels of a record; "off" leaves the trace out.
+TRACE_CHOICES = TRACE_DETAILS + ("off",)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -118,6 +124,7 @@ def run_instance(
     family=None,
 ):
     """Push one game through check, solve, purify, and optional reduce."""
+    eps, L = _check_options(eps, mode, L, trace_detail)
     base = dict(
         index=index,
         game_digest=game_digest(game),
@@ -141,7 +148,7 @@ def run_instance(
             **base,
         )
 
-    target = float(eps) if eps is not None else default_target_epsilon(game, mode)
+    target = eps if eps is not None else default_target_epsilon(game, mode)
     result = solve_mixed(game, SolverConfig(target_epsilon=target, seed=seed))
     solver = {
         "target_epsilon": target,
@@ -211,14 +218,13 @@ def run_pipeline(
     if (game_path is None) == (spec is None):
         raise UsageError("provide exactly one of game_path and spec")
 
+    eps, L = _check_options(eps, mode, L, trace_detail)
     options = dict(eps=eps, mode=mode, L=L, trace_detail=trace_detail)
     records = []
     if game_path is not None:
         records.append(run_instance(load_game(game_path), seed=seed, **options))
     else:
-        if _integer(trials, "trials") < 1:
-            raise UsageError(f"trials must be >= 1, got {trials}")
-        for t in range(trials):
+        for t in range(_integer(trials, "trials", least=1)):
             inst = dataclasses.replace(spec, seed=spec.seed + t)
             records.append(
                 run_instance(generate(inst), seed=inst.seed, index=t, family=inst.family, **options)
@@ -229,6 +235,14 @@ def run_pipeline(
         aggregates=_aggregates(records),
         exit_code=_exit_code(records),
     )
+
+
+def _check_options(eps, mode, L, trace_detail):
+    """Check the run options before any work; eps and L come back normalized."""
+    _choice(mode, "mode", MODES)
+    _choice(trace_detail, "trace_detail", TRACE_CHOICES)
+    eps = None if eps is None else _number(eps, "eps", "level")
+    return eps, None if L is None else replication(L)
 
 
 def _error_outcome(exc):

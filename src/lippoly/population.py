@@ -28,8 +28,8 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceeded, UsageError
-from .game import PolymatrixGame, PureProfile, regret_report
+from .errors import BudgetExceeded
+from .game import PolymatrixGame, PureProfile, _number, regret_report
 from .purify import default_target_epsilon, purify
 from .purify.common import aggregate_profile, record_bound, replication
 from .solver import SolverConfig, solve_mixed
@@ -95,8 +95,7 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
     epsilon^5), the scale the reduction needs for the guarantee to reach
     epsilon.
     """
-    if not math.isfinite(epsilon) or epsilon <= 0:
-        raise UsageError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = _number(epsilon, "epsilon", "level")
     L = replication(L)
     players = base.n * L
     if players > REPLICA_GUARD:

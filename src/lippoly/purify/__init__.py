@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import UsageError
-from ..game import MixedProfile, payoffs, profile_to_json
+from ..game import MixedProfile, _choice, payoffs, profile_to_json
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .binary import ane_to_wsne_binary, purify_rounding_binary
 from .common import MODES, PurifyTrace, correct, default_target_epsilon, pipeline_constants
@@ -144,8 +143,7 @@ def trace_to_json(trace, game, detail="full"):
     action, potential value) next to the bound table.  Players and
     actions are 1-based in the output.
     """
-    if detail not in TRACE_DETAILS:
-        raise UsageError(f"detail must be one of {TRACE_DETAILS}, got {detail!r}")
+    _choice(detail, "detail", TRACE_DETAILS)
     binary = trace.pipeline == "binary"
     out = {
         "pipeline": trace.pipeline,

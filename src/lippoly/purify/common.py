@@ -27,6 +27,8 @@ from ..game import (
     BOUND_TOL,
     MixedProfile,
     PureProfile,
+    _choice,
+    _integer,
     _integer_type,
     action_regrets,
     payoff_matrix,
@@ -84,9 +86,7 @@ class PurifyTrace:
 
 def resolve_mode(game, mode):
     """The pipeline ("binary" or "m_action") a `purify` mode selects for this game."""
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "auto":
+    if _choice(mode, "mode", MODES) == "auto":
         return "binary" if game.m == 2 else "m_action"
     if mode == "binary" and game.m != 2:
         raise BinaryOnlyError(f"binary pipeline needs m = 2, got m = {game.m}")
@@ -95,9 +95,7 @@ def resolve_mode(game, mode):
 
 def replication(L):
     """The replication count L as an int; UsageError unless a positive integer."""
-    if not _integer_type(type(L)) or L < 1:
-        raise UsageError(f"replication L must be a positive integer, got {L!r}")
-    return int(L)
+    return _integer(L, "replication L", least=1)
 
 
 def pipeline_constants(game, mode="auto", L=1):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, UsageError
-from .game import MixedProfile, _integer, _number, payoffs, regret_report, regrets
+from .errors import BudgetExceeded
+from .game import MixedProfile, _choice, _integer, _number, payoffs, regret_report, regrets
 
 # Exhaustive scan refuses above this many candidate profiles.
 BRUTE_FORCE_GUARD = 10_000_000
@@ -65,18 +65,12 @@ class SolverConfig:
     uniform_grid_k: int | None = None
 
     def __post_init__(self):
-        _number(self.target_epsilon, "target_epsilon")
-        for name in ("max_iterations", "seed", "uniform_grid_k"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not math.isfinite(self.target_epsilon) or self.target_epsilon <= 0:
-            raise UsageError(
-                f"target_epsilon must be positive and finite, got {self.target_epsilon}"
-            )
-        if self.max_iterations < 1:
-            raise UsageError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.step_schedule not in STEP_SCHEDULES:
-            raise UsageError(f"step_schedule must be one of {STEP_SCHEDULES}, got {self.step_schedule!r}")
+        _number(self.target_epsilon, "target_epsilon", "level")
+        for name, least in (("max_iterations", 1), ("seed", None)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        if self.uniform_grid_k is not None:
+            object.__setattr__(self, "uniform_grid_k", _integer(self.uniform_grid_k, "uniform_grid_k"))
+        _choice(self.step_schedule, "step_schedule", STEP_SCHEDULES)
 
 
 @dataclass(frozen=True)
@@ -261,8 +255,7 @@ def brute_force_kuniform(game, k):
     attaining the minimum (in player-0-major lexicographic order) is
     returned, so the result is deterministic.
     """
-    if _integer(k, "grid resolution k") < 1:
-        raise UsageError(f"grid resolution k must be >= 1, got {k}")
+    k = _integer(k, "grid resolution k", least=1)
     grid = kuniform_grid(game.m, k)
     per_player = grid.shape[0]
     total = per_player ** game.n

@@ -116,6 +116,9 @@ def test_generator_spec_validation():
         GeneratorSpec(n=3, m=2, lam=0.5, family="sparse")
     with pytest.raises(UsageError):
         GeneratorSpec(n=3, m=2, lam=0.5, family="coordination_mix", weight=1.5)
+    # A density or weight is a fraction even for a family that ignores it.
+    with pytest.raises(UsageError, match=r"density must be in \[0, 1\], got 1.5"):
+        GeneratorSpec(n=3, m=2, lam=0.5, density=1.5)
 
 
 # Python-API counts, seeds and levels of the wrong type: each is refused
@@ -145,6 +148,18 @@ BAD_API_ARGUMENTS = {
     "pipeline trials float": lambda: run_pipeline(
         spec=GeneratorSpec(n=3, m=2, lam=0.3), trials=2.5
     ),
+    "game lam bool": lambda: PolymatrixGame(n=2, m=2, beta=np.zeros((2, 2, 2, 2)), lam=True),
+    "game lam string": lambda: PolymatrixGame(n=2, m=2, beta=np.zeros((2, 2, 2, 2)), lam="0.5"),
+    "game n string": lambda: PolymatrixGame(n="2", m=2, beta=np.zeros((2, 2, 2, 2)), lam=0.5),
+    "game n float": lambda: PolymatrixGame(n=2.0, m=2, beta=np.zeros((2, 2, 2, 2)), lam=0.5),
+    "reduce epsilon string": lambda: population.reduce_and_solve(zero_game(n=2), "0.3", 4),
+    "reduce epsilon bool": lambda: population.reduce_and_solve(zero_game(n=2), True, 4),
+    "instance eps string": lambda: run_instance(zero_game(n=2), eps="0.1"),
+    "instance eps bool": lambda: run_instance(zero_game(n=2), eps=True),
+    "pipeline eps string": lambda: run_pipeline(
+        spec=GeneratorSpec(n=3, m=2, lam=0.3), eps="0.1"
+    ),
+    "pipeline L float": lambda: run_pipeline(spec=GeneratorSpec(n=3, m=2, lam=0.3), L=2.5),
 }
 
 
@@ -343,6 +358,27 @@ def test_run_pipeline_argument_contract(tmp_path):
         run_pipeline(spec=spec, trials=0)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"L": 0}, "replication L must be >= 1, got 0"),
+        ({"mode": "x"}, "mode must be one of"),
+        ({"trace_detail": "x"}, "trace_detail must be one of"),
+        ({"eps": 0.0}, "eps must be positive and finite, got 0.0"),
+    ],
+    ids=["L", "mode", "trace_detail", "eps"],
+)
+def test_run_pipeline_checks_its_options_before_any_solve(monkeypatch, options, message):
+    def solve_mixed(*args, **kwargs):
+        raise AssertionError("solve_mixed was called before the options were checked")
+
+    monkeypatch.setattr("lippoly.harness.pipeline.solve_mixed", solve_mixed)
+    with pytest.raises(UsageError, match=message):
+        run_pipeline(spec=GeneratorSpec(n=3, m=2, lam=0.3), **options)
+    with pytest.raises(UsageError, match=message):
+        run_instance(random_game(3, 2, 0.3, seed=1), **options)
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -419,6 +455,29 @@ def test_cli_refuses_numbers_too_large_for_a_float(tmp_path, capsys):
         assert run_cli("purify", str(game_path), str(profile_path)) == 1
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "UsageError", text
+
+
+def test_cli_refuses_a_file_that_cannot_be_read(tmp_path, capsys):
+    # A missing game file, a directory, and a missing profile file: each is
+    # the one-line JSON error naming the path, not a traceback.
+    game_path = tmp_path / "game.json"
+    save_game(random_game(3, 2, 0.3, seed=1), str(game_path))
+    missing = str(tmp_path / "missing.json")
+    for argv in (("check", missing), ("check", str(tmp_path)), ("purify", str(game_path), missing)):
+        assert run_cli(*argv) == EXIT_INVALID
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "UsageError"
+        assert argv[-1] in error["message"]
+
+
+def test_cli_pipeline_refuses_L_0_before_any_record(tmp_path, capsys):
+    game_path = tmp_path / "game.json"
+    save_game(random_game(3, 2, 0.3, seed=1), str(game_path))
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--game", str(game_path), "--L", "0", "--out", str(out)) == EXIT_INVALID
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "UsageError" and "replication L" in error["message"]
+    assert not out.exists()
 
 
 def test_cli_check_rejects_negative_sizes(tmp_path, capsys):

@@ -298,6 +298,6 @@ def test_spread_scales_exactly_under_power_of_two_L():
 
 
 def test_reduce_rejects_bad_epsilon():
-    for epsilon in (0.0, math.nan, math.inf):
+    for epsilon in (0.0, math.nan, math.inf, 10**400):
         with pytest.raises(UsageError):
             reduce_and_solve(zero_game(), epsilon=epsilon, L=2)

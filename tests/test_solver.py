@@ -220,7 +220,7 @@ def test_harmonic_schedule_supported():
 
 
 def test_config_validation():
-    for target in (0.0, math.nan, math.inf):
+    for target in (0.0, math.nan, math.inf, 10**400):
         with pytest.raises(UsageError):
             SolverConfig(target_epsilon=target)
     with pytest.raises(UsageError):
