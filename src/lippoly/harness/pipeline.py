@@ -38,7 +38,7 @@ from ..game import (
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from ..population import reduce_and_solve
 from ..purify import MODES, TRACE_DETAILS, default_target_epsilon, purify, trace_to_json
-from ..purify.common import replication
+from ..purify.common import replication, resolve_mode
 from ..solver import SolverConfig, solve_mixed
 from .generator import generate
 
@@ -148,6 +148,7 @@ def run_instance(
             **base,
         )
 
+    resolve_mode(game, mode)  # a binary mode on m != 2 is refused before the solve
     target = eps if eps is not None else default_target_epsilon(game, mode)
     result = solve_mixed(game, SolverConfig(target_epsilon=target, seed=seed))
     solver = {

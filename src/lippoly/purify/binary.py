@@ -21,21 +21,16 @@ import math
 
 import numpy as np
 
-from ..game import BOUND_TOL, MixedProfile, PureProfile, discrepancy_vector, payoff_matrix
+from ..game import BOUND_TOL, MixedProfile, PureProfile
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
     NO_ADDITIONS,
-    PurifyTrace,
     actor_columns,
-    aggregate_profile,
-    check_input_regret,
-    lifted,
+    close_sweep,
     lifted_indices,
-    pipeline_constants,
+    open_snap,
+    open_sweep,
     record_bound,
-    replication,
-    resolve_order,
-    support_regret_max,
 )
 
 
@@ -53,9 +48,7 @@ def ane_to_wsne_binary(game, profile, L=1):
     (profile, warning), warning True when the input regret needed the
     tolerance.
     """
-    consts = pipeline_constants(game, "binary", L)
-    profile.validate_for(game)
-    warning, U = check_input_regret(game, profile, consts["input"], L)
+    consts, warning, U = open_snap(game, profile, "binary", L)
 
     d = U[:, 1] - U[:, 0]
     snap = np.abs(d) > consts["snap"]
@@ -113,21 +106,12 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     trace logs, per step, the bit, A, the cost and the replicas that
     joined: O(n*L) in all.
     """
-    L = replication(L)
-    consts = pipeline_constants(game, "binary", L)
-    wsne.validate_for(game)
-    order = resolve_order(game.n * L, order)
-
-    trace = PurifyTrace(
-        pipeline="binary", order=order, wsne_profile=lifted(wsne, L), thresholds={"delta": None}
-    )
-    U = payoff_matrix(game, wsne)
-    record_bound(trace, "wsne_support_regret", support_regret_max(U, wsne.probs), consts["support"])
+    L, consts, order, trace, U = open_sweep(game, wsne, "binary", order, L)
+    trace.thresholds["delta"] = None
 
     p = wsne.probs[:, 1].tolist()
     sweep = _Sweep(game, U[:, 1] - U[:, 0], order, L, consts, trace)
-    lifted_order = np.asarray(order, dtype=np.intp)
-    pops = lifted_order // L
+    pops = np.asarray(order, dtype=np.intp) // L
     edges = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1).tolist(), len(order)]
     for start, end in zip(edges[:-1], edges[1:]):
         i = int(pops[start])
@@ -143,12 +127,9 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
             k = sweep.glide(k + 1, end, i, p_i, ell)
     record_bound(trace, "step_cost_increase", sweep.worst, consts["step_cost_increase"])
 
-    actions = np.empty(len(order), dtype=np.int64)
-    actions[lifted_order] = trace.chosen_actions
-    d, S = sweep.d, sweep.S
-    d_full = discrepancy_vector(game, aggregate_profile(game, L, actions))
-    drift = float(np.abs(d_full - d).max())
-    record_bound(trace, "sweep_drift", drift, BOUND_TOL)
+    actions, U = close_sweep(game, L, trace)
+    d_full, S = U[:, 1] - U[:, 0], sweep.S
+    record_bound(trace, "sweep_drift", float(np.abs(d_full - sweep.d).max()), BOUND_TOL)
     trace.potentials[-1] = L * float(d_full[S] @ d_full[S])
     record_bound(trace, "terminal_cost", trace.potentials[-1], consts["terminal_cost"])
     return PureProfile(actions), trace

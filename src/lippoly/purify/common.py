@@ -1,5 +1,7 @@
 """What the two purification pipelines share: the trace, the constants
-table, the bound log, the population state and stage 3.
+table, the bound log, the stage frame around each pipeline's snap rule
+and sweep (`open_snap`, `open_sweep`, `close_sweep`), the population
+state and stage 3.
 
 Every stage takes a replication count L.  Each player i of the game then
 stands for L identical replicas, lifted players i*L .. i*L + L - 1 of the
@@ -162,10 +164,11 @@ def record_bound(trace, name, observed, allowed, context=""):
         raise BoundBreach(name, observed, allowed, context=context)
 
 
-def check_input_regret(game, profile, required, L=1):
-    """Enforce the pipeline's input regret level; returns (warning,
-    payoffs), payoffs being the profile's read-only payoff matrix, which
-    stage 1 snaps from.
+def open_snap(game, profile, pipeline, L=1):
+    """Stage 1's opening: the lift's constants, the profile checked for
+    shape and for the pipeline's input regret level; returns (consts,
+    warning, payoffs), payoffs being the profile's read-only payoff
+    matrix, which stage 1 snaps from.
 
     Clean inputs pass silently.  Inputs within twice the required level get
     a warning and warning True (stage 1 hands it on; `purify` records it
@@ -174,10 +177,13 @@ def check_input_regret(game, profile, required, L=1):
     the L-fold lift every replica has its population's regret, so that is
     lifted player i*L.
     """
+    consts = pipeline_constants(game, pipeline, L)
+    profile.validate_for(game)
+    required = consts["input"]
     report = regret_report(game, profile)
     measured = report.max_regret
     if measured <= required + BOUND_TOL:
-        return False, report.payoffs
+        return consts, False, report.payoffs
     if measured <= 2.0 * required + BOUND_TOL:
         warnings.warn(
             f"input max regret {measured:.6g} exceeds the required "
@@ -185,8 +191,37 @@ def check_input_regret(game, profile, required, L=1):
             RuntimeWarning,
             stacklevel=3,
         )
-        return True, report.payoffs
+        return consts, True, report.payoffs
     raise PreconditionViolation(report.argmax_player * L, measured, required)
+
+
+def open_sweep(game, wsne, pipeline, order, L):
+    """Stage 2's opening: L, the lift's constants and the sweep order
+    resolved, an empty trace, and the payoffs U of the stage-1 profile,
+    evaluated once here; returns (L, consts, order, trace, U).
+
+    Asserts stage 1's support bound on `wsne` (wsne_support_regret): every
+    played action within consts["support"] of its owner's best.  The
+    pipeline adds its own thresholds to the trace.
+    """
+    L = replication(L)
+    consts = pipeline_constants(game, pipeline, L)
+    wsne.validate_for(game)
+    order = resolve_order(game.n * L, order)
+    trace = PurifyTrace(pipeline=pipeline, order=order, wsne_profile=lifted(wsne, L), thresholds={})
+    U = payoff_matrix(game, wsne)
+    record_bound(trace, "wsne_support_regret", support_regret_max(U, wsne.probs), consts["support"])
+    return L, consts, order, trace, U
+
+
+def close_sweep(game, L, trace):
+    """Stage 2's closing: the chosen actions scattered back to lifted
+    order, and the payoffs U at their aggregate profile, evaluated once
+    here, against which the sweep checks its running values (bound
+    sweep_drift); returns (actions, U)."""
+    actions = np.empty(len(trace.order), dtype=np.int64)
+    actions[list(trace.order)] = trace.chosen_actions
+    return actions, payoff_matrix(game, aggregate_profile(game, L, actions))
 
 
 def support_regret_max(U, probs):

@@ -22,21 +22,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..game import BOUND_TOL, MixedProfile, PureProfile, action_regrets, payoff_matrix
+from ..game import BOUND_TOL, MixedProfile, PureProfile, action_regrets
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .common import (
     NO_ADDITIONS,
-    PurifyTrace,
     actor_columns,
-    aggregate_profile,
-    check_input_regret,
-    lifted,
+    close_sweep,
     lifted_indices,
-    pipeline_constants,
+    open_snap,
+    open_sweep,
     record_bound,
-    replication,
-    resolve_order,
-    support_regret_max,
 )
 
 
@@ -53,9 +48,7 @@ def ane_to_wsne_m(game, profile, L=1):
     population plays its row of `profile`.  Returns (profile, warning),
     warning True when the input regret needed the tolerance.
     """
-    profile.validate_for(game)
-    consts = pipeline_constants(game, "m_action", L)
-    warning, U = check_input_regret(game, profile, consts["input"], L)
+    consts, warning, U = open_snap(game, profile, "m_action", L)
 
     reg = action_regrets(U)
     br = U.argmax(axis=1)
@@ -98,24 +91,13 @@ def purify_rounding_m(game, wsne, order=None, L=1):
     pairs that joined a set; `replay` rebuilds the payoffs, sets and set
     statistics.
     """
-    L = replication(L)
-    wsne.validate_for(game)
+    L, consts, order, trace, u = open_sweep(game, wsne, "m_action", order, L)
     n, m = game.n, game.m
-    order = resolve_order(n * L, order)
-    consts = pipeline_constants(game, "m_action", L)
     eps1 = consts["support"]
-
-    trace = PurifyTrace(
-        pipeline="m_action",
-        order=order,
-        wsne_profile=lifted(wsne, L),
-        thresholds=dict(
-            epsilon0=consts["input"], epsilon1=eps1, delta0=consts["snap"], delta1=None
-        ),
+    trace.thresholds.update(
+        epsilon0=consts["input"], epsilon1=eps1, delta0=consts["snap"], delta1=None
     )
     W = wsne.probs
-    u = payoff_matrix(game, wsne)
-    record_bound(trace, "wsne_support_regret", support_regret_max(u, W), eps1)
     member = action_regrets(u) <= eps1
     _, var = _set_stats(u, member)
     vsum = L * float(var.sum())
@@ -163,9 +145,7 @@ def purify_rounding_m(game, wsne, order=None, L=1):
         trace.chosen_actions.append(chosen)
         trace.potentials.append(vsum)
 
-    actions = np.empty(len(order), dtype=np.int64)
-    actions[list(order)] = trace.chosen_actions
-    u_full = payoff_matrix(game, aggregate_profile(game, L, actions))
+    actions, u_full = close_sweep(game, L, trace)
     record_bound(trace, "sweep_drift", float(np.abs(u_full - u).max()), BOUND_TOL)
     _, var = _set_stats(u_full, member)
     trace.potentials[-1] = L * float(var.sum())

@@ -22,7 +22,7 @@ Both are deterministic given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,13 +97,7 @@ def solve_mixed(game, config):
     if config.uniform_grid_k is not None:
         result = brute_force_kuniform(game, config.uniform_grid_k)
         converged = result.achieved_max_regret <= config.target_epsilon
-        return SolveResult(
-            profile=result.profile,
-            achieved_max_regret=result.achieved_max_regret,
-            iterations_used=result.iterations_used,
-            converged=converged,
-            phase="grid" if converged else None,
-        )
+        return replace(result, converged=converged, phase="grid" if converged else None)
 
     target = config.target_epsilon
     best_probs, best_reg, best_phase, iters = None, math.inf, None, 0
@@ -251,20 +245,23 @@ def _compositions(k, m):
 def brute_force_kuniform(game, k):
     """Exact minimizer of max regret over the 1/k-uniform profile grid.
 
-    Refuses when the candidate count exceeds the guard.  The first grid point
-    attaining the minimum (in player-0-major lexicographic order) is
-    returned, so the result is deterministic.
+    Refuses when the candidate count C(k+m-1, m-1)^n exceeds the guard,
+    before the grid is built.  The first grid point attaining the minimum
+    (in player-0-major lexicographic order) is returned, so the result is
+    deterministic.
     """
     k = _integer(k, "grid resolution k", least=1)
-    grid = kuniform_grid(game.m, k)
-    per_player = grid.shape[0]
+    m = game.m
+    per_player = math.comb(k + m - 1, m - 1)
     total = per_player ** game.n
     if total > BRUTE_FORCE_GUARD:
+        # k and the count are not formatted: either may be too long to print.
         raise BudgetExceeded(
-            f"{per_player}^{game.n} = {total} candidate profiles exceeds the "
-            f"{BRUTE_FORCE_GUARD} guard",
+            f"C(k + {m - 1}, {m - 1})^{game.n} candidate profiles of the 1/k-uniform "
+            f"grid exceed the {BRUTE_FORCE_GUARD} guard",
             estimate=total,
         )
+    grid = kuniform_grid(m, k)
 
     dims = (per_player,) * game.n
     best_val = math.inf

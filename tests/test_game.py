@@ -1,6 +1,7 @@
 """Game representation, payoff/regret evaluation, validity checking."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -573,6 +574,30 @@ def test_game_digest_stability():
     assert game_digest(game) == game_digest(same)
     assert game_digest(game) != game_digest(other)
     assert len(game_digest(game)) == 16
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: PolymatrixGame(n=2, m=2, beta=np.zeros((2, 2, 2)), lam=0.5),
+            "coefficient array must have shape (2, 2, 2, 2), got (2, 2, 2)",
+        ),
+        (lambda: PureProfile(np.zeros((2, 2), dtype=int)), "pure profile must be a flat vector"),
+        (lambda: MixedProfile([0.5, 0.5]), "mixed profile must be an (n, m) probability matrix"),
+        (
+            lambda: MixedProfile(np.full((2, 2), 0.5)).validate_for(zero_game(n=3, m=2)),
+            "profile shape (2, 2) does not match game (3, 2)",
+        ),
+        (lambda: MixedProfile([[0.5, 0.5], [1.0, 0.0]]).to_pure(), "profile is not pure-valued"),
+        (lambda: profile_from_json({}), 'profile JSON needs a "pure" or "mixed" key'),
+    ],
+    ids=["game beta shape", "pure 2-D", "mixed 1-D", "mixed other game", "to_pure mixed",
+         "profile no key"],
+)
+def test_malformed_games_and_profiles_raise_usage_errors(build, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        build()
 
 
 def test_pure_valued_round_trip():

@@ -15,6 +15,8 @@ from helpers import (
     zero_game,
 )
 from lippoly import (
+    BinaryOnlyError,
+    BoundBreach,
     MixedProfile,
     PolymatrixGame,
     PureProfile,
@@ -315,6 +317,41 @@ def test_failed_lifted_purification_is_not_ok():
     assert report.exit_code == EXIT_NOT_CONVERGED
 
 
+def test_a_refused_purify_after_a_converged_solve_is_not_converged(tmp_path):
+    # eps = 0.5 is far above the binary input level lam/8 = 0.0156: the
+    # solve converges and purify refuses its profile.
+    game = random_game(8, 2, 0.125, 0)
+    rec = run_instance(game, eps=0.5)
+    assert rec.outcome == "not_converged"
+    assert rec.solver["converged"]
+    assert rec.purifier is None and "exceeds twice the required level" in rec.error
+    path = tmp_path / "game.json"
+    save_game(game, str(path))
+    assert run_pipeline(game_path=str(path), eps=0.5).exit_code == EXIT_NOT_CONVERGED
+
+
+def test_a_bound_breach_in_purify_is_recorded(monkeypatch):
+    def purify(*args, **kwargs):
+        raise BoundBreach("final_regret", 1.0, 0.5)
+
+    monkeypatch.setattr("lippoly.harness.pipeline.purify", purify)
+    report = run_pipeline(spec=GeneratorSpec(n=4, m=2, lam=0.25, seed=0))
+    rec = report.records[0]
+    assert rec.outcome == "bound_breach"
+    assert rec.solver["converged"] and rec.purifier is None
+    assert rec.error.startswith("bound breach [final_regret]")
+    assert report.exit_code == EXIT_BOUND_BREACH
+
+
+def test_run_instance_refuses_a_binary_mode_before_the_solve(monkeypatch):
+    def solve_mixed(*args, **kwargs):
+        raise AssertionError("solve_mixed was called before the mode was checked")
+
+    monkeypatch.setattr("lippoly.harness.pipeline.solve_mixed", solve_mixed)
+    with pytest.raises(BinaryOnlyError, match="binary pipeline needs m = 2, got m = 3"):
+        run_instance(random_game(4, 3, 0.25, seed=1), eps=0.1, mode="binary")
+
+
 def test_exit_code_priority():
     def rec(outcome):
         return InstanceRecord(
@@ -406,6 +443,36 @@ def test_cli_check_reports_witness(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["outcome"] == "lipschitz_violation"
     assert doc["witness"]["observed_gap"] > doc["witness"]["allowed_gap"]
+
+
+def test_cli_check_reports_a_range_violation(tmp_path, capsys):
+    # Each player is paid 0.6 by both opponents for action 0 whatever they
+    # play: 1.2, over the payoff range [0, 1].
+    beta = np.zeros((3, 3, 2, 2))
+    beta[:, :] = [[0.6, 0.6], [0.0, 0.0]]
+    path = tmp_path / "game.json"
+    save_game(PolymatrixGame(n=3, m=2, beta=beta, lam=0.6), str(path))
+    assert run_cli("check", str(path)) == EXIT_INVALID
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["outcome"], doc["player"], doc["action"], doc["direction"]) == (
+        "range_violation", 1, 1, "upper"
+    )
+
+
+def test_cli_reports_a_bound_breach_on_stdout(tmp_path, capsys, monkeypatch):
+    def purify(*args, **kwargs):
+        raise BoundBreach("final_regret", 1.0, 0.5)
+
+    monkeypatch.setattr("lippoly.harness.cli.purify", purify)
+    game_path, profile_path = tmp_path / "game.json", tmp_path / "profile.json"
+    save_game(random_game(3, 2, 0.3, seed=1), str(game_path))
+    profile_path.write_text(json.dumps({"pure": [1, 2, 1]}))
+    assert run_cli("purify", str(game_path), str(profile_path)) == EXIT_BOUND_BREACH
+    out = capsys.readouterr()
+    assert out.err == ""
+    doc = json.loads(out.out)
+    assert (doc["error"], doc["bound"]) == ("BoundBreach", "final_regret")
+    assert doc["message"].startswith("bound breach [final_regret]")
 
 
 def test_cli_check_rejects_non_finite_json(tmp_path, capsys):

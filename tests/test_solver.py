@@ -82,6 +82,19 @@ def test_brute_force_guard_refuses_large_instances():
     assert info.value.estimate > 10_000_000
 
 
+@pytest.mark.parametrize("n, m", [(2, 3), (8, 2)])
+def test_brute_force_guard_refuses_before_building_the_grid(monkeypatch, n, m):
+    # C(k + m - 1, m - 1)^n at k = 10**400 has about 1,600 or 3,200 digits,
+    # too many for a float; the grid it would need could never be built.
+    def kuniform_grid(*args):
+        raise AssertionError("the grid was built before the guard")
+
+    monkeypatch.setattr(solver_module, "kuniform_grid", kuniform_grid)
+    with pytest.raises(BudgetExceeded, match=f"\\^{n} candidate profiles") as info:
+        brute_force_kuniform(random_game(n, m, 0.1, 0), 10**400)
+    assert info.value.estimate == math.comb(10**400 + m - 1, m - 1) ** n
+
+
 def test_grid_dispatch_matches_brute_force():
     game = random_game(3, 2, 1.0 / 3.0, 13)
     config = SolverConfig(target_epsilon=1e-6, uniform_grid_k=50)

@@ -28,6 +28,7 @@ from lippoly import (
 from lippoly.purify import ane_to_wsne_binary, purify_rounding_binary
 
 binary = importlib.import_module("lippoly.purify.binary")
+common = importlib.import_module("lippoly.purify.common")
 
 GAMES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "games.py"
 # Solved once to the level the largest L needs, which every smaller L accepts.
@@ -207,20 +208,51 @@ def test_a_step_past_the_allowance_raises_naming_its_replica(monkeypatch, exact_
         if k not in starts and ref.coefficients[k] is not None and excess[k] > record[k] + 1e-6
     )
     allowed = (record[step] + excess[step]) / 2.0
-    consts = binary.pipeline_constants
+    consts = common.pipeline_constants
 
     def lowered(game_, mode="auto", L_=1):
         table = dict(consts(game_, mode, L_))
         table["step_cost_increase"] = allowed
         return table
 
-    monkeypatch.setattr(binary, "pipeline_constants", lowered)
+    monkeypatch.setattr(common, "pipeline_constants", lowered)
     with pytest.raises(BoundBreach) as info:
         purify_rounding_binary(game, wsne, L=L)
     assert info.value.bound_name == "step_cost_increase"
     assert info.value.context == f"player {ref.order[step]}"
     assert info.value.observed == pytest.approx(excess[step], rel=1e-9)
     assert step not in exact_steps
+
+
+def test_a_step_past_the_allowance_at_L_1_raises_naming_its_player(monkeypatch, exact_steps):
+    # At L = 1 every rounded step is a vector step.  Set the allowance
+    # between the largest cost increase of a shuffled sweep and the largest
+    # one before it.
+    game = random_game(12, 2, 1.0 / 12, seed=2)
+    config = SolverConfig(target_epsilon=default_target_epsilon(game), seed=0)
+    wsne, _ = ane_to_wsne_binary(game, solve_mixed(game, config).profile)
+    order = np.random.default_rng(2).permutation(game.n)
+    _, ref = per_replica_sweep(game, wsne, order=order)
+    excess = np.diff(ref.potentials[:-1])  # no step of this sweep grows the set
+    assert not any(a.size for a in ref.additions[1:])
+    step = int(np.argmax(excess))
+    below = excess[:step].max(initial=0.0)
+    assert step > 0 and excess[step] > below + 1e-6
+    allowed = (below + excess[step]) / 2.0
+    consts = common.pipeline_constants
+
+    def lowered(game_, mode="auto", L_=1):
+        table = dict(consts(game_, mode, L_))
+        table["step_cost_increase"] = allowed
+        return table
+
+    monkeypatch.setattr(common, "pipeline_constants", lowered)
+    with pytest.raises(BoundBreach) as info:
+        purify_rounding_binary(game, wsne, order=order)
+    assert info.value.bound_name == "step_cost_increase"
+    assert info.value.context == f"player {order[step]}"
+    assert info.value.observed == pytest.approx(excess[step], rel=1e-9)
+    assert exact_steps == [k for k in range(step + 1) if ref.coefficients[k] is not None]
 
 
 def test_pure_runs_are_logged_whole():
