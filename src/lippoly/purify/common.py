@@ -297,8 +297,9 @@ def correct(game, pure, trace, L=1):
     regret and best response; a binary replica switches at or above
     delta, an m-action one only strictly above delta1, all decisions
     taken against the input profile.  Asserts the switcher budget and the
-    final regret bound; the final regret is evaluated here once, and
-    stored as trace.final_max_regret.
+    final regret bound; the final regret is evaluated here once, only
+    when someone switched (else it is the input's), and stored as
+    trace.final_max_regret.
     """
     L = replication(L)
     pure.validate_for(game, L)
@@ -315,7 +316,9 @@ def correct(game, pure, trace, L=1):
     actions = pure.actions.copy()
     actions[switchers] = best[switchers // L]
     final = PureProfile(actions)
-    final_regret = float(replica_regrets(game, L, actions)[0].max())
+    if len(switchers):
+        regrets = replica_regrets(game, L, actions)[0]
+    final_regret = float(regrets.max())
     record_bound(trace, "final_regret", final_regret, consts["final_regret"])
 
     trace.switched_players = tuple(int(i) for i in switchers)

@@ -6,7 +6,7 @@ Two mechanisms:
   geometrically cooled temperature, tracks the exact max regret of every
   iterate, and keeps the best one.  The temperature falls from the payoff
   spread to 0.4x the target over `max_iterations` (default 300).  If
-  cooling alone misses the target, a local minimization of the hinged
+  cooling alone misses the target, an L-BFGS minimization of the hinged
   squared regret excess (over softmax-reparametrized strategies, with an
   analytic gradient) finishes the job; a zero objective certifies every
   player at or below the requested level.  The polish finishes within a
@@ -22,6 +22,7 @@ Both are deterministic given the config seed.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,10 @@ from .game import MixedProfile, _choice, _integer, _number, payoffs, regret_repo
 BRUTE_FORCE_GUARD = 10_000_000
 # Hinge cut as a fraction of the target: certified iterates land strictly under.
 POLISH_CUT = 0.9
+# Sufficient-decrease constant of the polish's backtracking line search.
+ARMIJO = 1e-4
+# Curvature pairs the polish's L-BFGS keeps.
+LBFGS_MEMORY = 10
 # Candidate profiles evaluated per vectorized chunk in the exhaustive scan.
 CHUNK = 16384
 # Cooling iterations without a new best iterate before handing off to polish.
@@ -177,27 +182,62 @@ def _anneal(game, config, seed, jitter):
 def _polish(game, probs0, cut, maxiter=400):
     """Drive every regret at or below `cut` by L-BFGS on softmax logits.
 
-    Objective: sum of max(regret_i - cut, 0)^2.  Players already under the
-    cut contribute nothing, so the search only moves the offenders.  scipy
-    is imported here, at the first polish, so that `import lippoly` does
-    not load it.
+    Objective: sum of max(regret_i - cut, 0)^2; players under the cut
+    contribute nothing, so the search only moves the offenders.  The
+    directions come from the last LBFGS_MEMORY curvature pairs (the first
+    is -g at unit length), the steps from a backtracking Armijo search
+    from t = 1 that shrinks by quadratic interpolation, clamped to
+    [0.1t, 0.5t].  Stops at a zero objective, at a step that brings no
+    decrease, or after `maxiter` objective evaluations; returns the
+    profile, its max regret and the evaluation count.
     """
-    from scipy.optimize import minimize
-
     n, m = game.n, game.m
-    z0 = np.log(np.clip(probs0, 1e-12, None))
-    res = minimize(
-        polish_objective,
-        z0.ravel(),
-        args=(game, cut),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    P = _softmax_rows(res.x.reshape(n, m))
+    z = np.log(np.clip(probs0, 1e-12, None)).ravel()
+    f, g = polish_objective(z, game, cut)
+    evals, pairs = 1, deque(maxlen=LBFGS_MEMORY)
+    while f > 0.0 and evals < maxiter:
+        d = _lbfgs_direction(g, pairs)
+        slope = float(g @ d)
+        if not slope < 0.0:
+            break
+        # Without curvature pairs d = -g: the first trial has unit length.
+        t = 1.0 if pairs else 1.0 / math.sqrt(-slope)
+        while True:
+            trial = z + t * d
+            f_new, g_new = polish_objective(trial, game, cut)
+            evals += 1
+            if f_new <= f + ARMIJO * t * slope or f_new == f or evals >= maxiter:
+                break
+            curve = f_new - f - slope * t
+            t = min(max(-slope * t * t / (2.0 * curve), 0.1 * t), 0.5 * t)
+        if not f_new < f:
+            break
+        s, y = trial - z, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, sy))
+        z, f, g = trial, f_new, g_new
+    P = _softmax_rows(z.reshape(n, m))
     P /= P.sum(axis=1, keepdims=True)
     achieved = regret_report(game, MixedProfile(P)).max_regret
-    return P, achieved, int(res.nfev)
+    return P, achieved, evals
+
+
+def _lbfgs_direction(g, pairs):
+    """-H g for the L-BFGS inverse Hessian H of the curvature pairs (s, y,
+    s.y), oldest first, scaled by s.y / y.y of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        a = float(s @ q) / sy
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        _, y, sy = pairs[-1]
+        q *= sy / float(y @ y)
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        q += (a - float(y @ q) / sy) * s
+    return -q
 
 
 def polish_objective(z, game, cut):

@@ -291,6 +291,30 @@ def growing_set_game(n=16, lam=0.06, level=0.85):
     return PolymatrixGame(n=n, m=3, beta=beta, lam=lam), MixedProfile(probs)
 
 
+def switcher_game(lam=0.01):
+    """Binary game on 12 players whose stage 3 switches player 0.
+
+    Drivers 1-5 are indifferent and mixed at 1/2; each one's rounding
+    moves its dummy 5 players on (6-10, pure on action 1, indifferent at
+    the start) to a discrepancy of 6.5 lam, so the cost rises by 42.25
+    lam^2 a step, under the 48 lam^2 allowance, to 211 lam^2 in all, just
+    over delta^2 = 202 lam^2.  Player 0 is pure on action 1 at
+    discrepancy 5 lam, outside the relevant set; driver 1 rounding to
+    action 1 moves it straight to -20 lam, past delta = 14.2 lam, so it
+    switches and the final regret is 0.  The coefficients exceed the
+    declared lam, which purify does not scan for.  Returns (game, profile).
+    """
+    n = 12
+    e, D, F = 6.5 * lam, 5.0 * lam, 20.0 * lam
+    beta = np.zeros((n, n, 2, 2))
+    beta[0, 1] = [[0.0, F], [2.0 * D + F, 0.0]]
+    for k in range(1, 6):
+        beta[k + 5, k] = [[e, 0.0], [0.0, e]]
+    probs = np.tile([0.0, 1.0], (n, 1))
+    probs[1:6] = 0.5
+    return PolymatrixGame(n=n, m=2, beta=beta, lam=lam), MixedProfile(probs)
+
+
 def lifted_payoff_oracle(base, L, profile):
     """Every replica's action payoffs in the L-fold population lift of base.
 

@@ -6,7 +6,7 @@ import importlib
 import numpy as np
 import pytest
 
-from helpers import constant_gap_game, random_game, zero_game
+from helpers import constant_gap_game, random_game, switcher_game, zero_game
 from lippoly import (
     BoundBreach,
     MixedProfile,
@@ -63,17 +63,7 @@ def test_m_action_constants_match_the_bound_table(n, m, lam):
     assert consts == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("L", [1, 3])
-def test_purify_evaluates_payoffs_five_times(monkeypatch, m, L):
-    # The input once (the input check, whose payoffs stage 1 snaps from),
-    # the stage-1 output once (stage 2's support bound and initial
-    # values), the sweep's aggregate twice (sweep_drift, stage 3) and the
-    # final profile once.  At L > 1 every call is on the base game's
-    # per-population profiles.
-    game = random_game(12, m, 1.0 / 12, seed=1)
-    config = SolverConfig(target_epsilon=default_target_epsilon(game, L=L), seed=1)
-    profile = solve_mixed(game, config).profile
+def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = game_module.payoffs
 
@@ -82,8 +72,36 @@ def test_purify_evaluates_payoffs_five_times(monkeypatch, m, L):
         return kernel(game_, probs)
 
     monkeypatch.setattr(game_module, "payoffs", counted)
-    purify(game, profile, L=L)
-    assert calls == [(12, m)] * 5
+    return calls
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("L", [1, 3])
+def test_purify_evaluates_payoffs_four_times_when_nobody_switches(monkeypatch, m, L):
+    # The input once (the input check, whose payoffs stage 1 snaps from),
+    # the stage-1 output once (stage 2's support bound and initial
+    # values) and the sweep's aggregate twice (sweep_drift, stage 3).
+    # With no switcher the final profile is the swept one, so its regret
+    # is stage 3's first evaluation.  At L > 1 every call is on the base
+    # game's per-population profiles.
+    game = random_game(12, m, 1.0 / 12, seed=1)
+    config = SolverConfig(target_epsilon=default_target_epsilon(game, L=L), seed=1)
+    profile = solve_mixed(game, config).profile
+    calls = _count_kernel_calls(monkeypatch)
+    _, trace = purify(game, profile, L=L)
+    assert trace.switched_players == ()
+    assert calls == [(12, m)] * 4
+
+
+def test_a_switcher_costs_purify_a_fifth_evaluation(monkeypatch):
+    # The four evaluations above, and the final profile once more.
+    game, profile = switcher_game()
+    calls = _count_kernel_calls(monkeypatch)
+    final, trace = purify(game, profile)
+    assert trace.switched_players == (0,)
+    assert calls == [(12, 2)] * 5
+    assert trace.final_max_regret == 0.0
+    assert regret_report(game, MixedProfile.from_pure(final, 2)).max_regret == 0.0
 
 
 @pytest.mark.parametrize(
