@@ -269,8 +269,8 @@ def test_polish_gradient_matches_central_differences():
 @pytest.fixture(scope="module")
 def polish_corpus():
     """(game, start, cut, target) of every polish that seeded solves of 150
-    small random games run: n 3-12, m 2-4, at lam/8-type targets for L = 1
-    and L = 120, after a 1- or 20-iteration anneal."""
+    small random games run: n 3-12, m 2-4, at the purifier's input level
+    for L = 1 and L = 120, after a 1- or 20-iteration anneal."""
     corpus = []
     polish = solver_module._polish
 
