@@ -25,7 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import BinaryOnlyError, DistributionError, InternalError, UsageError
+from .errors import BinaryOnlyError, BudgetExceeded, DistributionError, InternalError, UsageError
 
 # Absolute tolerance for every comparison against an analytic bound.
 BOUND_TOL = 1e-9
@@ -33,6 +33,9 @@ BOUND_TOL = 1e-9
 ROW_SUM_TOL = 1e-9
 # Computed regrets below this floor indicate an arithmetic bug.
 REGRET_FLOOR = -1e-12
+# Largest coefficient count n^2 m^2 of a game tensor that is allocated
+# (0.8 GB per float64 copy); see `tensor_guard`.
+TENSOR_GUARD = 100_000_000
 
 
 def _freeze(arr):
@@ -115,10 +118,15 @@ class PureProfile:
         population lift: n*L entries, each an action in [0, m)."""
         if self.n != game.n * L:
             raise UsageError(f"profile has {self.n} entries, game has {game.n * L} players")
-        if self.actions.min() < 0 or self.actions.max() >= game.m:
-            bad = int(np.argmax((self.actions < 0) | (self.actions >= game.m)))
+        self.check_actions(game.m)
+
+    def check_actions(self, m):
+        """Raise UsageError naming the first player whose action is not in [0, m)."""
+        bad = (self.actions < 0) | (self.actions >= m)
+        if bad.any():
+            player = int(np.argmax(bad))
             raise UsageError(
-                f"player {bad} action {self.actions[bad]} out of range [0, {game.m})"
+                f"player {player} action {self.actions[player]} out of range [0, {m})"
             )
 
 
@@ -161,6 +169,9 @@ class MixedProfile:
 
     @classmethod
     def from_pure(cls, pure, m):
+        """Each player's action of `pure` with probability 1; an action
+        outside [0, m) raises UsageError naming its player."""
+        pure.check_actions(m)
         probs = np.zeros((pure.n, m))
         probs[np.arange(pure.n), pure.actions] = 1.0
         return cls(probs)
@@ -375,6 +386,18 @@ def _check_sizes(n, m):
     return _integer(n, "player count", least=1), _integer(m, "action count", least=2)
 
 
+def tensor_guard(n, m, what):
+    """Refuse a game tensor of n^2 m^2 coefficients above TENSOR_GUARD
+    before it is allocated: BudgetExceeded naming `what`, with the count
+    as its estimate.  The loader, the generator and `induce` call it."""
+    entries = n * n * m * m
+    if entries > TENSOR_GUARD:
+        raise BudgetExceeded(
+            f"{what} needs {entries} coefficients, over the budget of {TENSOR_GUARD:g}",
+            estimate=entries,
+        )
+
+
 def _number_type(kind):
     """True for int, float and numpy's real types; str and bool, which
     float() would coerce, are not numbers here, nor on the wire."""
@@ -474,6 +497,7 @@ def _game_from_document(data, values):
         raise UsageError(f"malformed game JSON: {exc}") from exc
     # Before anything is allocated at these sizes.
     _check_sizes(n, m)
+    tensor_guard(n, m, f"a game of {n} players and {m} actions")
     fractional = (np.trunc(pairs) != pairs).any(axis=1)
     if fractional.any():
         entry = raw_blocks[int(np.argmax(fractional))]

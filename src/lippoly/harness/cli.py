@@ -9,7 +9,6 @@ missed its target, 30 proof bound breached, 1 validation or usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..errors import BoundBreach, LippolyError, UsageError
@@ -54,10 +53,8 @@ def main(argv=None):
         if isinstance(exc, BoundBreach):
             _emit({"error": "BoundBreach", "message": str(exc), "bound": exc.bound_name}, None)
         else:
-            print(
-                json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-                file=sys.stderr,
-            )
+            error = {"error": type(exc).__name__, "message": str(exc)}
+            print(canonical_bytes(error).decode("utf-8"), file=sys.stderr)
         return error_exit_code(exc)
 
 

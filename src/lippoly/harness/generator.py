@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..game import PolymatrixGame, _choice, _integer, _number
+from ..game import PolymatrixGame, _choice, _integer, _number, tensor_guard
 
 FAMILIES = ("uniform_coefficients", "sparse", "coordination_mix")
 
@@ -47,9 +47,11 @@ class GeneratorSpec:
 
 
 def generate(spec):
-    """Draw the game described by `spec`; deterministic in the seed."""
-    rng = np.random.default_rng(np.uint64(spec.seed & 0xFFFFFFFFFFFFFFFF))
+    """Draw the game described by `spec`; deterministic in the seed.  A
+    game over TENSOR_GUARD coefficients is refused before it is drawn."""
     n, m, lam = spec.n, spec.m, spec.lam
+    tensor_guard(n, m, f"a game of {n} players and {m} actions")
+    rng = np.random.default_rng(np.uint64(spec.seed & 0xFFFFFFFFFFFFFFFF))
 
     if spec.family == "uniform_coefficients":
         beta = rng.uniform(0.0, lam, size=(n, n, m, m))

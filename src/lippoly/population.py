@@ -29,13 +29,11 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded
-from .game import PolymatrixGame, PureProfile, _number, regret_report
+from .game import PolymatrixGame, PureProfile, _number, regret_report, tensor_guard
 from .purify import default_target_epsilon, purify
 from .purify.common import aggregate_profile, record_bound, replication
 from .solver import SolverConfig, solve_mixed
 
-# Largest lifted coefficient count (n L)^2 m^2 that `induce` allocates.
-LIFT_GUARD = 100_000_000
 # Largest lifted player count n L that `reduce_and_solve` purifies.  The
 # trace keeps one entry per lifted player (its order entry, chosen action,
 # potential, coefficient and lifted profile rows), about 0.2 KB each, so
@@ -50,17 +48,11 @@ def induce(base, L):
     n*L players with parameter lam/L.
 
     The full (nL, nL, m, m) tensor is allocated, so a lift of more than
-    LIFT_GUARD coefficients is refused with its size estimate.
+    TENSOR_GUARD coefficients is refused with its size estimate.
     """
     L = replication(L)
     n, m = base.n, base.m
-    entries = (n * L) ** 2 * m * m
-    if entries > LIFT_GUARD:
-        raise BudgetExceeded(
-            f"materializing {n * L} players needs {entries} coefficients, "
-            f"over the budget of {LIFT_GUARD:g}",
-            estimate=entries,
-        )
+    tensor_guard(n * L, m, f"materializing {n * L} players")
     # Same-population blocks copy the base game's zero self-blocks.
     pops = np.repeat(np.arange(n), L)
     lifted = base.beta[np.ix_(pops, pops)] / L

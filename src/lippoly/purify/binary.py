@@ -76,13 +76,12 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     """Stage 2: ordered sweep rounding every mixed player to a bit.
 
     For the acting player i the discrepancy of every player i' is linear
-    in p_i, d = c + ell * p_i; `sweep_step` reads ell from player i's
-    operator columns and updates the running d in O(n) per step.  The
-    rounding coefficient A sums 2*c*ell over the current relevant set,
-    and the chosen bit makes A * (change in p_i) nonpositive, so the
-    quadratic part of the cost cannot grow through the linear term.
-    Players whose discrepancy has come within the support bound join the
-    relevant set after each step.
+    in p_i, d = c + ell * p_i, with the slope ell read off player i's
+    operator columns (`sweep_step`).  The rounding coefficient A sums
+    2*c*ell over the current relevant set, and the chosen bit makes
+    A * (change in p_i) nonpositive, so the quadratic part of the cost
+    cannot grow through the linear term.  Players whose discrepancy has
+    come within the support bound join the relevant set after each step.
 
     At L > 1 the sweep runs over the n*L replicas of the L-fold lift
     (`order` is a permutation of them) on per-population state: every
@@ -90,12 +89,12 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     membership, and a replica plays its population's row of `wsne` until
     its turn, so the cost and A count each population L times.  The
     order falls into runs of consecutive replicas of one population, in
-    which p_i and ell stay fixed and d moves along ell only.  The first
-    step of a run, and a step that would bring an outside population to
-    the support bound, is taken on the vectors as above; every other step
-    advances scalars (`_Sweep.glide`), O(1) per replica, exact ties
-    included.  Runs of already-pure replicas are logged in one go.  At
-    L = 1 every run is one step long.
+    which p_i and ell stay fixed and d moves along ell only; at L = 1
+    every run is one step long.  Each run reads ell once, and every
+    rounded step is decided on the run's scalars (`_Sweep.glide`), O(1)
+    per replica, exact ties included.  The vectors are read in O(n) at
+    the start of a run and after each step that grows the relevant set.
+    Runs of already-pure replicas are logged in one go.
 
     Asserts the per-step cost increase allowance 4*lam^2*n (plus
     lam^2*n per new member) and the terminal cost bound 5*lam^2*n^2, at
@@ -119,12 +118,10 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
         if p_i == 0.0 or p_i == 1.0:
             sweep.keep(end - start, int(p_i))
             continue
+        _, ell = sweep_step(game, sweep.d, p_i, i, L)
         k = start
         while k < end:
-            # The first step of a run, and a step that would bring an outside
-            # population to the support bound, is taken on the vectors.
-            ell = sweep.exact_step(k, i, p_i)
-            k = sweep.glide(k + 1, end, i, p_i, ell)
+            k = sweep.glide(k, end, i, p_i, ell)
     record_bound(trace, "step_cost_increase", sweep.worst, consts["step_cost_increase"])
 
     actions, U = close_sweep(game, L, trace)
@@ -171,55 +168,24 @@ class _Sweep:
         trace.potentials.extend([self.cost] * count)
         self.worst = max(self.worst, 0.0)
 
-    def exact_step(self, k, i, p_i):
-        """Step k, by a replica of population i, on the vectors; returns ell."""
-        L, d, S = self.L, self.d, self.S
-        c, ell = sweep_step(self.game, d, p_i, i, L)
-        A = L * float(2.0 * (c[S] @ ell[S]))
-        if A > 0.0:
-            bit = 0
-        elif A < 0.0:
-            bit = 1
-        else:
-            # Free choice; take the regret-minimizing bit.
-            bit = int(d[i] > 0.0)
-        self.d = d = c if bit == 0 else c + ell
-
-        new_members = (np.abs(d) <= self.bound) & ~S
-        joined = int(new_members.sum())
-        self.S = S = S | new_members
-        new_cost = L * float(d[S] @ d[S])
-        excess = new_cost - self.cost - self.entry_cap * (joined * L)
-        self.cost = new_cost
-        if excess > self.worst:
-            self.worst = excess
-            if excess > self.step_cap + BOUND_TOL:
-                self._breach(k, excess)
-        trace = self.trace
-        trace.coefficients.append(A)
-        trace.chosen_actions.append(bit)
-        trace.additions.append(lifted_indices(new_members, L) if joined else NO_ADDITIONS)
-        trace.potentials.append(new_cost)
-        return ell
-
     def glide(self, k, end, i, p_i, ell):
-        """Steps k .. end - 1 of a run of population i on scalars, for as
-        long as the relevant set stays fixed; returns the first step not
-        taken.
+        """One segment of a run of population i: steps k .. end - 1 on
+        scalars, up to and including the first step that grows the
+        relevant set; returns the first step not taken.
 
         With S fixed, d = d0 + t*ell after the run moved t = sum(bit - p_i)
         since d0.  So with h = ell[S].ell[S] and g = d0[S].ell[S], the
-        coefficient is A = 2L*h*x for x = g/h + t - p_i, the cost is
-        L*(q + 2t*g + t^2*h) with q = d0[S].d0[S], and an outside player j
-        joins once d0[j] + t*ell[j] reaches the support bound, at a t
-        computed here once.  At an exact tie (x = 0, or h = 0, where A = 0
-        at every step) the tie rule reads d[i], which the zero self block
-        keeps at d0[i] along the run.  The loop stops before a step that
-        would reach an outside player's bound; d is rebuilt from t before
-        it returns.
+        coefficient is A = 2L*h*x for x = g/h + t - p_i, the bit is 0 for
+        x > 0 and 1 for x < 0, and the cost is L*(q + 2t*g + t^2*h) with
+        q = d0[S].d0[S].  At an exact tie (x = 0, or h = 0, where A = 0 at
+        every step) the tie rule reads d[i], which the zero self block
+        keeps at d0[i] along the run.  An outside player j joins once
+        d0[j] + t*ell[j] reaches the support bound, at a t computed here
+        once.  The step that gets there is decided like any other; only
+        then are the vectors touched: d is rebuilt from t, the new members
+        join S, and the step's cost is L*d[S].d[S] less their entry
+        allowance.  Otherwise d is rebuilt from t at the end of the run.
         """
-        if k == end:
-            return k
         L, d0, S = self.L, self.d, self.S
         ell_S = ell[S]
         h = float(ell_S @ ell_S)
@@ -273,5 +239,23 @@ class _Sweep:
             log_cost(cost)
             k += 1
         self.cost, self.worst = cost, worst
-        self.d = d0 + t * ell
-        return k
+        if k == end:
+            self.d = d0 + t * ell
+            return k
+
+        # Step k brings an outside population to the support bound.
+        self.d = d = d0 + t_next * ell
+        new_members = (np.abs(d) <= self.bound) & ~S
+        joined = int(new_members.sum())
+        self.S = S = S | new_members
+        self.cost = new_cost = L * float(d[S] @ d[S])
+        excess = new_cost - cost - self.entry_cap * (joined * L)
+        if excess > worst:
+            self.worst = excess
+            if excess > limit:
+                self._breach(k, excess)
+        log_A(two_Lh * x)
+        log_bit(bit)
+        log_added(lifted_indices(new_members, L) if joined else NO_ADDITIONS)
+        log_cost(new_cost)
+        return k + 1

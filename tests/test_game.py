@@ -22,6 +22,7 @@ from helpers import (
 )
 from lippoly import (
     BinaryOnlyError,
+    BudgetExceeded,
     DistributionError,
     LipschitzViolation,
     MixedProfile,
@@ -42,7 +43,8 @@ from lippoly import (
     regret_report,
     save_game,
 )
-from lippoly.game import discrepancy_vector, payoff_matrix
+from lippoly.game import TENSOR_GUARD, discrepancy_vector, payoff_matrix, tensor_guard
+from lippoly.harness.generator import GeneratorSpec, generate
 from lippoly.purify.common import replica_regrets
 
 
@@ -606,3 +608,30 @@ def test_pure_valued_round_trip():
     assert mixed.is_pure_valued()
     assert np.array_equal(mixed.to_pure().actions, pure.actions)
     assert not random_mixed(3, 3, 8).is_pure_valued()
+
+
+@pytest.mark.parametrize("actions, message", [
+    ([0, 1, -1], "player 2 action -1 out of range [0, 2)"),
+    ([2, 1, 0], "player 0 action 2 out of range [0, 2)"),
+])
+def test_from_pure_refuses_an_action_out_of_range(actions, message):
+    # -1 used to select the last action, 2 to raise a raw IndexError.
+    with pytest.raises(UsageError, match=re.escape(message)):
+        MixedProfile.from_pure(PureProfile(actions), 2)
+
+
+# Refusals only: each size below is refused before anything is allocated.
+def test_a_game_tensor_over_the_guard_is_refused_with_its_estimate():
+    assert TENSOR_GUARD == 10**8
+    tensor_guard(5000, 2, "a game")  # exactly 10**8 coefficients
+    with pytest.raises(BudgetExceeded, match="a game needs 100040004 coefficients") as info:
+        tensor_guard(5001, 2, "a game")
+    assert info.value.estimate == 5001**2 * 4
+    document = {"n": 100000, "m": 2, "lambda": 0.5, "beta": []}
+    for build in (
+        lambda: game_from_json(document),
+        lambda: generate(GeneratorSpec(n=100000, m=2, lam=0.5)),
+    ):
+        with pytest.raises(BudgetExceeded, match="a game of 100000 players and 2 actions") as info:
+            build()
+        assert info.value.estimate == 4 * 10**10

@@ -549,6 +549,36 @@ def test_cli_pipeline_refuses_L_0_before_any_record(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["purify", "baseline"])
+@pytest.mark.parametrize("actions", [[0, 1, 2], [3, 1, 2]])
+def test_cli_refuses_pure_actions_out_of_range(tmp_path, capsys, command, actions):
+    # Action 0 used to be read as the last action; 3 raised an IndexError.
+    game_path = tmp_path / "game.json"
+    save_game(random_game(3, 2, 0.3, seed=1), str(game_path))
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps({"pure": actions}))
+    argv = [command, str(game_path), str(profile_path)]
+    if command == "baseline":
+        argv[2:2] = ["--profile"]
+    assert run_cli(*argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    error = json.loads(err)
+    assert error["error"] == "UsageError"
+    assert error["message"] == f"player 0 action {actions[0] - 1} out of range [0, 2)"
+    assert err == canonical_bytes(error).decode() + "\n"
+
+
+def test_cli_refuses_a_game_too_large_to_allocate(tmp_path, capsys):
+    # 100,000 players at m = 2 need 4e10 coefficients (298 GiB).
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 100000, "m": 2, "lambda": 0.5, "beta": []}')
+    for argv in (("check", str(path)), ("generate", "--n", "100000", "--lambda", "0.5")):
+        assert run_cli(*argv) == EXIT_INVALID
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "BudgetExceeded"
+        assert "needs 40000000000 coefficients" in error["message"]
+
+
 def test_cli_check_rejects_negative_sizes(tmp_path, capsys):
     path = tmp_path / "negative.json"
     path.write_text('{"n": -1, "m": 2, "lambda": 0.5, "beta": []}')

@@ -186,7 +186,7 @@ def test_materialization_budget():
 
 
 def test_reduce_past_the_lift_guard():
-    # 6,000 lifted players need 1.44e8 lifted coefficients, past LIFT_GUARD,
+    # 6,000 lifted players need 1.44e8 lifted coefficients, past TENSOR_GUARD,
     # so this would raise if the reduction still built the lift.
     base = random_game(3, 2, 0.3, seed=4)
     profile, report = reduce_and_solve(base, epsilon=0.3, L=2000)

@@ -84,16 +84,17 @@ def sweep_cases(L):
 
 
 @pytest.fixture
-def exact_steps(monkeypatch):
-    """The steps the sweep takes on the vectors, in the order taken."""
+def segment_starts(monkeypatch):
+    """The steps at which the sweep starts a segment (reads the vectors),
+    in the order taken."""
     taken = []
-    original = binary._Sweep.exact_step
+    original = binary._Sweep.glide
 
-    def recorded(self, k, i, p_i):
+    def recorded(self, k, end, i, p_i, ell):
         taken.append(k)
-        return original(self, k, i, p_i)
+        return original(self, k, end, i, p_i, ell)
 
-    monkeypatch.setattr(binary._Sweep, "exact_step", recorded)
+    monkeypatch.setattr(binary._Sweep, "glide", recorded)
     return taken
 
 
@@ -120,7 +121,7 @@ def test_run_wise_sweep_matches_the_per_replica_sweep(L):
     assert scalar_steps > 0 or L == 1
 
 
-def test_a_set_grown_inside_a_run_grows_on_a_vector_step(exact_steps):
+def test_a_set_grown_inside_a_run_starts_a_new_segment(segment_starts):
     # Population 2 (p = 0.959) is rounded in one run of 120 replicas, and
     # two players join the set while it glides.
     game, L = random_game(5, 2, 0.2, seed=13), 120
@@ -132,13 +133,13 @@ def test_a_set_grown_inside_a_run_grows_on_a_vector_step(exact_steps):
     starts = run_starts(trace.order, L)
     grown = [k for k in range(len(trace.order)) if trace.additions[k + 1].size and k not in starts]
     assert grown
-    assert set(grown) <= set(exact_steps)
-    # Most of the run is stepped on scalars.
+    assert {k + 1 for k in grown} <= set(segment_starts)
+    # Most of the run is stepped inside one segment.
     run = range(2 * L, 3 * L)
-    assert sum(k in exact_steps for k in run) <= 10
+    assert sum(k in segment_starts for k in run) <= 10
 
 
-def test_an_exact_tie_is_decided_on_scalars(exact_steps):
+def test_an_exact_tie_is_decided_on_scalars(segment_starts):
     # Matching pennies at (1/2, 1/2): d starts at 0, the first replica of a
     # population rounds to 1, and the next one faces A = 0 exactly.  The
     # tie rule takes bit 0 (d[i] = 0), so every second replica is a tie.
@@ -150,12 +151,12 @@ def test_an_exact_tie_is_decided_on_scalars(exact_steps):
 
     ties = [k for k, c in enumerate(trace.coefficients) if c == 0.0]
     assert ties == [1, 3, 5, 7, 9, 11, 13, 15]
-    assert exact_steps == [0, L]
+    assert segment_starts == [0, L]
     assert trace.chosen_actions == [1, 0] * L
     assert trace.coefficients[2] == ref.coefficients[2] < 0.0
 
 
-def test_a_cycle_at_the_paper_scale_takes_one_vector_step_per_run(exact_steps):
+def test_a_cycle_at_the_paper_scale_takes_one_segment_per_run(segment_starts):
     # The cycle's only equilibrium is (1/2, ..., 1/2), so every replica is
     # rounded and every second one is a tie; L is paper_L at n = 3,
     # epsilon = 0.3.
@@ -164,10 +165,10 @@ def test_a_cycle_at_the_paper_scale_takes_one_vector_step_per_run(exact_steps):
     _, ref = per_replica_sweep(game, wsne, L=L)
     _, trace = purify_rounding_binary(game, wsne, L=L)
     assert sweep_mismatches(ref, trace) == []
-    assert exact_steps == [0, L, 2 * L]
+    assert segment_starts == [0, L, 2 * L]
 
 
-def test_a_segment_the_set_does_not_see_is_all_ties(exact_steps):
+def test_a_segment_the_set_does_not_see_is_all_ties(segment_starts):
     # Player 0 has no payoffs (d = 0) and is mixed, player 1 is paid 0.1
     # plus 0.3 times player 0's mean for action 1, player 2 has no payoffs.
     # Player 0's replicas move only player 1, who starts outside the set,
@@ -179,19 +180,19 @@ def test_a_segment_the_set_does_not_see_is_all_ties(exact_steps):
     game, L = PolymatrixGame(n=3, m=2, beta=beta, lam=0.3), 20
     wsne = MixedProfile([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
     for order in (np.random.default_rng(0).permutation(3 * L), None):
-        exact_steps.clear()
+        segment_starts.clear()
         _, ref = per_replica_sweep(game, wsne, order=order, L=L)
         _, trace = purify_rounding_binary(game, wsne, order=order, L=L)
         assert sweep_mismatches(ref, trace) == []
 
     joined = [k for k in range(3 * L) if trace.additions[k + 1].size]
     assert joined == [17]
-    assert exact_steps == [0, 17]
+    assert segment_starts == [0, 18]
     assert [k for k, c in enumerate(trace.coefficients) if c == 0.0] == list(range(18))
     assert trace.chosen_actions[:L] == [0] * L
 
 
-def test_a_step_past_the_allowance_raises_naming_its_replica(monkeypatch, exact_steps):
+def test_a_step_past_the_allowance_raises_naming_its_replica(monkeypatch, segment_starts):
     # The mixed-equilibrium base game of the benchmark's seed 1 rounds two
     # populations of 120.  Pick the gliding step whose cost increase is the
     # first to beat all earlier ones by a margin, and set the allowance just
@@ -221,11 +222,11 @@ def test_a_step_past_the_allowance_raises_naming_its_replica(monkeypatch, exact_
     assert info.value.bound_name == "step_cost_increase"
     assert info.value.context == f"player {ref.order[step]}"
     assert info.value.observed == pytest.approx(excess[step], rel=1e-9)
-    assert step not in exact_steps
+    assert step not in segment_starts
 
 
-def test_a_step_past_the_allowance_at_L_1_raises_naming_its_player(monkeypatch, exact_steps):
-    # At L = 1 every rounded step is a vector step.  Set the allowance
+def test_a_step_past_the_allowance_at_L_1_raises_naming_its_player(monkeypatch, segment_starts):
+    # At L = 1 every rounded step starts a segment.  Set the allowance
     # between the largest cost increase of a shuffled sweep and the largest
     # one before it.
     game = random_game(12, 2, 1.0 / 12, seed=2)
@@ -252,7 +253,41 @@ def test_a_step_past_the_allowance_at_L_1_raises_naming_its_player(monkeypatch, 
     assert info.value.bound_name == "step_cost_increase"
     assert info.value.context == f"player {order[step]}"
     assert info.value.observed == pytest.approx(excess[step], rel=1e-9)
-    assert exact_steps == [k for k in range(step + 1) if ref.coefficients[k] is not None]
+    assert segment_starts == [k for k in range(step + 1) if ref.coefficients[k] is not None]
+
+
+def test_a_set_growing_step_past_the_allowance_raises_naming_its_replica(
+    monkeypatch, segment_starts
+):
+    # Replica 1 of population 0, the second step of its run, brings an
+    # outside population to the support bound.  Net of the entry allowance
+    # it lowers the cost, as step 0 does, but by less; set the allowance,
+    # below zero, between the two.
+    game, L = random_game(5, 2, 0.2, seed=12), 3
+    wsne = sweep_input(game, L)
+    _, ref = per_replica_sweep(game, wsne, L=L)
+    entry = common.pipeline_constants(game, "binary", L)["entry_cost"]
+    joined = np.array([a.size for a in ref.additions[1:-1]])
+    excess = np.diff(ref.potentials[:-1]) - entry * joined
+    step = 1
+    assert joined[step] == L and ref.order[step] == 1
+    assert excess[step] > excess[0] + 1e-6
+    allowed = (excess[0] + excess[step]) / 2.0
+    consts = common.pipeline_constants
+
+    def lowered(game_, mode="auto", L_=1):
+        table = dict(consts(game_, mode, L_))
+        table["step_cost_increase"] = allowed
+        return table
+
+    monkeypatch.setattr(common, "pipeline_constants", lowered)
+    with pytest.raises(BoundBreach) as info:
+        purify_rounding_binary(game, wsne, L=L)
+    assert info.value.bound_name == "step_cost_increase"
+    assert info.value.context == "player 1"
+    assert info.value.observed == pytest.approx(excess[step], rel=1e-9)
+    # Decided inside the segment the run started with.
+    assert segment_starts == [0]
 
 
 def test_pure_runs_are_logged_whole():
