@@ -118,15 +118,17 @@ class PureProfile:
         population lift: n*L entries, each an action in [0, m)."""
         if self.n != game.n * L:
             raise UsageError(f"profile has {self.n} entries, game has {game.n * L} players")
-        self.check_actions(game.m)
+        self.check_actions(game.m, 0)
 
-    def check_actions(self, m):
-        """Raise UsageError naming the first player whose action is not in [0, m)."""
+    def check_actions(self, m, first):
+        """Raise UsageError naming the first player whose action is not in
+        [0, m), players and actions numbered from `first`."""
         bad = (self.actions < 0) | (self.actions >= m)
         if bad.any():
             player = int(np.argmax(bad))
             raise UsageError(
-                f"player {player} action {self.actions[player]} out of range [0, {m})"
+                f"player {player + first} action {self.actions[player] + first} "
+                f"out of range [{first}, {m + first})"
             )
 
 
@@ -141,22 +143,7 @@ class MixedProfile:
         if probs.ndim != 2:
             raise UsageError("mixed profile must be an (n, m) probability matrix")
         if probs.size:
-            bad = ~np.isfinite(probs).all(axis=1)
-            if bad.any():
-                player = int(np.argmax(bad))
-                raise DistributionError(f"player {player} has a non-finite probability")
-            if probs.min() < -ROW_SUM_TOL:
-                i, j = np.unravel_index(int(np.argmin(probs)), probs.shape)
-                raise DistributionError(
-                    f"player {i} assigns negative probability {probs[i, j]:.3g} to action {j}"
-                )
-            sums = probs.sum(axis=1)
-            off = np.abs(sums - 1.0)
-            if off.max() > ROW_SUM_TOL:
-                i = int(np.argmax(off))
-                raise DistributionError(
-                    f"player {i} row sums to {sums[i]:.12g}, off by more than {ROW_SUM_TOL}"
-                )
+            _check_distributions(probs, 0)
         object.__setattr__(self, "probs", _freeze(probs))
 
     @property
@@ -171,7 +158,7 @@ class MixedProfile:
     def from_pure(cls, pure, m):
         """Each player's action of `pure` with probability 1; an action
         outside [0, m) raises UsageError naming its player."""
-        pure.check_actions(m)
+        pure.check_actions(m, 0)
         probs = np.zeros((pure.n, m))
         probs[np.arange(pure.n), pure.actions] = 1.0
         return cls(probs)
@@ -190,6 +177,28 @@ class MixedProfile:
             raise UsageError(
                 f"profile shape {self.probs.shape} does not match game ({game.n}, {game.m})"
             )
+
+
+def _check_distributions(probs, first):
+    """Raise DistributionError naming the first row of probs that is no
+    distribution, players and actions numbered from `first`."""
+    bad = ~np.isfinite(probs).all(axis=1)
+    if bad.any():
+        player = int(np.argmax(bad)) + first
+        raise DistributionError(f"player {player} has a non-finite probability")
+    if probs.min() < -ROW_SUM_TOL:
+        i, j = np.unravel_index(int(np.argmin(probs)), probs.shape)
+        raise DistributionError(
+            f"player {i + first} assigns negative probability {probs[i, j]:.3g} "
+            f"to action {j + first}"
+        )
+    sums = probs.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    if off.max() > ROW_SUM_TOL:
+        i = int(np.argmax(off))
+        raise DistributionError(
+            f"player {i + first} row sums to {sums[i]:.12g}, off by more than {ROW_SUM_TOL}"
+        )
 
 
 @dataclass(frozen=True)
@@ -366,18 +375,12 @@ def _validate_indices(game, i, j):
 # JSON wire format (1-based indices)
 
 def game_to_json(game):
-    blocks = []
-    for i in range(game.n):
-        for ip in range(game.n):
-            if i == ip:
-                continue
-            block = game.beta[i, ip]
-            if np.any(block != 0.0):
-                blocks.append({
-                    "i": i + 1,
-                    "ip": ip + 1,
-                    "matrix": [[float(x) for x in row] for row in block],
-                })
+    """A game's wire form: its nonzero blocks in row-major pair order, 1-based."""
+    i, ip = np.nonzero((game.beta != 0.0).any(axis=(2, 3)))
+    blocks = [
+        {"i": a, "ip": b, "matrix": matrix}
+        for a, b, matrix in zip((i + 1).tolist(), (ip + 1).tolist(), game.beta[i, ip].tolist())
+    ]
     return {"n": game.n, "m": game.m, "lambda": game.lam, "beta": blocks}
 
 
@@ -470,25 +473,34 @@ def _count(value, name):
 def game_from_json(data):
     """A game from its wire form: {"n", "m", "lambda", "beta": [blocks]},
     each block {"i", "ip", "matrix"} with 1-based indices and an m x m
-    matrix of numbers.  Anything else raises UsageError."""
-    return _game_from_document(data, None)
+    matrix of numbers, read as its json.dumps text by load_game's reader.
+    Anything else, or what json.dumps cannot encode as standard JSON (a
+    numpy integer, NaN or infinity), raises UsageError."""
+    try:
+        text = json.dumps(data, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed game JSON: {exc}") from exc
+    return _build_game(*_parse_game("game JSON", text))
 
 
-def _game_from_document(data, values):
-    """game_from_json, with the blocks' matrix entries either read from the
-    blocks (values None) or given as one flat float64 array in block order."""
+def _build_game(data, values):
+    """The game of a document and block entries `_parse_game` read, or the
+    UsageError of the first check it fails: sizes, indices, matrices."""
     try:
         n = _count(data["n"], "player count")
         m = _count(data["m"], "action count")
         lam = _number(data["lambda"], "lambda")
         raw_blocks = data.get("beta", [])
+        # Blocks the hook did not take become (i, ip, None, the dict), like its tuples.
+        if not set(map(type, raw_blocks)) <= {tuple}:
+            raw_blocks = [b if type(b) is tuple else (b["i"], b["ip"], None, b) for b in raw_blocks]
         # One flat list: a list of per-block tuples would set off garbage
         # collections that walk the whole parsed document.
-        indices = list(itertools.chain.from_iterable(map(itemgetter("i", "ip"), raw_blocks)))
+        indices = list(itertools.chain.from_iterable(map(itemgetter(0, 1), raw_blocks)))
         if not _all_numbers(indices):
-            entry = raw_blocks[next(k for k, v in enumerate(indices) if not _number_type(type(v))) // 2]
+            k = next(k for k, v in enumerate(indices) if not _number_type(type(v)))
             raise UsageError(
-                f"malformed game JSON: block ({entry['i']!r}, {entry['ip']!r}) "
+                f"malformed game JSON: block {raw_blocks[k // 2][:2]} "
                 "has an index that is not a number"
             )
         # Floats, so that an index like 1.7 is refused, not truncated.
@@ -500,57 +512,50 @@ def _game_from_document(data, values):
     tensor_guard(n, m, f"a game of {n} players and {m} actions")
     fractional = (np.trunc(pairs) != pairs).any(axis=1)
     if fractional.any():
-        entry = raw_blocks[int(np.argmax(fractional))]
-        raise UsageError(f"block ({entry['i']}, {entry['ip']}) has a non-integer index")
+        raise UsageError(f"block {raw_blocks[np.argmax(fractional)][:2]} has a non-integer index")
     i, ip = pairs[:, 0], pairs[:, 1]
     bad = (i < 0) | (i >= n) | (ip < 0) | (ip >= n) | (i == ip)
     if bad.any():
-        entry = raw_blocks[int(np.argmax(bad))]
-        raise UsageError(f"block ({entry['i']}, {entry['ip']}) out of range")
+        raise UsageError(f"block {raw_blocks[np.argmax(bad)][:2]} out of range")
     i, ip = i.astype(np.int64), ip.astype(np.int64)
     key = i * n + ip
     repeated = np.bincount(key)[key] > 1
     if repeated.any():
-        entry = raw_blocks[int(np.argmax(repeated))]
-        raise UsageError(f"block ({entry['i']}, {entry['ip']}) appears more than once")
+        raise UsageError(f"block {raw_blocks[np.argmax(repeated)][:2]} appears more than once")
     beta = np.zeros((n, n, m, m))
     if raw_blocks:
-        beta[i, ip] = _block_matrices(raw_blocks, m) if values is None else values.reshape(-1, m, m)
+        if set(map(itemgetter(2), raw_blocks)) != {m}:
+            _refuse_matrices(raw_blocks, m)
+        # From each block's start, as an earlier "beta"'s blocks may sit between.
+        windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(values), m * m)
+        beta[i, ip] = windows[list(map(itemgetter(3), raw_blocks))].reshape(-1, m, m)
     return PolymatrixGame(n=n, m=m, beta=beta, lam=lam)
 
 
-def _block_matrices(raw_blocks, m):
-    """All blocks' matrices as one (k, m, m) array.
-
-    Once every matrix is seen to hold m rows of m numbers, the entries
-    stream through one np.fromiter (np.array on the nested lists keeps a
-    record per list while it converts, several times the result's size).
-    Otherwise the error names the first block whose matrix is not m x m,
-    or the first entry that is not a number.
-    """
+def _refuse_matrices(raw_blocks, m):
+    """Raise the UsageError for matrices that are not all m x m numbers (a
+    taken block's are k x k): a non-number if all have m rows of m entries,
+    else the first block of another shape; else an entry too large."""
     flatten = itertools.chain.from_iterable
+    matrices = [
+        [[0.0] * k] * k if k is not None else entry.get("matrix") for _, _, k, entry in raw_blocks
+    ]
+    error = None
     try:
-        matrices = [entry["matrix"] for entry in raw_blocks]
         if all(len(matrix) == m for matrix in matrices) and all(
             len(row) == m for row in flatten(matrices)
         ):
-            if not _all_numbers(flatten(flatten(matrices))):
-                _require_numbers(flatten(flatten(matrices)), "game")
-            values = flatten(flatten(matrices))
-            count = len(matrices) * m * m
-            return np.fromiter(values, dtype=np.float64, count=count).reshape(-1, m, m)
-        error = None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            _require_numbers(flatten(flatten(matrices)), "game")
+            np.fromiter(flatten(flatten(matrices)), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         error = exc
-    for entry in raw_blocks:
+    for block, matrix in zip(raw_blocks, matrices):
         try:
-            shape = np.shape(entry.get("matrix"))
+            shape = np.shape(matrix)
         except ValueError:
             shape = "ragged rows"
         if shape != (m, m):
-            raise UsageError(
-                f"block ({entry['i']}, {entry['ip']}) has shape {shape}, want ({m}, {m})"
-            )
+            raise UsageError(f"block {block[:2]} has shape {shape}, want ({m}, {m})")
     raise UsageError(f"malformed game JSON: {error}") from error
 
 
@@ -576,7 +581,10 @@ def profile_from_json(data):
         if "mixed" in data:
             rows = data["mixed"]
             _require_numbers(itertools.chain.from_iterable(rows), "profile")
-            return MixedProfile(np.asarray(rows, dtype=np.float64))
+            probs = np.asarray(rows, dtype=np.float64)
+            if probs.ndim == 2 and probs.size:
+                _check_distributions(probs, 1)
+            return MixedProfile(probs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed profile JSON: {exc}") from exc
     raise UsageError('profile JSON needs a "pure" or "mixed" key')
@@ -643,67 +651,51 @@ def _reject_constant(name):
     raise UsageError(f"non-finite number {name} in JSON input")
 
 
-# Stands in for a block's matrix once load_game has moved its entries out.
-_TAKEN = object()
-
-
 def load_game(path):
-    """Read a game file: the game, or the UsageError, that
-    game_from_json(load_json(path)) gives, at a fraction of its memory."""
-    document, values = _parse_game(path)
-    return _game_from_document(document, values)
+    """Read a game file, parsing its text once: what game_from_json gives."""
+    # No name holds the text, so it is freed before the tensor is allocated.
+    return _build_game(*_parse_game(path, _read_text(path)))
 
 
-def _parse_game(path):
-    """A game file's document, and its block matrices' entries as one flat
-    float64 array in block order (None when they stay in the document).
-
-    An object hook moves each block's matrix into flat buffers as soon as
-    the parser has built it, so no Python float per coefficient outlives
-    its block: the buffers take the entries, the row count of the matrix
-    and the width of each row, and the block keeps _TAKEN.  A document
-    whose matrices cannot all be taken, in block order and as m x m
-    numbers (an entry that is not a number, a second "beta", a "matrix"
-    key outside a block, another shape), is parsed again with its
-    matrices in place, for game_from_json to read or refuse.
-    """
-    text = _read_text(path)
+def _parse_game(path, text):
+    """A game document parsed from its text, and its blocks' entries: an
+    object hook turns each dict with "i", "ip" and a non-empty matrix of k
+    lists of k numbers into (i, ip, k, start), its rows going into one
+    float64 array, so no dict per block and no float per coefficient
+    outlives the parse.  Other objects, and the document, stay as parsed."""
+    values = array("d")
+    add_row = values.fromlist
     # Every boolean ("true", "false") holds a "u" or an "f", and no number
-    # or key of the format does; a float64 buffer would take a boolean as
-    # 1.0 or 0.0.
-    if "u" in text or "f" in text:
-        return _parse_json(path, text), None
-    # Sizes are small ints, which Python keeps cached, so a list of them
-    # costs a pointer each; array.fromlist converts a row at C speed and
-    # refuses anything but a list of numbers.
-    sizes, values = [], array("d")
-    # Bound once: the hook runs once per block, up to n(n-1) times.
-    add_size, add_sizes, add_row = sizes.append, sizes.extend, values.fromlist
+    # or key of the format does; array.fromlist would take a boolean as
+    # 1.0 or 0.0, so only then are the rows' types checked.
+    typed = "u" in text or "f" in text
+    last = None
 
     def take(block):
+        nonlocal last
         matrix = block.get("matrix")
-        if matrix is not None:
-            add_size(len(matrix))
-            add_sizes(map(len, matrix))
+        if not matrix or "i" not in block or "ip" not in block:
+            return block
+        start = len(values)
+        try:
+            k = len(matrix)
             for row in matrix:
+                # Refused like what fromlist refuses: a non-list, a non-number.
+                if len(row) != k or typed and not _all_numbers(row):
+                    raise TypeError
                 add_row(row)
-            block["matrix"] = _TAKEN
-        return block
+        except (TypeError, OverflowError):
+            del values[start:]
+            return block
+        last = block
+        return block["i"], block["ip"], k, start
 
-    try:
-        document = _parse_json(path, text, take)
-        blocks = document.get("beta", [])
-        m = document.get("m")
-        taken = list(map(dict.get, blocks, itertools.repeat("matrix"))).count(_TAKEN)
-        # A taken matrix adds m + 1 sizes, all equal to m, exactly when it is m x m.
-        if taken == len(blocks) and len(sizes) == taken * (m + 1) == sizes.count(m):
-            return document, np.frombuffer(values)
-    except (AttributeError, TypeError, OverflowError):
-        pass
-    return _parse_json(path, text), None
+    document = _parse_json(path, text, take)
+    # The hook runs on the document last; a document is no block.
+    return (last if type(document) is tuple else document), values
 
 
 def save_game(game, path):
-    with open(path, "w") as fh:
-        json.dump(game_to_json(game), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    """Write a game file: its canonical_bytes and a newline, as `lippoly generate --out` does."""
+    with open(path, "wb") as fh:
+        fh.write(canonical_bytes(game_to_json(game)) + b"\n")

@@ -74,6 +74,7 @@ def _load_mixed(path, game):
         data = data.get("profile", data)
     profile = profile_from_json(data)
     if isinstance(profile, PureProfile):
+        profile.check_actions(game.m, 1)
         profile = MixedProfile.from_pure(profile, game.m)
     profile.validate_for(game)
     return profile

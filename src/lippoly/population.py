@@ -28,19 +28,10 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceeded
 from .game import PolymatrixGame, PureProfile, _number, regret_report, tensor_guard
 from .purify import default_target_epsilon, purify
-from .purify.common import aggregate_profile, record_bound, replication
+from .purify.common import aggregate_profile, guarded_replication, record_bound, replication
 from .solver import SolverConfig, solve_mixed
-
-# Largest lifted player count n L that `reduce_and_solve` purifies.  The
-# trace keeps one entry per lifted player (its order entry, chosen action,
-# potential, coefficient and lifted profile rows), about 0.2 KB each, so
-# the guard keeps that under about 0.45 GB; paper_L at n = 5, epsilon =
-# 0.3 is 1.29 million lifted players.  The binary sweep steps a run of one
-# population's replicas on scalars, so memory, not time, is what binds.
-REPLICA_GUARD = 2_000_000
 
 
 def induce(base, L):
@@ -88,13 +79,7 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
     epsilon.
     """
     epsilon = _number(epsilon, "epsilon", "level")
-    L = replication(L)
-    players = base.n * L
-    if players > REPLICA_GUARD:
-        raise BudgetExceeded(
-            f"purifying {players} lifted players is over the budget of {REPLICA_GUARD:g}",
-            estimate=players,
-        )
+    L = guarded_replication(base.n, L)
 
     if config is None:
         config = SolverConfig(target_epsilon=default_target_epsilon(base, L=L), seed=seed)
@@ -112,7 +97,7 @@ def reduce_and_solve(base, epsilon, L, seed=0, config=None):
         "m": base.m,
         "base_lambda": base.lam,
         "L": L,
-        "population_players": players,
+        "population_players": base.n * L,
         "population_lambda": base.lam / L,
         "epsilon": epsilon,
         "solver_target": config.target_epsilon,

@@ -19,7 +19,7 @@ from ..game import MixedProfile, _choice, payoffs, profile_to_json
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .binary import ane_to_wsne_binary, purify_rounding_binary
 from .common import MODES, PurifyTrace, correct, default_target_epsilon, pipeline_constants
-from .common import lifted, replication, resolve_mode
+from .common import lifted, resolve_mode
 from .maction import _set_stats, ane_to_wsne_m, purify_rounding_m
 
 TRACE_DETAILS = ("full", "potentials")
@@ -58,16 +58,16 @@ def purify(game, profile, mode="auto", order=None, L=1):
     (`lippoly.population.induce`) in which each replica plays its
     population's row of `profile`, on per-population state (see
     `lippoly.purify.common`): the returned profile, `order` and the trace
-    are the lift's, over n*L players.  The final profile's max regret is
-    evaluated once, by stage 3, which asserts it against the pipeline's
-    bound (trace.bounds["final_regret"]) and stores it as
+    are the lift's, over n*L players; an n*L over REPLICA_GUARD is
+    refused with BudgetExceeded before any work.  The final profile's max
+    regret is evaluated once, by stage 3, which asserts it against the
+    pipeline's bound (trace.bounds["final_regret"]) and stores it as
     trace.final_max_regret.  The tests' payoff_matrix_oracle and the
     benchmark's check.py recompute it independently of this package.
     The trace is a PurifyTrace: the sweep's event log plus the input,
     the stage-1 warning flag, the thresholds and every bound checked.
     """
     mode = resolve_mode(game, mode)
-    L = replication(L)
     if mode == "binary":
         wsne, warning = ane_to_wsne_binary(game, profile, L)
         pure, trace = purify_rounding_binary(game, wsne, order=order, L=L)

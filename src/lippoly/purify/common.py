@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BinaryOnlyError, BoundBreach, PreconditionViolation, UsageError
+from ..errors import BinaryOnlyError, BoundBreach, BudgetExceeded, PreconditionViolation, UsageError
 from ..game import (
     BOUND_TOL,
     MixedProfile,
@@ -38,6 +38,14 @@ from ..game import (
 )
 
 MODES = ("binary", "m_action", "auto")
+
+# Largest lifted player count n L that any stage purifies.  The
+# trace keeps one entry per lifted player (its order entry, chosen action,
+# potential, coefficient and lifted profile rows), about 0.2 KB each, so
+# the guard keeps that under about 0.45 GB; paper_L at n = 5, epsilon =
+# 0.3 is 1.29 million lifted players.  The binary sweep steps a run of one
+# population's replicas on scalars, so memory, not time, is what binds.
+REPLICA_GUARD = 2_000_000
 
 # The additions entry of a step at which no set grew, shared by every such
 # step so that a long sweep does not hold one empty array per step.
@@ -98,6 +106,18 @@ def resolve_mode(game, mode):
 def replication(L):
     """The replication count L as an int; UsageError unless a positive integer."""
     return _integer(L, "replication L", least=1)
+
+
+def guarded_replication(n, L):
+    """L as `replication` checks it; a lift of n*L players over REPLICA_GUARD
+    raises BudgetExceeded.  Each stage and `reduce_and_solve` call it first."""
+    L = replication(L)
+    if n * L > REPLICA_GUARD:
+        raise BudgetExceeded(
+            f"purifying {n * L} lifted players is over the budget of {REPLICA_GUARD:g}",
+            estimate=n * L,
+        )
+    return L
 
 
 def pipeline_constants(game, mode="auto", L=1):
@@ -177,6 +197,7 @@ def open_snap(game, profile, pipeline, L=1):
     the L-fold lift every replica has its population's regret, so that is
     lifted player i*L.
     """
+    L = guarded_replication(game.n, L)
     consts = pipeline_constants(game, pipeline, L)
     profile.validate_for(game)
     required = consts["input"]
@@ -204,7 +225,7 @@ def open_sweep(game, wsne, pipeline, order, L):
     played action within consts["support"] of its owner's best.  The
     pipeline adds its own thresholds to the trace.
     """
-    L = replication(L)
+    L = guarded_replication(game.n, L)
     consts = pipeline_constants(game, pipeline, L)
     wsne.validate_for(game)
     order = resolve_order(game.n * L, order)
@@ -301,7 +322,7 @@ def correct(game, pure, trace, L=1):
     when someone switched (else it is the input's), and stored as
     trace.final_max_regret.
     """
-    L = replication(L)
+    L = guarded_replication(game.n, L)
     pure.validate_for(game, L)
     binary = trace.pipeline == "binary"
     consts = pipeline_constants(game, trace.pipeline, L)

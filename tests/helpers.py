@@ -7,12 +7,25 @@ they are deliberately slow and simple.
 """
 
 import itertools
+import json
 import math
+from operator import itemgetter
 
 import numpy as np
 
-from lippoly import MixedProfile, PolymatrixGame, PureProfile, induce, purify, replay
-from lippoly.game import BOUND_TOL, discrepancy_vector, payoff_matrix
+from lippoly import MixedProfile, PolymatrixGame, PureProfile, UsageError, induce, purify, replay
+from lippoly.game import (
+    BOUND_TOL,
+    _all_numbers,
+    _check_sizes,
+    _count,
+    _number,
+    _number_type,
+    _require_numbers,
+    discrepancy_vector,
+    payoff_matrix,
+    tensor_guard,
+)
 from lippoly.purify.binary import sweep_step
 from lippoly.purify.common import (
     NO_ADDITIONS,
@@ -387,3 +400,121 @@ def population_mismatches(base, profile, L, order=None, tol=1e-12):
     if abs(ref.final_max_regret - trace.final_max_regret) > tol * abs(ref.final_max_regret):
         problems.append("final regret")
     return problems, trace
+
+
+# The game wire format as it was read and written before load_game and
+# game_from_json shared one reader, and save_game wrote through
+# canonical_bytes: the references the reader and the writer are held to.
+
+def reference_game_from_json(data):
+    """The game, or the UsageError, of a parsed game document, read
+    block by block from the nested lists."""
+    try:
+        n = _count(data["n"], "player count")
+        m = _count(data["m"], "action count")
+        lam = _number(data["lambda"], "lambda")
+        raw_blocks = data.get("beta", [])
+        # One flat list: a list of per-block tuples would set off garbage
+        # collections that walk the whole parsed document.
+        indices = list(itertools.chain.from_iterable(map(itemgetter("i", "ip"), raw_blocks)))
+        if not _all_numbers(indices):
+            entry = raw_blocks[next(k for k, v in enumerate(indices) if not _number_type(type(v))) // 2]
+            raise UsageError(
+                f"malformed game JSON: block ({entry['i']!r}, {entry['ip']!r}) "
+                "has an index that is not a number"
+            )
+        # Floats, so that an index like 1.7 is refused, not truncated.
+        pairs = np.array(indices, dtype=np.float64).reshape(-1, 2) - 1
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"malformed game JSON: {exc}") from exc
+    # Before anything is allocated at these sizes.
+    _check_sizes(n, m)
+    tensor_guard(n, m, f"a game of {n} players and {m} actions")
+    fractional = (np.trunc(pairs) != pairs).any(axis=1)
+    if fractional.any():
+        entry = raw_blocks[int(np.argmax(fractional))]
+        raise UsageError(f"block ({entry['i']}, {entry['ip']}) has a non-integer index")
+    i, ip = pairs[:, 0], pairs[:, 1]
+    bad = (i < 0) | (i >= n) | (ip < 0) | (ip >= n) | (i == ip)
+    if bad.any():
+        entry = raw_blocks[int(np.argmax(bad))]
+        raise UsageError(f"block ({entry['i']}, {entry['ip']}) out of range")
+    i, ip = i.astype(np.int64), ip.astype(np.int64)
+    key = i * n + ip
+    repeated = np.bincount(key)[key] > 1
+    if repeated.any():
+        entry = raw_blocks[int(np.argmax(repeated))]
+        raise UsageError(f"block ({entry['i']}, {entry['ip']}) appears more than once")
+    beta = np.zeros((n, n, m, m))
+    if raw_blocks:
+        beta[i, ip] = _reference_block_matrices(raw_blocks, m)
+    return PolymatrixGame(n=n, m=m, beta=beta, lam=lam)
+
+
+def _reference_block_matrices(raw_blocks, m):
+    """All blocks' matrices as one (k, m, m) array.
+
+    Once every matrix is seen to hold m rows of m numbers, the entries
+    stream through one np.fromiter (np.array on the nested lists keeps a
+    record per list while it converts, several times the result's size).
+    Otherwise the error names the first block whose matrix is not m x m,
+    or the first entry that is not a number.
+    """
+    flatten = itertools.chain.from_iterable
+    try:
+        matrices = [entry["matrix"] for entry in raw_blocks]
+        if all(len(matrix) == m for matrix in matrices) and all(
+            len(row) == m for row in flatten(matrices)
+        ):
+            if not _all_numbers(flatten(flatten(matrices))):
+                _require_numbers(flatten(flatten(matrices)), "game")
+            values = flatten(flatten(matrices))
+            count = len(matrices) * m * m
+            return np.fromiter(values, dtype=np.float64, count=count).reshape(-1, m, m)
+        error = None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        error = exc
+    for entry in raw_blocks:
+        try:
+            shape = np.shape(entry.get("matrix"))
+        except ValueError:
+            shape = "ragged rows"
+        if shape != (m, m):
+            raise UsageError(
+                f"block ({entry['i']}, {entry['ip']}) has shape {shape}, want ({m}, {m})"
+            )
+    raise UsageError(f"malformed game JSON: {error}") from error
+
+
+def reference_game_to_json(game):
+    """A game's wire form, built block by block."""
+    blocks = []
+    for i in range(game.n):
+        for ip in range(game.n):
+            if i == ip:
+                continue
+            block = game.beta[i, ip]
+            if np.any(block != 0.0):
+                blocks.append({
+                    "i": i + 1,
+                    "ip": ip + 1,
+                    "matrix": [[float(x) for x in row] for row in block],
+                })
+    return {"n": game.n, "m": game.m, "lambda": game.lam, "beta": blocks}
+
+
+def reference_save_game(game, path):
+    """A game file, streamed through json.dump."""
+    with open(path, "w") as fh:
+        json.dump(reference_game_to_json(game), fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+
+
+def read_outcome(read, *args):
+    """What a game reader gives: ("game", n, m, lam, operator bytes), or
+    the type name and message of what it raised."""
+    try:
+        game = read(*args)
+    except Exception as exc:  # any error counts; both sides must raise the same
+        return (type(exc).__name__, str(exc))
+    return ("game", game.n, game.m, game.lam, game.operator.tobytes())

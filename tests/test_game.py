@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from helpers import (
     random_game,
     random_mixed,
     random_pure_actions,
+    read_outcome,
+    reference_game_from_json,
     regret_oracle,
     zero_game,
 )
@@ -43,6 +46,7 @@ from lippoly import (
     regret_report,
     save_game,
 )
+import lippoly.game
 from lippoly.game import TENSOR_GUARD, discrepancy_vector, payoff_matrix, tensor_guard
 from lippoly.harness.generator import GeneratorSpec, generate
 from lippoly.purify.common import replica_regrets
@@ -390,109 +394,113 @@ def test_game_json_one_based_blocks_and_zero_omission():
     assert game_to_json(zero_game())["beta"] == []
 
 
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        ({"beta": [{"i": 1, "ip": 4, "matrix": [[0, 0], [0, 0]]}]}, r"block \(1, 4\) out of range"),
-        ({"beta": [{"i": 0, "ip": 2, "matrix": [[0, 0], [0, 0]]}]}, r"block \(0, 2\) out of range"),
-        ({"beta": [{"i": 2, "ip": 2, "matrix": [[0, 0], [0, 0]]}]}, r"block \(2, 2\) out of range"),
-        ({"beta": [{"i": 1, "ip": 2, "matrix": [[0, 0, 0], [0, 0, 0]]}]}, r"block \(1, 2\) has shape"),
-        (
-            {
-                "beta": [
-                    {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]},
-                    {"i": 2, "ip": 3, "matrix": [[0, 0, 0], [0]]},
-                ]
-            },
-            r"block \(2, 3\) has shape ragged rows",
-        ),
-        (
-            {
-                "beta": [
-                    {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]},
-                    {"i": 2, "ip": 1, "matrix": [[0.1, 0], [0, 0]]},
-                    {"i": 1, "ip": 2, "matrix": [[0.2, 0], [0, 0]]},
-                ]
-            },
-            r"block \(1, 2\) appears more than once",
-        ),
-        ({"beta": [{"i": 1, "matrix": [[0, 0], [0, 0]]}]}, "malformed game JSON"),
-        ({"beta": [{"i": 1, "ip": 2, "matrix": [["x", 0], [0, 0]]}]}, "malformed game JSON"),
-        ({"n": -1}, r"player count must be >= 1, got -1"),
-        ({"m": -2}, r"action count must be >= 2, got -2"),
-        ({"n": 2.5}, r"player count must be an integer, got 2.5"),
-        ({"m": 2.5}, r"action count must be an integer, got 2.5"),
-        (
-            {"beta": [{"i": 1.7, "ip": 2, "matrix": [[0, 0], [0, 0]]}]},
-            r"block \(1.7, 2\) has a non-integer index",
-        ),
-        ({"n": "3", "lambda": "0.3"}, r"player count must be a number, got '3'"),
-        ({"lambda": "0.3"}, r"lambda must be a number, got '0.3'"),
-        ({"m": True}, r"action count must be a number, got True"),
-        (
-            {"beta": [
-                {"i": 1, "ip": 2, "matrix": [[0.1, 0], [0, 0]]},
-                {"i": "2", "ip": 1, "matrix": [[0.1, 0], [0, 0]]},
-            ]},
-            r"block \('2', 1\) has an index that is not a number",
-        ),
-        (
-            {"beta": [{"i": "1", "ip": 2, "matrix": [[0.1, 0], [0, 0]]}]},
-            r"block \('1', 2\) has an index that is not a number",
-        ),
-        (
-            {"beta": [{"i": 1, "ip": True, "matrix": [[0.1, 0], [0, 0]]}]},
-            r"block \(1, True\) has an index that is not a number",
-        ),
-        (
-            {"beta": [
-                {"i": 1, "ip": 2, "matrix": [[0.1, 0], [0, 0]]},
-                {"i": 2, "ip": 1, "matrix": [["0.1", 0], [0, 0]]},
-            ]},
-            r"malformed game JSON: '0.1' is not a number",
-        ),
-        (
-            {"beta": [{"i": 1, "ip": 2, "matrix": [[0.1, True], [0, 0]]}]},
-            "malformed game JSON: True is not a number",
-        ),
-        (
-            {"beta": [{"i": 1, "ip": 2, "matrix": [[10**400, 0], [0, 0]]}]},
-            "malformed game JSON: int too large to convert to float",
-        ),
-        (
-            {"beta": [{"i": 1, "ip": 2, "matrix": []}]},
-            r"block \(1, 2\) has shape \(0,\), want \(2, 2\)",
-        ),
-        (
-            # As many objects carry a matrix as there are blocks, but one of
-            # them is not a block.
-            {"beta": [{"i": 1, "ip": 2}], "note": {"matrix": [[0, 0], [0, 0]]}},
-            r"block \(1, 2\) has shape \(\), want \(2, 2\)",
-        ),
-        (
-            # The last "beta" counts; the first one's matrix is no block's.
-            [("beta", [{"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]}]), ("beta", [{"i": 2, "ip": 1}])],
-            r"block \(2, 1\) has shape \(\), want \(2, 2\)",
-        ),
-    ],
-    ids=[
-        "past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number",
-        "negative-n", "negative-m", "fractional-n", "fractional-m", "fractional-i",
-        "string-n", "string-lambda", "bool-m", "second-string-index", "string-index",
-        "bool-index", "string-entry", "bool-entry", "huge-entry", "empty-matrix",
-        "matrix-outside-block", "second-beta",
-    ],
-)
+# Malformed game documents, as fields merged into a 3-player binary game
+# (see _game_document_text), and the error each must give.
+MALFORMED_GAMES = [
+    ({"beta": [{"i": 1, "ip": 4, "matrix": [[0, 0], [0, 0]]}]}, r"block \(1, 4\) out of range"),
+    ({"beta": [{"i": 0, "ip": 2, "matrix": [[0, 0], [0, 0]]}]}, r"block \(0, 2\) out of range"),
+    ({"beta": [{"i": 2, "ip": 2, "matrix": [[0, 0], [0, 0]]}]}, r"block \(2, 2\) out of range"),
+    ({"beta": [{"i": 1, "ip": 2, "matrix": [[0, 0, 0], [0, 0, 0]]}]}, r"block \(1, 2\) has shape"),
+    (
+        {
+            "beta": [
+                {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]},
+                {"i": 2, "ip": 3, "matrix": [[0, 0, 0], [0]]},
+            ]
+        },
+        r"block \(2, 3\) has shape ragged rows",
+    ),
+    (
+        {
+            "beta": [
+                {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]},
+                {"i": 2, "ip": 1, "matrix": [[0.1, 0], [0, 0]]},
+                {"i": 1, "ip": 2, "matrix": [[0.2, 0], [0, 0]]},
+            ]
+        },
+        r"block \(1, 2\) appears more than once",
+    ),
+    ({"beta": [{"i": 1, "matrix": [[0, 0], [0, 0]]}]}, "malformed game JSON"),
+    ({"beta": [{"i": 1, "ip": 2, "matrix": [["x", 0], [0, 0]]}]}, "malformed game JSON"),
+    ({"n": -1}, r"player count must be >= 1, got -1"),
+    ({"m": -2}, r"action count must be >= 2, got -2"),
+    ({"n": 2.5}, r"player count must be an integer, got 2.5"),
+    ({"m": 2.5}, r"action count must be an integer, got 2.5"),
+    (
+        {"beta": [{"i": 1.7, "ip": 2, "matrix": [[0, 0], [0, 0]]}]},
+        r"block \(1.7, 2\) has a non-integer index",
+    ),
+    ({"n": "3", "lambda": "0.3"}, r"player count must be a number, got '3'"),
+    ({"lambda": "0.3"}, r"lambda must be a number, got '0.3'"),
+    ({"m": True}, r"action count must be a number, got True"),
+    (
+        {"beta": [
+            {"i": 1, "ip": 2, "matrix": [[0.1, 0], [0, 0]]},
+            {"i": "2", "ip": 1, "matrix": [[0.1, 0], [0, 0]]},
+        ]},
+        r"block \('2', 1\) has an index that is not a number",
+    ),
+    (
+        {"beta": [{"i": "1", "ip": 2, "matrix": [[0.1, 0], [0, 0]]}]},
+        r"block \('1', 2\) has an index that is not a number",
+    ),
+    (
+        {"beta": [{"i": 1, "ip": True, "matrix": [[0.1, 0], [0, 0]]}]},
+        r"block \(1, True\) has an index that is not a number",
+    ),
+    (
+        {"beta": [
+            {"i": 1, "ip": 2, "matrix": [[0.1, 0], [0, 0]]},
+            {"i": 2, "ip": 1, "matrix": [["0.1", 0], [0, 0]]},
+        ]},
+        r"malformed game JSON: '0.1' is not a number",
+    ),
+    (
+        {"beta": [{"i": 1, "ip": 2, "matrix": [[0.1, True], [0, 0]]}]},
+        "malformed game JSON: True is not a number",
+    ),
+    (
+        {"beta": [{"i": 1, "ip": 2, "matrix": [[10**400, 0], [0, 0]]}]},
+        "malformed game JSON: int too large to convert to float",
+    ),
+    (
+        {"beta": [{"i": 1, "ip": 2, "matrix": []}]},
+        r"block \(1, 2\) has shape \(0,\), want \(2, 2\)",
+    ),
+    (
+        # As many objects carry a matrix as there are blocks, but one of
+        # them is not a block.
+        {"beta": [{"i": 1, "ip": 2}], "note": {"matrix": [[0, 0], [0, 0]]}},
+        r"block \(1, 2\) has shape \(\), want \(2, 2\)",
+    ),
+    (
+        # The last "beta" counts; the first one's matrix is no block's.
+        [("beta", [{"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]}]), ("beta", [{"i": 2, "ip": 1}])],
+        r"block \(2, 1\) has shape \(\), want \(2, 2\)",
+    ),
+]
+MALFORMED_IDS = [
+    "past-n", "zero", "self", "shape", "ragged", "duplicate", "no-ip", "not-a-number",
+    "negative-n", "negative-m", "fractional-n", "fractional-m", "fractional-i",
+    "string-n", "string-lambda", "bool-m", "second-string-index", "string-index",
+    "bool-index", "string-entry", "bool-entry", "huge-entry", "empty-matrix",
+    "matrix-outside-block", "second-beta",
+]
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED_GAMES, ids=MALFORMED_IDS)
 def test_game_from_json_rejects_malformed_blocks(fields, message, tmp_path):
-    # Both entry points: the parsed document, and the file load_game reads.
+    # Both entry points share one reader, so each is held to the
+    # reference copy of the reader they replaced.
     text = _game_document_text(fields)
-    with pytest.raises(UsageError, match=message) as from_json:
-        game_from_json(json.loads(text))
     path = tmp_path / "game.json"
     path.write_text(text)
-    with pytest.raises(UsageError) as loaded:
+    with pytest.raises(UsageError, match=message) as loaded:
         load_game(str(path))
-    assert str(loaded.value) == str(from_json.value)
+    with pytest.raises(UsageError) as reference:
+        reference_game_from_json(json.loads(text))
+    assert str(loaded.value) == str(reference.value)
+    assert read_outcome(game_from_json, json.loads(text)) == read_outcome(load_game, str(path))
 
 
 def _game_document_text(fields):
@@ -515,10 +523,114 @@ def test_load_game_is_bit_identical_to_game_from_json(tmp_path, n, m, seed):
     path = tmp_path / "game.json"
     save_game(PolymatrixGame(n=n, m=m, beta=beta, lam=game.lam), str(path))
     with open(path) as fh:
-        expected = game_from_json(json.load(fh))
-    loaded = load_game(str(path))
-    assert (loaded.n, loaded.m, loaded.lam) == (expected.n, expected.m, expected.lam)
-    assert loaded.operator.tobytes() == expected.operator.tobytes()
+        document = json.load(fh)
+    # (n, m, lambda and the operator's bytes) as the reference reads them.
+    expected = read_outcome(reference_game_from_json, document)
+    assert expected[0] == "game"
+    assert read_outcome(load_game, str(path)) == expected
+    assert read_outcome(game_from_json, document) == expected
+
+
+# What a mutation may put in place of an index, an entry or a size.
+ODD_VALUES = ["1", "0.1", True, False, None, 2.0, 1.5, -1, 0, 10**400, []]
+# What a mutation may add under a new key; a block-shaped object only
+# where the format reads no value.
+ADDED_VALUES = [0, 1, 2, "x", [[0, 0], [0, 0]]]
+OBJECT_VALUES = [{"matrix": [[0, 0], [0, 0]]}, {"i": 1, "ip": 2, "matrix": [[0.5, 0], [0, 0.25]]}]
+
+
+@st.composite
+def mutated_game_texts(draw):
+    """The JSON text of a small game document after one to three
+    mutations: a key dropped; an index, entry or size made a string, a
+    boolean, a float or another odd value; a matrix reshaped; a block
+    repeated; keys added to a block or to the document; a "matrix"
+    outside "beta"; "beta" repeated.  Keys may repeat in the text."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    doc = game_to_json(random_game(n, m, 0.2, draw(st.integers(0, 9))))
+    blocks = doc["beta"]
+    pairs = [[key, doc[key]] for key in ("n", "m", "lambda", "beta")]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["drop", "value", "shape", "repeat-block", "add-key", "outside", "repeat-beta"]
+        ))
+        block = draw(st.sampled_from(blocks)) if blocks else {}
+        matrix = block.get("matrix")
+        if kind == "drop":
+            if draw(st.booleans()) or not block:
+                pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+            else:
+                del block[draw(st.sampled_from(sorted(block)))]
+        elif kind == "value":
+            value = draw(st.sampled_from(ODD_VALUES))
+            where = draw(st.sampled_from(["n", "m", "lambda", "i", "ip", "entry"]))
+            if where in ("n", "m", "lambda"):
+                pairs.append([where, value])
+            elif where != "entry":
+                block[where] = value
+            elif isinstance(matrix, list) and matrix and isinstance(matrix[0], list) and matrix[0]:
+                matrix[0][draw(st.integers(0, len(matrix[0]) - 1))] = value
+        elif kind == "shape":
+            k = draw(st.integers(1, 4))
+            block["matrix"] = draw(st.sampled_from([
+                [], 5, [[0.1] * k] * k, [[0.1] * k] * (k + 1), [[0.1] * m] * (m - 1) + [[0.1]],
+                [[0.1] * (m + 1)] * m, [[0.1] * m for _ in range(m)] + [[0.1] * m],
+            ]))
+        elif kind == "repeat-block" and blocks:
+            blocks.insert(draw(st.integers(0, len(blocks))), json.loads(json.dumps(block)))
+        elif kind == "add-key":
+            key = draw(st.sampled_from(["note", "x", "i", "ip", "matrix"]))
+            pool = ADDED_VALUES + (OBJECT_VALUES if key in ("note", "x") else [])
+            value = draw(st.sampled_from(pool))
+            if draw(st.booleans()) or not block:
+                pairs.append([key, value])
+            else:
+                block[key] = value
+        elif kind == "outside":
+            stray = [[0.5] * m] * m
+            pairs.insert(draw(st.integers(0, len(pairs))), ["matrix", stray] if draw(st.booleans())
+                         else ["note", {"matrix": stray}])
+        elif kind == "repeat-beta":
+            again = json.loads(json.dumps(blocks[:draw(st.integers(0, len(blocks)))]))
+            pairs.insert(draw(st.integers(0, len(pairs))), ["beta", again])
+    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pairs) + "}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_game_texts())
+def test_load_game_reads_mutated_documents_as_the_reference_does(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "mutated-game.json"
+    path.write_text(text)
+    with mock.patch.object(lippoly.game.json, "loads", wraps=json.loads) as loads:
+        got = read_outcome(load_game, str(path))
+    assert loads.call_count == 1
+    assert got == read_outcome(reference_game_from_json, json.loads(text))
+
+
+def test_load_game_parses_its_text_once(tmp_path):
+    # Booleans, a second "beta" and a matrix outside a block used to make
+    # the reader parse the whole text a second time.
+    texts = [_game_document_text(fields) for fields, _ in MALFORMED_GAMES]
+    texts.append(_game_document_text(
+        {"note": True, "beta": [{"i": 1, "ip": 2, "matrix": [[0.5, 0], [0, 0]]}]}
+    ))
+    path = tmp_path / "game.json"
+    for text in texts:
+        path.write_text(text)
+        with mock.patch.object(lippoly.game.json, "loads", wraps=json.loads) as loads:
+            read_outcome(load_game, str(path))
+        assert loads.call_count == 1, text
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": np.int64(3)}, "Object of type int64 is not JSON serializable"),
+    ({"beta": [{"i": 1, "ip": 2, "matrix": [[np.nan, 0], [0, 0]]}]},
+     "Out of range float values are not JSON compliant"),
+])
+def test_game_from_json_refuses_what_json_cannot_encode(fields, message):
+    document = {"n": 3, "m": 2, "lambda": 0.5, "beta": [], **fields}
+    with pytest.raises(UsageError, match=f"malformed game JSON: {message}"):
+        game_from_json(document)
 
 
 def test_load_game_reads_integer_and_exponent_literals(tmp_path):

@@ -12,6 +12,7 @@ from helpers import (
     payoff_oracle,
     random_game,
     random_mixed,
+    reference_save_game,
     zero_game,
 )
 from lippoly import (
@@ -83,6 +84,21 @@ def test_generator_is_deterministic_in_the_spec():
     assert a == b
     c = canonical_bytes(game_to_json(generate(GeneratorSpec(n=6, m=3, lam=0.3, seed=78))))
     assert a != c
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_save_game_writes_what_generate_writes(tmp_path, family):
+    # The bytes of the streaming writer save_game replaced, and of
+    # `lippoly generate --out`.
+    spec = GeneratorSpec(n=9, m=3, lam=0.2, family=family, seed=5, density=0.5, weight=0.5)
+    save_game(generate(spec), str(tmp_path / "saved.json"))
+    reference_save_game(generate(spec), str(tmp_path / "reference.json"))
+    argv = ["generate", "--n", "9", "--m", "3", "--lambda", "0.2", "--family", family,
+            "--seed", "5", "--out", str(tmp_path / "generated.json")]
+    assert run_cli(*argv) == EXIT_OK
+    saved = (tmp_path / "saved.json").read_bytes()
+    assert saved == (tmp_path / "reference.json").read_bytes()
+    assert saved == (tmp_path / "generated.json").read_bytes()
 
 
 def test_sparse_density_edges():
@@ -564,8 +580,26 @@ def test_cli_refuses_pure_actions_out_of_range(tmp_path, capsys, command, action
     err = capsys.readouterr().err
     error = json.loads(err)
     assert error["error"] == "UsageError"
-    assert error["message"] == f"player 0 action {actions[0] - 1} out of range [0, 2)"
+    # Numbered as the file numbers players and actions, from 1.
+    assert error["message"] == f"player 1 action {actions[0]} out of range [1, 3)"
     assert err == canonical_bytes(error).decode() + "\n"
+
+
+@pytest.mark.parametrize("command", ["purify", "baseline"])
+def test_cli_names_a_mixed_profile_row_as_the_file_numbers_it(tmp_path, capsys, command):
+    game_path = tmp_path / "game.json"
+    save_game(random_game(3, 2, 0.3, seed=1), str(game_path))
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps({"mixed": [[0.5, 0.5], [1.1, -0.1], [0.5, 0.5]]}))
+    argv = [command, str(game_path), str(profile_path)]
+    if command == "baseline":
+        argv[2:2] = ["--profile"]
+    assert run_cli(*argv) == EXIT_INVALID
+    error = json.loads(capsys.readouterr().err)
+    assert error == {
+        "error": "DistributionError",
+        "message": "player 2 assigns negative probability -0.1 to action 2",
+    }
 
 
 def test_cli_refuses_a_game_too_large_to_allocate(tmp_path, capsys):

@@ -40,6 +40,7 @@ from lippoly import (
 from lippoly.game import payoff_matrix
 from lippoly.harness.pipeline import run_instance
 from lippoly.purify import purify, purify_rounding_m
+from lippoly.purify.common import correct, open_snap, open_sweep
 
 
 def lifted_profile(N, m, seed):
@@ -183,6 +184,23 @@ def test_materialization_budget():
     with pytest.raises(BudgetExceeded) as info:
         reduce_and_solve(base, epsilon=0.3, L=10**9)
     assert info.value.estimate == 3 * 10**9
+
+
+# Refusals only: no lift of this size is ever built.
+@pytest.mark.parametrize("mode", ["binary", "m_action"])
+def test_purify_refuses_a_lift_over_the_replica_guard(mode):
+    game = random_game(3, 2, 0.3, seed=1)
+    profile = MixedProfile(np.full((3, 2), 0.5))
+    L = 10**9
+    for call in (
+        lambda: purify(game, profile, mode=mode, L=L),
+        lambda: open_snap(game, profile, mode, L),
+        lambda: open_sweep(game, profile, mode, None, L),
+        lambda: correct(game, PureProfile([0, 0, 0]), None, L),
+    ):
+        with pytest.raises(BudgetExceeded, match="purifying 3000000000 lifted players") as info:
+            call()
+        assert info.value.estimate == 3 * 10**9
 
 
 def test_reduce_past_the_lift_guard():
