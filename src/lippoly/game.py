@@ -464,10 +464,24 @@ def _all_numbers(values):
 
 def _count(value, name):
     """A size field of the wire format; 2.5 is refused, not truncated to 2."""
-    number = _number(value, name)
+    number = _field_number(value, name)
     if not number.is_integer():
         raise UsageError(f"{name} must be an integer, got {value!r}")
     return int(number)
+
+
+def _field_number(value, name):
+    """A number field of the wire format as _number reads it; a block
+    object placed there is refused by its indices."""
+    if type(value) is tuple:
+        raise UsageError(f"{name} must be a number, got {_shown(value)}")
+    return _number(value, name)
+
+
+def _shown(value):
+    """A parsed game value for an error message: a tuple is a block object
+    the reader took (see _parse_game), named by its indices."""
+    return f"block {value[:2]}" if type(value) is tuple else repr(value)
 
 
 def game_from_json(data):
@@ -489,8 +503,11 @@ def _build_game(data, values):
     try:
         n = _count(data["n"], "player count")
         m = _count(data["m"], "action count")
-        lam = _number(data["lambda"], "lambda")
+        lam = _field_number(data["lambda"], "lambda")
         raw_blocks = data.get("beta", [])
+        if type(raw_blocks) is not list:
+            got = _shown(raw_blocks) if type(raw_blocks) is tuple else type(raw_blocks).__name__
+            raise UsageError(f'malformed game JSON: "beta" must be a list, got {got}')
         # Blocks the hook did not take become (i, ip, None, the dict), like its tuples.
         if not set(map(type, raw_blocks)) <= {tuple}:
             raw_blocks = [b if type(b) is tuple else (b["i"], b["ip"], None, b) for b in raw_blocks]
@@ -593,7 +610,7 @@ def profile_from_json(data):
 def _require_numbers(entries, kind):
     for value in entries:
         if not _number_type(type(value)):
-            raise UsageError(f"malformed {kind} JSON: {value!r} is not a number")
+            raise UsageError(f"malformed {kind} JSON: {_shown(value)} is not a number")
 
 
 def canonical_bytes(obj):

@@ -10,7 +10,7 @@ pipeline has a yardstick; nothing here is used as a solution method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,18 +38,10 @@ class BaselineReport:
     best_profile: PureProfile
 
     def to_json(self):
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "input_regret": self.input_regret,
-            "threshold": self.threshold,
-            "min_regret": self.min_regret,
-            "mean_regret": self.mean_regret,
-            "max_regret": self.max_regret,
-            "fraction_within_threshold": self.fraction_within_threshold,
-            "best_profile": [int(a) + 1 for a in self.best_profile.actions],
-            "regrets": list(self.regrets),
-        }
+        doc = asdict(self)
+        doc["best_profile"] = [int(a) + 1 for a in self.best_profile.actions]
+        doc["regrets"] = list(self.regrets)
+        return doc
 
 
 def sample_baseline(game, mixed, trials, seed=0):

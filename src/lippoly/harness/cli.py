@@ -45,10 +45,18 @@ from .pipeline import (
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.func in (cmd_generate, cmd_pipeline):
+            # They read no game and write their own documents.
+            return args.func(args)
+        game = load_game(args.game)
+        if "eps" in args and args.eps is None:
+            args.eps = default_target_epsilon(game)
+        doc, code = args.func(args, game)
+        doc["digest"] = game_digest(game)
+        _emit(doc, args.out)
+        return code
     except LippolyError as exc:
         if isinstance(exc, BoundBreach):
             _emit({"error": "BoundBreach", "message": str(exc), "bound": exc.bound_name}, None)
@@ -98,40 +106,28 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def cmd_check(args):
-    game = load_game(args.game)
+# The game commands: main reads the game and sets a missing --eps to its
+# input level; each returns its document and exit code, and main adds the
+# game's digest and writes the document.
+def cmd_check(args, game):
     outcome = check_game(game)
     if isinstance(outcome, LipschitzViolation):
-        _emit(
-            {
-                "outcome": "lipschitz_violation",
-                "witness": witness_to_json(outcome.witness),
-                "digest": game_digest(game),
-            },
-            args.out,
-        )
-        return EXIT_WITNESS
+        doc = {"outcome": "lipschitz_violation", "witness": witness_to_json(outcome.witness)}
+        return doc, EXIT_WITNESS
     if isinstance(outcome, RangeViolation):
-        _emit(
-            {
-                "outcome": "range_violation",
-                "player": outcome.player + 1,
-                "action": outcome.action + 1,
-                "direction": outcome.direction,
-                "digest": game_digest(game),
-            },
-            args.out,
-        )
-        return EXIT_INVALID
-    _emit({"outcome": "valid", "lambda": game.lam, "digest": game_digest(game)}, args.out)
-    return EXIT_OK
+        doc = {
+            "outcome": "range_violation",
+            "player": outcome.player + 1,
+            "action": outcome.action + 1,
+            "direction": outcome.direction,
+        }
+        return doc, EXIT_INVALID
+    return {"outcome": "valid", "lambda": game.lam}, EXIT_OK
 
 
-def cmd_solve(args):
-    game = load_game(args.game)
-    target = args.eps if args.eps is not None else default_target_epsilon(game)
+def cmd_solve(args, game):
     config = SolverConfig(
-        target_epsilon=target,
+        target_epsilon=args.eps,
         max_iterations=args.max_iterations,
         step_schedule=args.schedule,
         seed=args.seed,
@@ -139,24 +135,20 @@ def cmd_solve(args):
     )
     result = solve_mixed(game, config)
     doc = {
-        "digest": game_digest(game),
-        "target_epsilon": target,
+        "target_epsilon": args.eps,
         "achieved_max_regret": result.achieved_max_regret,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
         "phase": result.phase,
         "profile": profile_to_json(result.profile),
     }
-    _emit(doc, args.out)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return doc, EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_purify(args):
-    game = load_game(args.game)
+def cmd_purify(args, game):
     profile = _load_mixed(args.profile, game)
     final, trace = purify(game, profile, mode=args.mode)
     doc = {
-        "digest": game_digest(game),
         "final_profile": profile_to_json(final),
         "final_max_regret": trace.final_max_regret,
         "bounds": {name: dict(entry) for name, entry in trace.bounds.items()},
@@ -164,47 +156,40 @@ def cmd_purify(args):
     }
     if args.trace != "off":
         doc["trace"] = trace_to_json(trace, game, detail=args.trace)
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_reduce(args):
-    game = load_game(args.game)
-    eps = args.eps if args.eps is not None else default_target_epsilon(game)
-    profile, report = reduce_and_solve(game, epsilon=eps, L=args.L, seed=args.seed)
-    doc = {"digest": game_digest(game), "profile": profile_to_json(profile), "report": report}
-    _emit(doc, args.out)
-    return EXIT_OK if report["solver_converged"] else EXIT_NOT_CONVERGED
+def cmd_reduce(args, game):
+    profile, report = reduce_and_solve(game, epsilon=args.eps, L=args.L, seed=args.seed)
+    doc = {"profile": profile_to_json(profile), "report": report}
+    return doc, EXIT_OK if report["solver_converged"] else EXIT_NOT_CONVERGED
 
 
-def cmd_baseline(args):
-    game = load_game(args.game)
+def cmd_baseline(args, game):
+    doc = {}
     if args.profile is not None:
         mixed = _load_mixed(args.profile, game)
-        solver = None
     else:
-        target = args.eps if args.eps is not None else default_target_epsilon(game)
-        result = solve_mixed(game, SolverConfig(target_epsilon=target, seed=args.seed))
+        result = solve_mixed(game, SolverConfig(target_epsilon=args.eps, seed=args.seed))
         mixed = result.profile
-        solver = {
-            "target_epsilon": target,
+        doc["solver"] = {
+            "target_epsilon": args.eps,
             "achieved_max_regret": result.achieved_max_regret,
             "converged": result.converged,
         }
-    report = sample_baseline(game, mixed, args.trials, seed=args.seed)
-    doc = {"digest": game_digest(game), "baseline": report.to_json()}
-    if solver is not None:
-        doc["solver"] = solver
-    _emit(doc, args.out)
-    return EXIT_OK
+    doc["baseline"] = sample_baseline(game, mixed, args.trials, seed=args.seed).to_json()
+    return doc, EXIT_OK
 
 
 def cmd_pipeline(args):
+    sizes = (args.n, args.m, args.lam)
     spec = None
     if args.game is None:
-        if args.n is None or args.m is None or args.lam is None:
+        if None in sizes:
             raise UsageError("pipeline needs either --game or all of --n, --m, --lambda")
         spec = _generator_spec(args)
+    elif sizes != (None, None, None):
+        raise UsageError("pipeline --game takes none of --n, --m, --lambda")
     report = run_pipeline(
         game_path=args.game,
         spec=spec,
@@ -222,6 +207,27 @@ def cmd_pipeline(args):
     return report.exit_code
 
 
+# The options more than one command takes, each declared once; a command
+# may give one its own help.
+_SHARED_OPTIONS = {
+    "--out": {"default": None},
+    "--seed": {"type": int, "default": 0},
+    "--eps": {"type": float, "default": None},
+    "--mode": {"choices": MODES, "default": "auto"},
+    "--trace": {"choices": TRACE_CHOICES, "default": "off"},
+    "--family": {"choices": FAMILIES, "default": "uniform_coefficients"},
+    "--density": {"type": float, "default": 0.5, "help": "sparse family keep probability"},
+    "--weight": {"type": float, "default": 0.5, "help": "coordination family mix weight"},
+}
+
+
+def _add_shared(parser, *flags, **helps):
+    """Add the shared options `flags` in order; `helps` maps a dest to its own help."""
+    for flag in flags:
+        own = {"help": helps[flag.lstrip("-")]} if flag.lstrip("-") in helps else {}
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag], **own)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="lippoly",
@@ -229,72 +235,53 @@ def _build_parser():
     )
     sub = parser.add_subparsers(required=True)
 
+    def game_command(name, func, help):
+        """A subcommand whose first argument is the game file main reads."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("game")
+        p.set_defaults(func=func)
+        return p
+
     p = sub.add_parser("generate", help="emit a random game as JSON")
     p.add_argument("--n", type=int, required=True, help="number of players")
     p.add_argument("--m", type=int, default=2, help="actions per player")
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="Lipschitz parameter")
-    p.add_argument("--family", choices=FAMILIES, default="uniform_coefficients")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.5, help="sparse family keep probability")
-    p.add_argument("--weight", type=float, default=0.5, help="coordination family mix weight")
-    p.add_argument("--out", default=None)
+    _add_shared(p, "--family", "--seed", "--density", "--weight", "--out")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("check", help="validate a game or produce a witness")
-    p.add_argument("game")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check)
+    p = game_command("check", cmd_check, "validate a game or produce a witness")
+    _add_shared(p, "--out")
 
-    p = sub.add_parser("solve", help="search for a low-regret mixed profile")
-    p.add_argument("game")
-    p.add_argument("--eps", type=float, default=None, help="target regret (default: pipeline input level)")
-    p.add_argument("--seed", type=int, default=0)
+    p = game_command("solve", cmd_solve, "search for a low-regret mixed profile")
+    _add_shared(p, "--eps", "--seed", eps="target regret (default: pipeline input level)")
     p.add_argument("--schedule", choices=STEP_SCHEDULES, default=SolverConfig.step_schedule)
     p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
     p.add_argument("--grid-k", type=int, default=None, help="route through the exhaustive 1/k-uniform scan")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_solve)
+    _add_shared(p, "--out")
 
-    p = sub.add_parser("purify", help="round a mixed profile to a pure one with a bound")
-    p.add_argument("game")
+    p = game_command("purify", cmd_purify, "round a mixed profile to a pure one with a bound")
     p.add_argument("profile", help="profile JSON (bare, or a solve output with a profile field)")
-    p.add_argument("--mode", choices=MODES, default="auto")
-    p.add_argument("--trace", choices=TRACE_CHOICES, default="off")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_purify)
+    _add_shared(p, "--mode", "--trace", "--out")
 
-    p = sub.add_parser("reduce", help="population round trip: lift, solve, purify, aggregate")
-    p.add_argument("game")
+    p = game_command("reduce", cmd_reduce, "population round trip: lift, solve, purify, aggregate")
     p.add_argument("--L", type=int, required=True, help="replicas per player")
-    p.add_argument("--eps", type=float, default=None, help="epsilon for the scale comparison")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reduce)
+    _add_shared(p, "--eps", "--seed", "--out", eps="epsilon for the scale comparison")
 
-    p = sub.add_parser("baseline", help="sampling baseline against the existence threshold")
-    p.add_argument("game")
+    p = game_command("baseline", cmd_baseline, "sampling baseline against the existence threshold")
     p.add_argument("--profile", default=None, help="mixed profile JSON (default: solve first)")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_baseline)
+    _add_shared(p, "--eps", "--seed", "--out")
 
     p = sub.add_parser("pipeline", help="check, solve, purify, report; file or ensemble")
     p.add_argument("--game", default=None, help="game JSON path (alternative to --n/--m/--lambda)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--family", choices=FAMILIES, default="uniform_coefficients")
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--weight", type=float, default=0.5)
+    _add_shared(p, "--family", "--density", "--weight")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=MODES, default="auto")
+    _add_shared(p, "--eps", "--seed", "--mode")
     p.add_argument("--L", type=int, default=None)
-    p.add_argument("--trace", choices=TRACE_CHOICES, default="off")
-    p.add_argument("--out", default=None, help="directory for records.jsonl and report.json")
+    _add_shared(p, "--trace", "--out", out="directory for records.jsonl and report.json")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

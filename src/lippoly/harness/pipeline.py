@@ -213,11 +213,14 @@ def run_pipeline(
     """Run the pipeline on a game file or a generated ensemble.
 
     Exactly one of game_path and spec must be given; spec runs `trials`
-    instances with consecutive seeds.  Returns an ExperimentReport whose
-    exit_code follows the documented contract.
+    instances with consecutive seeds, and a game file runs once (trials
+    must be 1).  Returns an ExperimentReport whose exit_code follows the
+    documented contract.
     """
     if (game_path is None) == (spec is None):
         raise UsageError("provide exactly one of game_path and spec")
+    if game_path is not None and trials != 1:
+        raise UsageError(f"a game file runs once: trials must be 1, got {trials!r}")
 
     eps, L = _check_options(eps, mode, L, trace_detail)
     options = dict(eps=eps, mode=mode, L=L, trace_detail=trace_detail)

@@ -28,7 +28,8 @@ HERE = Path(__file__).resolve().parent
 
 # Documents no other part of the corpus has: what the reader treats
 # specially (booleans, a document shaped like a block, blocks taken
-# outside the block list) and what only one of the readers refuses.
+# outside the block list or where a number belongs) and what only one of
+# the readers refuses.
 _BLOCK = {"i": 1, "ip": 2, "matrix": [[0.5, 0], [0, 0.25]]}
 _BASE = '{"n": 3, "m": 2, "lambda": 0.5, '
 HANDMADE = {
@@ -45,6 +46,12 @@ HANDMADE = {
     '"matrix": [[1e400, 0], [0, 0]]}]}',
     "nan-entry": _BASE + '"beta": [{"i": 1, "ip": 2, "matrix": [[NaN, 0], [0, 0]]}]}',
     "null-matrix": _BASE + '"beta": [{"i": 1, "ip": 2, "matrix": null}]}',
+    "block-as-n": '{"n": %s, "m": 2, "lambda": 0.5, "beta": []}' % json.dumps(_BLOCK),
+    "block-as-lambda": '{"n": 3, "m": 2, "lambda": %s, "beta": []}' % json.dumps(_BLOCK),
+    "block-in-a-matrix-row": _BASE + '"beta": [{"i": 1, "ip": 2, '
+    '"matrix": [[{"i": 1, "ip": 3, "matrix": [[0]]}, 0], [0, 0]]}]}',
+    "block-as-beta": _BASE + '"beta": %s}' % json.dumps(_BLOCK),
+    "empty-object-as-beta": _BASE + '"beta": {}}',
     "null-document": "null",
     "not-json": '{"n": 3,',
 }

@@ -513,6 +513,33 @@ def _game_document_text(fields):
     return json.dumps(base)[:-1] + pairs + "}"
 
 
+# Block objects where the format wants a number or the block list.  The
+# reader takes each as a block while it parses, and each is named as a
+# block by its indices.  A "beta" that is no list is refused even when it
+# is empty.
+_STRAY_BLOCK = {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]}
+STRAY_BLOCK_GAMES = {
+    "block-as-n": ({"n": _STRAY_BLOCK}, "player count must be a number, got block (1, 2)"),
+    "block-as-lambda": ({"lambda": _STRAY_BLOCK}, "lambda must be a number, got block (1, 2)"),
+    "block-in-a-matrix-row": (
+        {"beta": [{"i": 1, "ip": 2, "matrix": [[{"i": 1, "ip": 3, "matrix": [[0]]}, 0], [0, 0]]}]},
+        "malformed game JSON: block (1, 3) is not a number",
+    ),
+    "block-as-beta": ({"beta": _STRAY_BLOCK}, 'malformed game JSON: "beta" must be a list, got block (1, 2)'),
+    "empty-object-as-beta": ({"beta": {}}, 'malformed game JSON: "beta" must be a list, got dict'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRAY_BLOCK_GAMES))
+def test_a_block_out_of_place_is_named_as_a_block(name, tmp_path):
+    fields, message = STRAY_BLOCK_GAMES[name]
+    text = _game_document_text(fields)
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    assert read_outcome(load_game, str(path)) == ("UsageError", message)
+    assert read_outcome(game_from_json, json.loads(text)) == ("UsageError", message)
+
+
 @pytest.mark.parametrize("n, m, seed", [(2, 2, 1), (9, 2, 2), (6, 3, 3), (5, 8, 4)])
 def test_load_game_is_bit_identical_to_game_from_json(tmp_path, n, m, seed):
     game = random_game(n, m, 0.2, seed)

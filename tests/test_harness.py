@@ -748,6 +748,21 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UsageError"
+    # A game file runs once, as it is: generator options are refused, not
+    # ignored, before the file is read (the path below does not exist).
+    missing = str(tmp_path / "missing.json")
+    for extra, message in (
+        (["--n", "40", "--m", "3", "--lambda", "0.01"], "takes none of --n, --m, --lambda"),
+        (["--m", "3"], "takes none of --n, --m, --lambda"),
+        (["--trials", "5"], "trials must be 1, got 5"),
+    ):
+        for path in (str(game_path), missing):
+            rc = run_cli("pipeline", "--game", path, *extra)
+            assert rc == 1, extra
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "UsageError" and message in err["message"], extra
+    with pytest.raises(UsageError, match="trials must be 1, got 2"):
+        run_pipeline(game_path=missing, trials=2)
     # Malformed profiles: a non-integer, non-number or boolean action, a
     # non-number probability, ragged mixed rows, a bare array.
     for doc in (

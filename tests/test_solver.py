@@ -193,28 +193,32 @@ def test_nonconvergence_is_soft():
     assert result.phase is None
 
 
-# (n, seed, target as a fraction of the default, max_iterations) of a small
-# random binary game with lam = 1/n, for each phase that ends such a solve.
+# (n, m, seed, target as a fraction of the default, max_iterations) of a
+# small random game with lam = 1/n, for each phase that ends such a solve.
 # A one-iteration anneal returns its start, so polish has to close the gap;
 # at 1e-3 of the default target the plain start's polish stalls at about
-# 120 times the target and the jittered restart's polish gets there.
+# 120 times the target and the jittered restart's polish gets there.  The
+# restart's anneal rarely ends a solve (1 of 1,074 restarted solves in a
+# seeded sweep); in the n = 9, m = 8 case the plain start's polish stalls
+# at about 27 times the target and the jittered anneal reaches it.
 PHASE_CASES = {
-    "anneal": (3, 0, 1.0, 300),
-    "polish": (3, 0, 1.0, 1),
-    "restart_polish": (5, 51, 1e-3, 1),
+    "anneal": (3, 2, 0, 1.0, 300),
+    "polish": (3, 2, 0, 1.0, 1),
+    "restart_anneal": (9, 8, 69320, 1e-3, 300),
+    "restart_polish": (5, 2, 51, 1e-3, 1),
 }
 
 
 @pytest.mark.parametrize("phase", sorted(PHASE_CASES))
 def test_phase_names_the_stage_that_reached_the_target(phase):
-    n, seed, scale, max_iterations = PHASE_CASES[phase]
-    game = random_game(n, 2, 1.0 / n, seed)
+    n, m, seed, scale, max_iterations = PHASE_CASES[phase]
+    game = random_game(n, m, 1.0 / n, seed)
     config = SolverConfig(
         target_epsilon=scale * default_target_epsilon(game),
         seed=seed,
         max_iterations=max_iterations,
     )
-    if phase == "restart_polish":
+    if phase.startswith("restart_"):
         # The case rests on the polish stalling above the target from the
         # plain start; if that changes, another game is needed.
         probs, _, _ = _anneal(game, config, config.seed, False)
@@ -375,7 +379,7 @@ def test_a_polishing_run_leaves_scipy_unloaded():
 
     paths = (Path(lippoly.__file__).parents[1], Path(__file__).parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths))
-    n, seed, scale, max_iterations = PHASE_CASES["polish"]
+    n, m, seed, scale, max_iterations = PHASE_CASES["polish"]
     code = f"""
 import sys
 from helpers import random_game
@@ -383,7 +387,7 @@ from lippoly import SolverConfig, default_target_epsilon, solve_mixed
 from lippoly.harness.generator import GeneratorSpec
 from lippoly.harness.pipeline import run_pipeline
 
-game = random_game({n}, 2, 1.0 / {n}, {seed})
+game = random_game({n}, {m}, 1.0 / {n}, {seed})
 config = SolverConfig(
     target_epsilon={scale} * default_target_epsilon(game),
     seed={seed},
