@@ -20,7 +20,7 @@ import numbers
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -60,35 +60,41 @@ class PolymatrixGame:
         (i == ip) are forced to zero and never read.
     lam : float
         Declared Lipschitz parameter, in (0, 1].
-    operator : ndarray, shape (n*m, n*m), derived
+    operator : ndarray, shape (n*m, n*m)
         The payoff map holding the coefficients (beta is a view of it):
         entry [i*m + j, ip*m + jp] is beta[i, ip, j, jp], so the action
-        payoffs against a mixed profile P are `payoffs(game, P)`.
+        payoffs against a mixed profile P are `payoffs(game, P)`.  Passed
+        in place of beta, it is the game's own: copied only if it is not a
+        writable C-ordered float64 array, and frozen.
     """
 
     n: int
     m: int
-    beta: np.ndarray
+    _: KW_ONLY
+    beta: np.ndarray = None
     lam: float
-    operator: np.ndarray = field(init=False, repr=False, compare=False)
+    operator: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = _check_sizes(self.n, self.m)
         lam = _number(self.lam, "Lipschitz parameter", "lambda")
-        beta = np.asarray(self.beta, dtype=np.float64)
-        if beta.shape != (n, n, m, m):
-            raise UsageError(
-                f"coefficient array must have shape {(n, n, m, m)}, got {beta.shape}"
-            )
-        # Axes (i, j, ip, jp): one contiguous copy in the operator's layout.
-        flat = np.array(beta.transpose(0, 2, 1, 3), order="C")
+        if self.beta is None and self.operator is not None:
+            operator = np.require(self.operator, np.float64, "CW")
+        else:
+            beta = np.asarray(self.beta, dtype=np.float64)
+            if beta.shape != (n, n, m, m):
+                raise UsageError(
+                    f"coefficient array must have shape {(n, n, m, m)}, got {beta.shape}"
+                )
+            # Axes (i, j, ip, jp): one contiguous copy in the operator's layout.
+            operator = np.array(beta.transpose(0, 2, 1, 3), order="C")
         idx = np.arange(n)
-        flat[idx, :, idx, :] = 0.0
-        if not np.isfinite(flat).all():
+        operator.reshape(n, m, n, m)[idx, :, idx, :] = 0.0
+        if not np.isfinite(operator).all():
             raise UsageError("game coefficients must be finite (no NaN or infinity)")
-        _freeze(flat)
-        object.__setattr__(self, "operator", flat.reshape(n * m, n * m))
-        object.__setattr__(self, "beta", flat.transpose(0, 2, 1, 3))
+        _freeze(operator)
+        object.__setattr__(self, "operator", operator.reshape(n * m, n * m))
+        object.__setattr__(self, "beta", operator.reshape(n, m, n, m).transpose(0, 2, 1, 3))
         object.__setattr__(self, "lam", lam)
 
 
@@ -464,24 +470,21 @@ def _all_numbers(values):
 
 def _count(value, name):
     """A size field of the wire format; 2.5 is refused, not truncated to 2."""
-    number = _field_number(value, name)
+    number = _number(value, name)
     if not number.is_integer():
         raise UsageError(f"{name} must be an integer, got {value!r}")
     return int(number)
 
 
-def _field_number(value, name):
-    """A number field of the wire format as _number reads it; a block
-    object placed there is refused by its indices."""
-    if type(value) is tuple:
-        raise UsageError(f"{name} must be a number, got {_shown(value)}")
-    return _number(value, name)
+# What the reader leaves in place of a block it took (see _parse_game).
+_TAKEN = object()
 
 
-def _shown(value):
-    """A parsed game value for an error message: a tuple is a block object
-    the reader took (see _parse_game), named by its indices."""
-    return f"block {value[:2]}" if type(value) is tuple else repr(value)
+class _Block(dict):
+    """A block dict, shown by its indices as the document gives them."""
+
+    def __repr__(self):
+        return f"block ({self['i']!r}, {self['ip']!r})"
 
 
 def game_from_json(data):
@@ -489,7 +492,8 @@ def game_from_json(data):
     each block {"i", "ip", "matrix"} with 1-based indices and an m x m
     matrix of numbers, read as its json.dumps text by load_game's reader.
     Anything else, or what json.dumps cannot encode as standard JSON (a
-    numpy integer, NaN or infinity), raises UsageError."""
+    numpy integer, NaN or infinity), raises UsageError.  The document, its
+    text and their parse are alive at once: read files with load_game."""
     try:
         text = json.dumps(data, allow_nan=False)
     except (TypeError, ValueError) as exc:
@@ -497,82 +501,105 @@ def game_from_json(data):
     return _build_game(*_parse_game("game JSON", text))
 
 
-def _build_game(data, values):
-    """The game of a document and block entries `_parse_game` read, or the
-    UsageError of the first check it fails: sizes, indices, matrices."""
+def _build_game(document, values, repeats):
+    """The game of what `_parse_game` read, or the UsageError of the first
+    check it fails: sizes, indices, matrices.  If "beta" holds just the taken
+    blocks, each m x m, the checks run on a (blocks, m*m + 3) view of the
+    buffer, whose entries are scattered into the operator; else the blocks
+    are read as dicts, each taken one restored as a _Block."""
+    flat = np.frombuffer(values)
+    k = int(flat[-1]) if len(flat) else 0
+    rows = flat.reshape(-1, k * k + 3)
+    beta = document.get("beta") if isinstance(document, dict) else None
+    fast = type(beta) is list and beta.count(_TAKEN) == len(beta) == len(rows)
+    dicts = not (fast and (k == document.get("m") or not len(rows)))
+    if dicts:
+        grids = rows[:, :-3].reshape(len(rows), k, k).tolist()
+        taken = (_Block(i=int(r[-3]), ip=int(r[-2]), matrix=g) for r, g in zip(rows, grids))
+        document = _restored(document, taken, repeats)
     try:
-        n = _count(data["n"], "player count")
-        m = _count(data["m"], "action count")
-        lam = _field_number(data["lambda"], "lambda")
-        raw_blocks = data.get("beta", [])
-        if type(raw_blocks) is not list:
-            got = _shown(raw_blocks) if type(raw_blocks) is tuple else type(raw_blocks).__name__
+        n = _count(document["n"], "player count")
+        m = _count(document["m"], "action count")
+        lam = _number(document["lambda"], "lambda")
+        blocks = document.get("beta", [])
+        if type(blocks) is not list:
+            got = repr(blocks) if type(blocks) is _Block else type(blocks).__name__
             raise UsageError(f'malformed game JSON: "beta" must be a list, got {got}')
-        # Blocks the hook did not take become (i, ip, None, the dict), like its tuples.
-        if not set(map(type, raw_blocks)) <= {tuple}:
-            raw_blocks = [b if type(b) is tuple else (b["i"], b["ip"], None, b) for b in raw_blocks]
-        # One flat list: a list of per-block tuples would set off garbage
-        # collections that walk the whole parsed document.
-        indices = list(itertools.chain.from_iterable(map(itemgetter(0, 1), raw_blocks)))
-        if not _all_numbers(indices):
-            k = next(k for k, v in enumerate(indices) if not _number_type(type(v)))
-            raise UsageError(
-                f"malformed game JSON: block {raw_blocks[k // 2][:2]} "
-                "has an index that is not a number"
-            )
-        # Floats, so that an index like 1.7 is refused, not truncated.
-        pairs = np.array(indices, dtype=np.float64).reshape(-1, 2) - 1
+        if dicts:
+            named = list(itertools.chain.from_iterable(map(itemgetter("i", "ip"), blocks)))
+            if not _all_numbers(named):
+                first = next(at for at, v in enumerate(named) if not _number_type(type(v)))
+                entry = blocks[first // 2]
+                raise UsageError(f"malformed game JSON: block ({entry['i']!r}, {entry['ip']!r}) "
+                                 "has an index that is not a number")
+            # Floats, so that an index like 1.7 is refused, not truncated.
+            named = np.array(named, dtype=np.float64).reshape(-1, 2)
+        else:
+            named = rows[:, -3:-1]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed game JSON: {exc}") from exc
     # Before anything is allocated at these sizes.
     _check_sizes(n, m)
     tensor_guard(n, m, f"a game of {n} players and {m} actions")
+
+    def block(at):
+        """Block `at` of "beta", by its indices as the document gives them."""
+        return repr(_Block(blocks[at] if dicts else zip(("i", "ip"), map(int, named[at]))))
+
+    pairs = named - 1
     fractional = (np.trunc(pairs) != pairs).any(axis=1)
     if fractional.any():
-        raise UsageError(f"block {raw_blocks[np.argmax(fractional)][:2]} has a non-integer index")
-    i, ip = pairs[:, 0], pairs[:, 1]
+        raise UsageError(f"{block(np.argmax(fractional))} has a non-integer index")
+    i, ip = pairs.T
     bad = (i < 0) | (i >= n) | (ip < 0) | (ip >= n) | (i == ip)
     if bad.any():
-        raise UsageError(f"block {raw_blocks[np.argmax(bad)][:2]} out of range")
+        raise UsageError(f"{block(np.argmax(bad))} out of range")
     i, ip = i.astype(np.int64), ip.astype(np.int64)
     key = i * n + ip
     repeated = np.bincount(key)[key] > 1
     if repeated.any():
-        raise UsageError(f"block {raw_blocks[np.argmax(repeated)][:2]} appears more than once")
-    beta = np.zeros((n, n, m, m))
-    if raw_blocks:
-        if set(map(itemgetter(2), raw_blocks)) != {m}:
-            _refuse_matrices(raw_blocks, m)
-        # From each block's start, as an earlier "beta"'s blocks may sit between.
-        windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(values), m * m)
-        beta[i, ip] = windows[list(map(itemgetter(3), raw_blocks))].reshape(-1, m, m)
-    return PolymatrixGame(n=n, m=m, beta=beta, lam=lam)
+        raise UsageError(f"{block(np.argmax(repeated))} appears more than once")
+    entries = _block_matrices(blocks, m) if dicts else rows[:, :-3]
+    operator = np.zeros((n * m, n * m))
+    operator.reshape(n, m, n, m)[i, :, ip, :] = entries.reshape(-1, m, m)
+    return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)
 
 
-def _refuse_matrices(raw_blocks, m):
-    """Raise the UsageError for matrices that are not all m x m numbers (a
-    taken block's are k x k): a non-number if all have m rows of m entries,
-    else the first block of another shape; else an entry too large."""
+def _restored(value, blocks, repeats):
+    """A parsed value with each _TAKEN in it, in the order the reader met
+    them, made the next of `blocks`; an object's repeated keys included."""
+    if value is _TAKEN:
+        return next(blocks)
+    if type(value) is list:
+        for at, item in enumerate(value):
+            value[at] = _restored(item, blocks, repeats)
+    elif isinstance(value, dict):
+        for key, item in list(repeats.get(id(value), value.items())):
+            value[key] = _restored(item, blocks, repeats)
+    return value
+
+
+def _block_matrices(blocks, m):
+    """Block dicts' matrices as one (blocks, m*m) array, or the UsageError: a
+    non-number if all have m rows of m entries, else the first block of
+    another shape; else an entry too large."""
     flatten = itertools.chain.from_iterable
-    matrices = [
-        [[0.0] * k] * k if k is not None else entry.get("matrix") for _, _, k, entry in raw_blocks
-    ]
+    matrices = [block.get("matrix") for block in blocks]
     error = None
     try:
-        if all(len(matrix) == m for matrix in matrices) and all(
-            len(row) == m for row in flatten(matrices)
-        ):
+        if all(len(x) == m for x in matrices) and all(len(x) == m for x in flatten(matrices)):
             _require_numbers(flatten(flatten(matrices)), "game")
-            np.fromiter(flatten(flatten(matrices)), dtype=np.float64)
+            return np.fromiter(flatten(flatten(matrices)), np.float64, len(blocks) * m * m)
     except (TypeError, ValueError, OverflowError) as exc:
         error = exc
-    for block, matrix in zip(raw_blocks, matrices):
+    for block, matrix in zip(blocks, matrices):
         try:
             shape = np.shape(matrix)
         except ValueError:
             shape = "ragged rows"
-        if shape != (m, m):
-            raise UsageError(f"block {block[:2]} has shape {shape}, want ({m}, {m})")
+        if shape != (m, m) or type(matrix) is _Block:
+            got = f"{matrix!r} as its matrix" if type(matrix) is _Block else f"shape {shape}"
+            raise UsageError(f"{_Block(block)!r} has {got}, want ({m}, {m})")
     raise UsageError(f"malformed game JSON: {error}") from error
 
 
@@ -610,7 +637,7 @@ def profile_from_json(data):
 def _require_numbers(entries, kind):
     for value in entries:
         if not _number_type(type(value)):
-            raise UsageError(f"malformed {kind} JSON: {_shown(value)} is not a number")
+            raise UsageError(f"malformed {kind} JSON: {value!r} is not a number")
 
 
 def canonical_bytes(obj):
@@ -645,7 +672,7 @@ def _read_text(path):
         raise UsageError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
 
 
-def _parse_json(path, text, object_hook=None):
+def _parse_json(path, text, object_pairs_hook=None):
     """json.loads of a file's text, with load_json's errors.
 
     The cyclic garbage collector is paused while the parser runs: a parsed
@@ -656,7 +683,9 @@ def _parse_json(path, text, object_hook=None):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text, parse_constant=_reject_constant, object_hook=object_hook)
+        return json.loads(
+            text, parse_constant=_reject_constant, object_pairs_hook=object_pairs_hook
+        )
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
     finally:
@@ -675,41 +704,54 @@ def load_game(path):
 
 
 def _parse_game(path, text):
-    """A game document parsed from its text, and its blocks' entries: an
-    object hook turns each dict with "i", "ip" and a non-empty matrix of k
-    lists of k numbers into (i, ip, k, start), its rows going into one
-    float64 array, so no dict per block and no float per coefficient
-    outlives the parse.  Other objects, and the document, stay as parsed."""
-    values = array("d")
-    add_row = values.fromlist
-    # Every boolean ("true", "false") holds a "u" or an "f", and no number
-    # or key of the format does; array.fromlist would take a boolean as
-    # 1.0 or 0.0, so only then are the rows' types checked.
-    typed = "u" in text or "f" in text
-    last = None
+    """A game document parsed from its text, the reader's buffer, and the
+    pairs of each object whose keys repeat, by the id of its dict.
 
-    def take(block):
-        nonlocal last
-        matrix = block.get("matrix")
-        if not matrix or "i" not in block or "ip" not in block:
-            return block
+    An object hook takes each object that is exactly {"i", "ip", "matrix"},
+    with int indices and k lists of k numbers, k >= 1 and the same for all:
+    it appends the record (the entries row by row, then i, ip and k) to one
+    float64 buffer and leaves _TAKEN in its place, so no Python object per
+    block outlives the parse.  Another object with "i", "ip" and a k x k
+    matrix of numbers becomes a _Block, any other a dict."""
+    values = array("d")
+    add = values.fromlist
+    repeats = {}
+    # Every boolean ("true", "false") holds a "u" or an "f", and no number or
+    # key of the format does; fromlist takes a boolean as 1.0 or 0.0, so
+    # only then are the rows' types checked.
+    typed = "u" in text or "f" in text
+
+    def take(pairs):
         start = len(values)
+        keyed = len(pairs) == 3
+        if keyed:
+            (a, i), (b, ip), (c, matrix) = pairs
+            keyed = a == "i" and b == "ip" and c == "matrix"
+        if not keyed:
+            fields = dict(pairs)
+            matrix = fields.get("matrix") if "i" in fields and "ip" in fields else None
         try:
             k = len(matrix)
             for row in matrix:
                 # Refused like what fromlist refuses: a non-list, a non-number.
                 if len(row) != k or typed and not _all_numbers(row):
                     raise TypeError
-                add_row(row)
+                add(row)
         except (TypeError, OverflowError):
-            del values[start:]
-            return block
-        last = block
-        return block["i"], block["ip"], k, start
+            k = 0
+        # One k for all records; indices a float64 holds exactly, not negative.
+        if keyed and k and type(i) is int is type(ip) and not (i | ip) >> 53 and (
+            not start or values[start - 1] == k
+        ):
+            add([i, ip, k])
+            return _TAKEN
+        del values[start:]
+        parsed = (_Block if k else dict)(pairs)
+        if len(parsed) < len(pairs):
+            repeats[id(parsed)] = pairs
+        return parsed
 
-    document = _parse_json(path, text, take)
-    # The hook runs on the document last; a document is no block.
-    return (last if type(document) is tuple else document), values
+    return _parse_json(path, text, take), values, repeats
 
 
 def save_game(game, path):

@@ -38,16 +38,17 @@ def induce(base, L):
     """The L-fold population lift of a base game, as a PolymatrixGame on
     n*L players with parameter lam/L.
 
-    The full (nL, nL, m, m) tensor is allocated, so a lift of more than
+    Only the lifted operator is allocated, and a lift of more than
     TENSOR_GUARD coefficients is refused with its size estimate.
     """
     L = replication(L)
     n, m = base.n, base.m
     tensor_guard(n * L, m, f"materializing {n * L} players")
     # Same-population blocks copy the base game's zero self-blocks.
-    pops = np.repeat(np.arange(n), L)
-    lifted = base.beta[np.ix_(pops, pops)] / L
-    return PolymatrixGame(n=n * L, m=m, beta=lifted, lam=base.lam / L)
+    rows = np.repeat(np.arange(n * m).reshape(n, m), L, axis=0).ravel()
+    operator = base.operator[np.ix_(rows, rows)]
+    operator /= L
+    return PolymatrixGame(n=n * L, m=m, lam=base.lam / L, operator=operator)
 
 
 def aggregate(base, L, pure):

@@ -51,6 +51,9 @@ HANDMADE = {
     "block-in-a-matrix-row": _BASE + '"beta": [{"i": 1, "ip": 2, '
     '"matrix": [[{"i": 1, "ip": 3, "matrix": [[0]]}, 0], [0, 0]]}]}',
     "block-as-beta": _BASE + '"beta": %s}' % json.dumps(_BLOCK),
+    "block-as-an-index": _BASE + '"beta": [{"i": %s, "ip": 2, '
+    '"matrix": [[0, 0], [0, 0]]}]}' % json.dumps(_BLOCK),
+    "block-as-a-matrix": _BASE + '"beta": [{"i": 1, "ip": 2, "matrix": %s}]}' % json.dumps(_BLOCK),
     "empty-object-as-beta": _BASE + '"beta": {}}',
     "null-document": "null",
     "not-json": '{"n": 3,',

@@ -513,17 +513,26 @@ def _game_document_text(fields):
     return json.dumps(base)[:-1] + pairs + "}"
 
 
-# Block objects where the format wants a number or the block list.  The
-# reader takes each as a block while it parses, and each is named as a
-# block by its indices.  A "beta" that is no list is refused even when it
-# is empty.
+# Block objects where the format wants a number, a matrix or the block
+# list.  The reader takes each as a block while it parses, and each is
+# named as a block by its indices.  A "beta" that is no list is refused
+# even when it is empty.
 _STRAY_BLOCK = {"i": 1, "ip": 2, "matrix": [[0, 0], [0, 0]]}
+_INNER_BLOCK = {"i": 1, "ip": 3, "matrix": [[0, 0], [0, 0]]}
 STRAY_BLOCK_GAMES = {
     "block-as-n": ({"n": _STRAY_BLOCK}, "player count must be a number, got block (1, 2)"),
     "block-as-lambda": ({"lambda": _STRAY_BLOCK}, "lambda must be a number, got block (1, 2)"),
     "block-in-a-matrix-row": (
         {"beta": [{"i": 1, "ip": 2, "matrix": [[{"i": 1, "ip": 3, "matrix": [[0]]}, 0], [0, 0]]}]},
         "malformed game JSON: block (1, 3) is not a number",
+    ),
+    "block-as-an-index": (
+        {"beta": [{"i": _INNER_BLOCK, "ip": 2, "matrix": [[0, 0], [0, 0]]}]},
+        "malformed game JSON: block (block (1, 3), 2) has an index that is not a number",
+    ),
+    "block-as-a-matrix": (
+        {"beta": [{"i": 1, "ip": 2, "matrix": _INNER_BLOCK}]},
+        "block (1, 2) has block (1, 3) as its matrix, want (2, 2)",
     ),
     "block-as-beta": ({"beta": _STRAY_BLOCK}, 'malformed game JSON: "beta" must be a list, got block (1, 2)'),
     "empty-object-as-beta": ({"beta": {}}, 'malformed game JSON: "beta" must be a list, got dict'),
@@ -670,11 +679,15 @@ def test_load_game_reads_integer_and_exponent_literals(tmp_path):
     assert loaded.operator.tobytes() == game_from_json(json.loads(text)).operator.tobytes()
 
 
-def test_load_game_peak_memory(tmp_path):
+@pytest.mark.parametrize("n, m, bound", [(60, 8, 2.5), (120, 2, 2.1)])
+def test_load_game_peak_memory(tmp_path, n, m, bound):
     # The file's bytes and its decoded text are both alive once, while it is
-    # read (2x the file); no parsed coefficient may outlive its block.
+    # read (2x the file); no parsed coefficient may outlive its block, and
+    # no Python object may outlive the parse of a block.  A binary game's
+    # file is small next to its tensor, so there the operator must be the
+    # one tensor-sized array the build adds to the entry buffer.
     path = tmp_path / "game.json"
-    save_game(random_game(60, 8, 0.005, 3), str(path))
+    save_game(random_game(n, m, 0.005, 3), str(path))
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -682,7 +695,25 @@ def test_load_game_peak_memory(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * size, f"peak {peak} bytes for a {size}-byte file"
+    assert peak <= bound * size, f"peak {peak} bytes for a {size}-byte file"
+
+
+def test_a_game_takes_its_operator_as_given():
+    game = random_game(5, 3, 0.2, 7)
+    operator = np.array(game.operator)
+    operator.reshape(5, 3, 5, 3)[1, :, 1, :] = 0.5  # a self block, zeroed
+    same = PolymatrixGame(n=5, m=3, lam=game.lam, operator=operator)
+    assert np.shares_memory(same.operator, operator) and not operator.flags.writeable
+    assert game_digest(same) == game_digest(game)
+    assert same.beta.tobytes() == game.beta.tobytes()
+    # A read-only operator is copied, not written to.
+    again = PolymatrixGame(n=5, m=3, lam=game.lam, operator=game.operator)
+    assert not np.shares_memory(again.operator, game.operator)
+    assert game_digest(again) == game_digest(game)
+    operator = np.array(game.operator)
+    operator[0, 4] = np.inf
+    with pytest.raises(UsageError, match="game coefficients must be finite"):
+        PolymatrixGame(n=5, m=3, lam=game.lam, operator=operator)
 
 
 def test_profile_from_json_refuses_numbers_too_large_for_a_float():

@@ -2,6 +2,7 @@
 aggregation, round trip."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ def test_reduce_reports_the_configured_solver_target():
     assert report["aggregate_base_regret"] == 0.0
     _, default = reduce_and_solve(base, epsilon=0.3, L=4)
     assert default["solver_target"] == pytest.approx(1.0 / (8 * 4), rel=1e-15)
+
+
+def test_induce_allocates_one_lifted_operator():
+    # The gathered operator is divided in place and handed to the game, so
+    # no second tensor-sized array is alive while the lift is built.
+    base = random_game(3, 2, 0.3, 1)
+    tracemalloc.start()
+    try:
+        lifted = induce(base, 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * lifted.operator.nbytes, f"peak {peak} for {lifted.operator.nbytes}"
 
 
 def test_materialization_budget():
