@@ -80,6 +80,8 @@ class PolymatrixGame:
         lam = _number(self.lam, "Lipschitz parameter", "lambda")
         if self.beta is None and self.operator is not None:
             operator = np.require(self.operator, np.float64, "CW")
+            if operator.shape != (n * m, n * m):
+                raise UsageError(f"operator must have shape {(n * m, n * m)}, got {operator.shape}")
         else:
             beta = np.asarray(self.beta, dtype=np.float64)
             if beta.shape != (n, n, m, m):
@@ -526,6 +528,8 @@ def _build_game(document, values, repeats):
             got = repr(blocks) if type(blocks) is _Block else type(blocks).__name__
             raise UsageError(f'malformed game JSON: "beta" must be a list, got {got}')
         if dicts:
+            # One flat list: a list of per-block pairs would set off garbage
+            # collections that walk the whole parsed document.
             named = list(itertools.chain.from_iterable(map(itemgetter("i", "ip"), blocks)))
             if not _all_numbers(named):
                 first = next(at for at, v in enumerate(named) if not _number_type(type(v)))
@@ -587,7 +591,9 @@ def _block_matrices(blocks, m):
     matrices = [block.get("matrix") for block in blocks]
     error = None
     try:
-        if all(len(x) == m for x in matrices) and all(len(x) == m for x in flatten(matrices)):
+        if all(len(matrix) == m for matrix in matrices) and all(
+            len(row) == m for row in flatten(matrices)
+        ):
             _require_numbers(flatten(flatten(matrices)), "game")
             return np.fromiter(flatten(flatten(matrices)), np.float64, len(blocks) * m * m)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -714,11 +720,11 @@ def _parse_game(path, text):
     block outlives the parse.  Another object with "i", "ip" and a k x k
     matrix of numbers becomes a _Block, any other a dict."""
     values = array("d")
-    add = values.fromlist
+    add_row = values.fromlist
     repeats = {}
-    # Every boolean ("true", "false") holds a "u" or an "f", and no number or
-    # key of the format does; fromlist takes a boolean as 1.0 or 0.0, so
-    # only then are the rows' types checked.
+    # Every boolean ("true", "false") holds a "u" or an "f", and no number
+    # or key of the format does; array.fromlist would take a boolean as
+    # 1.0 or 0.0, so only then are the rows' types checked.
     typed = "u" in text or "f" in text
 
     def take(pairs):
@@ -736,14 +742,14 @@ def _parse_game(path, text):
                 # Refused like what fromlist refuses: a non-list, a non-number.
                 if len(row) != k or typed and not _all_numbers(row):
                     raise TypeError
-                add(row)
+                add_row(row)
         except (TypeError, OverflowError):
             k = 0
         # One k for all records; indices a float64 holds exactly, not negative.
         if keyed and k and type(i) is int is type(ip) and not (i | ip) >> 53 and (
             not start or values[start - 1] == k
         ):
-            add([i, ip, k])
+            add_row([i, ip, k])
             return _TAKEN
         del values[start:]
         parsed = (_Block if k else dict)(pairs)

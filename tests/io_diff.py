@@ -31,6 +31,7 @@ HERE = Path(__file__).resolve().parent
 # outside the block list or where a number belongs) and what only one of
 # the readers refuses.
 _BLOCK = {"i": 1, "ip": 2, "matrix": [[0.5, 0], [0, 0.25]]}
+_INNER = {"i": 1, "ip": 3, "matrix": [[0, 0], [0, 0]]}
 _BASE = '{"n": 3, "m": 2, "lambda": 0.5, '
 HANDMADE = {
     "boolean-outside-blocks": _BASE + '"note": true, "beta": [%s]}' % json.dumps(_BLOCK),
@@ -52,8 +53,8 @@ HANDMADE = {
     '"matrix": [[{"i": 1, "ip": 3, "matrix": [[0]]}, 0], [0, 0]]}]}',
     "block-as-beta": _BASE + '"beta": %s}' % json.dumps(_BLOCK),
     "block-as-an-index": _BASE + '"beta": [{"i": %s, "ip": 2, '
-    '"matrix": [[0, 0], [0, 0]]}]}' % json.dumps(_BLOCK),
-    "block-as-a-matrix": _BASE + '"beta": [{"i": 1, "ip": 2, "matrix": %s}]}' % json.dumps(_BLOCK),
+    '"matrix": [[0, 0], [0, 0]]}]}' % json.dumps(_INNER),
+    "block-as-a-matrix": _BASE + '"beta": [{"i": 1, "ip": 2, "matrix": %s}]}' % json.dumps(_INNER),
     "empty-object-as-beta": _BASE + '"beta": {}}',
     "null-document": "null",
     "not-json": '{"n": 3,',

@@ -679,15 +679,22 @@ def test_load_game_reads_integer_and_exponent_literals(tmp_path):
     assert loaded.operator.tobytes() == game_from_json(json.loads(text)).operator.tobytes()
 
 
-@pytest.mark.parametrize("n, m, bound", [(60, 8, 2.5), (120, 2, 2.1)])
-def test_load_game_peak_memory(tmp_path, n, m, bound):
+def test_load_game_peak_memory(tmp_path):
     # The file's bytes and its decoded text are both alive once, while it is
-    # read (2x the file); no parsed coefficient may outlive its block, and
-    # no Python object may outlive the parse of a block.  A binary game's
-    # file is small next to its tensor, so there the operator must be the
-    # one tensor-sized array the build adds to the entry buffer.
+    # read (2x the file); no parsed coefficient may outlive its block.
+    assert_load_peak(tmp_path, random_game(60, 8, 0.005, 3), 2.5)
+
+
+def test_load_game_peak_memory_on_a_binary_game(tmp_path):
+    # A binary game's file is small next to its tensor, so the build may add
+    # only the operator to the entry buffer, and no Python object may
+    # outlive the parse of its block.
+    assert_load_peak(tmp_path, random_game(120, 2, 0.005, 3), 2.1)
+
+
+def assert_load_peak(tmp_path, game, bound):
     path = tmp_path / "game.json"
-    save_game(random_game(n, m, 0.005, 3), str(path))
+    save_game(game, str(path))
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -755,6 +762,10 @@ def test_game_digest_stability():
             lambda: PolymatrixGame(n=2, m=2, beta=np.zeros((2, 2, 2)), lam=0.5),
             "coefficient array must have shape (2, 2, 2, 2), got (2, 2, 2)",
         ),
+        (
+            lambda: PolymatrixGame(n=2, m=2, lam=0.5, operator=np.zeros((2, 4))),
+            "operator must have shape (4, 4), got (2, 4)",
+        ),
         (lambda: PureProfile(np.zeros((2, 2), dtype=int)), "pure profile must be a flat vector"),
         (lambda: MixedProfile([0.5, 0.5]), "mixed profile must be an (n, m) probability matrix"),
         (
@@ -764,8 +775,8 @@ def test_game_digest_stability():
         (lambda: MixedProfile([[0.5, 0.5], [1.0, 0.0]]).to_pure(), "profile is not pure-valued"),
         (lambda: profile_from_json({}), 'profile JSON needs a "pure" or "mixed" key'),
     ],
-    ids=["game beta shape", "pure 2-D", "mixed 1-D", "mixed other game", "to_pure mixed",
-         "profile no key"],
+    ids=["game beta shape", "game operator shape", "pure 2-D", "mixed 1-D", "mixed other game",
+         "to_pure mixed", "profile no key"],
 )
 def test_malformed_games_and_profiles_raise_usage_errors(build, message):
     with pytest.raises(UsageError, match=re.escape(message)):
