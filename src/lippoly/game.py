@@ -713,12 +713,13 @@ def _parse_game(path, text):
     """A game document parsed from its text, the reader's buffer, and the
     pairs of each object whose keys repeat, by the id of its dict.
 
-    An object hook takes each object that is exactly {"i", "ip", "matrix"},
-    with int indices and k lists of k numbers, k >= 1 and the same for all:
-    it appends the record (the entries row by row, then i, ip and k) to one
-    float64 buffer and leaves _TAKEN in its place, so no Python object per
-    block outlives the parse.  Another object with "i", "ip" and a k x k
-    matrix of numbers becomes a _Block, any other a dict."""
+    An object hook takes each object written as game_to_json writes a block
+    ("i", "ip" and "matrix", in that order), with int indices and k lists of
+    k numbers, k >= 1 and the same for all: it appends the record (the
+    entries row by row, then i, ip and k) to one float64 buffer and leaves
+    _TAKEN in its place, so no Python object per block outlives the parse.
+    Another object with "i", "ip" and a k x k matrix of numbers becomes a
+    _Block, any other a dict."""
     values = array("d")
     add_row = values.fromlist
     repeats = {}

@@ -28,8 +28,8 @@ HERE = Path(__file__).resolve().parent
 
 # Documents no other part of the corpus has: what the reader treats
 # specially (booleans, a document shaped like a block, blocks taken
-# outside the block list or where a number belongs) and what only one of
-# the readers refuses.
+# outside the block list or where a number or a matrix belongs) and what
+# only one of the readers refuses.
 _BLOCK = {"i": 1, "ip": 2, "matrix": [[0.5, 0], [0, 0.25]]}
 _INNER = {"i": 1, "ip": 3, "matrix": [[0, 0], [0, 0]]}
 _BASE = '{"n": 3, "m": 2, "lambda": 0.5, '
