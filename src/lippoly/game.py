@@ -17,6 +17,8 @@ import hashlib
 import itertools
 import json
 import numbers
+import os
+import re
 import struct
 import sys
 from array import array
@@ -550,6 +552,25 @@ def _build_game(document, values, repeats):
         """Block `at` of "beta", by its indices as the document gives them."""
         return repr(_Block(blocks[at] if dicts else zip(("i", "ip"), map(int, named[at]))))
 
+    _check_indices(named, n, block)
+    entries = _block_matrices(blocks, m) if dicts else rows[:, :-3]
+    operator = np.zeros((n * m, n * m))
+    tensor = operator.reshape(n, m, n, m)
+    for at in range(0, len(named), _SCATTER):
+        i, ip = (named[at:at + _SCATTER] - 1).astype(np.int64).T
+        tensor[i, :, ip, :] = entries[at:at + _SCATTER].reshape(-1, m, m)
+    return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)
+
+
+# Blocks scattered into the operator at a time, so that no index array as
+# long as the block list is alive beside it.
+_SCATTER = 1 << 16
+
+
+def _check_indices(named, n, block):
+    """The UsageError of the first block whose 1-based indices in `named`
+    are not integers, out of range or equal, or that repeats one before
+    it.  The float pairs are freed before the repeats are counted."""
     pairs = named - 1
     fractional = (np.trunc(pairs) != pairs).any(axis=1)
     if fractional.any():
@@ -558,15 +579,12 @@ def _build_game(document, values, repeats):
     bad = (i < 0) | (i >= n) | (ip < 0) | (ip >= n) | (i == ip)
     if bad.any():
         raise UsageError(f"{block(np.argmax(bad))} out of range")
-    i, ip = i.astype(np.int64), ip.astype(np.int64)
-    key = i * n + ip
+    # Exact in float64: below n^2, which the tensor guard keeps under 2^53.
+    key = (i * n + ip).astype(np.int64)
+    del pairs, i, ip
     repeated = np.bincount(key)[key] > 1
     if repeated.any():
         raise UsageError(f"{block(np.argmax(repeated))} appears more than once")
-    entries = _block_matrices(blocks, m) if dicts else rows[:, :-3]
-    operator = np.zeros((n * m, n * m))
-    operator.reshape(n, m, n, m)[i, :, ip, :] = entries.reshape(-1, m, m)
-    return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)
 
 
 def _restored(value, blocks, repeats):
@@ -663,7 +681,8 @@ def load_json(path):
     """Parse a JSON file, refusing the non-standard NaN/Infinity literals.
 
     A file that cannot be read (missing, a directory, no permission), is
-    not UTF-8 or is not well-formed JSON raises UsageError naming the file.
+    not UTF-8, is not well-formed JSON or is nested too deeply for the
+    parser raises UsageError naming the file.
     """
     return _parse_json(path, _read_text(path))
 
@@ -694,6 +713,8 @@ def _parse_json(path, text, object_pairs_hook=None):
         )
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path}: JSON nested too deeply to read ({exc})") from exc
     finally:
         if was_enabled:
             gc.enable()
@@ -704,29 +725,135 @@ def _reject_constant(name):
 
 
 def load_game(path):
-    """Read a game file, parsing its text once: what game_from_json gives."""
+    """Read a game file: what game_from_json gives for its document.
+
+    A compact file larger than _PIECE bytes is read in pieces
+    (_read_pieces), so its text is never held whole; any other file, or
+    one the pieces decline, has its text parsed once by _parse_game."""
     # No name holds the text, so it is freed before the tensor is allocated.
-    return _build_game(*_parse_game(path, _read_text(path)))
+    return _build_game(*(_read_pieces(path) or _parse_game(path, _read_text(path))))
+
+
+# load_game reads a compact game file in pieces of about this many bytes.
+_PIECE = 1 << 20
+# A compact document is an object whose members other than "beta" are a
+# key and a scalar each, written without spaces: _HEAD matches its text up
+# to the block list's "[", _TAIL its text from the closing "]".
+_MEMBER = rb'"(?:[^"\\]|\\.)*":(?:"(?:[^"\\]|\\.)*"|[-+.\w]+)'
+_HEAD = re.compile(rb'\{(?:%s,)*"beta":\[' % _MEMBER)
+_TAIL = re.compile(rb'\](?:,%s)*\}\s*' % _MEMBER)
+# What ends every block of "beta" but the last, as game_to_json's blocks
+# are written compactly: its matrix, its object and the comma.
+_BLOCK_END = b"]]},"
+
+
+def _read_pieces(path):
+    """What _parse_game gives for a compact game file over _PIECE bytes,
+    read and parsed in pieces; None when the file is to be read whole.
+
+    _HEAD leaves the parser in the top-level "beta" list, outside any
+    string, where a block starts.  The text read so far is cut at its last
+    _BLOCK_END, whose comma becomes the "]" that closes the piece and the
+    "[" that opens the rest, and the piece is parsed with _parse_game's
+    hook.  It must hold taken blocks only, so it ends where a block ends
+    and the rest again starts where one starts.  The last piece ends at the
+    last "]]}]".  The head and the tail after it (_TAIL) are parsed as one
+    document, which must be an object with an empty "beta" and no repeated
+    key.  The whole text would then parse to that document, with a _TAKEN
+    per block in "beta", and to the same buffer.  Anything else gives None,
+    so that every error comes from the whole-text reader: a file that
+    cannot be read, a head or tail of another form, a piece that does not
+    parse or that holds a "u" or an "f" (a boolean, which the hook checks
+    for only in a text that may hold one).
+    """
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size <= _PIECE:
+                return None
+            text = bytearray(fh.read(_PIECE))
+            match = _HEAD.match(text)
+            if match is None:
+                return None
+            # The piece text starts at the block list's "[".
+            head, start = bytes(text[:match.end()]), match.end() - 1
+            values, repeats = array("d"), {}
+            take = _taker(values, repeats, typed=False)
+            blocks = 0
+            while True:
+                cut = text.rfind(_BLOCK_END, start) + 3
+                if cut > 2:
+                    text[cut] = ord("]")
+                    taken = _parse_piece(memoryview(text)[start:cut + 1], take)
+                    if taken is None:
+                        return None
+                    blocks += taken
+                    text, start = text[cut:], 0
+                    text[0] = ord("[")
+                read = len(text)
+                text += fh.read(_PIECE)
+                if len(text) == read:
+                    break
+    except OSError:
+        return None
+    end = text.rfind(b"]]}]", start) + 3
+    taken = end > 2 and _TAIL.fullmatch(text, end) and _parse_piece(
+        memoryview(text)[start:end + 1], take
+    )
+    if not taken:
+        return None
+    try:
+        document = _parse_json(path, (head + text[end:]).decode(), take)
+    except (UnicodeDecodeError, UsageError):
+        return None
+    if type(document) is not dict or document.get("beta") != [] or repeats:
+        return None
+    document["beta"] = [_TAKEN] * (blocks + taken)
+    return document, values, repeats
+
+
+def _parse_piece(piece, take):
+    """How many blocks a piece of text, a list, holds, parsed with `take`;
+    None if it is not a list of taken blocks or holds a boolean."""
+    try:
+        # A list of taken blocks is ASCII: its only strings are their keys.
+        text = str(piece, "ascii")
+    except UnicodeDecodeError:
+        return None
+    if "u" in text or "f" in text:
+        return None
+    try:
+        parsed = _parse_json("piece", text, take)
+    except UsageError:
+        return None
+    return len(parsed) if parsed.count(_TAKEN) == len(parsed) else None
 
 
 def _parse_game(path, text):
     """A game document parsed from its text, the reader's buffer, and the
-    pairs of each object whose keys repeat, by the id of its dict.
-
-    An object hook takes each object written as game_to_json writes a block
-    ("i", "ip" and "matrix", in that order), with int indices and k lists of
-    k numbers, k >= 1 and the same for all: it appends the record (the
-    entries row by row, then i, ip and k) to one float64 buffer and leaves
-    _TAKEN in its place, so no Python object per block outlives the parse.
-    Another object with "i", "ip" and a k x k matrix of numbers becomes a
-    _Block, any other a dict."""
-    values = array("d")
-    add_row = values.fromlist
-    repeats = {}
+    pairs of each object whose keys repeat, by the id of its dict (see
+    _taker)."""
+    values, repeats = array("d"), {}
     # Every boolean ("true", "false") holds a "u" or an "f", and no number
-    # or key of the format does; array.fromlist would take a boolean as
-    # 1.0 or 0.0, so only then are the rows' types checked.
-    typed = "u" in text or "f" in text
+    # or key of the format does.
+    take = _taker(values, repeats, typed="u" in text or "f" in text)
+    return _parse_json(path, text, take), values, repeats
+
+
+def _taker(values, repeats, typed):
+    """The object hook of the game reader, which fills `values` and
+    `repeats`.
+
+    It takes each object written as game_to_json writes a block ("i", "ip"
+    and "matrix", in that order), with int indices and k lists of k
+    numbers, k >= 1 and the same for all: it appends the record (the
+    entries row by row, then i, ip and k) to the float64 buffer `values`
+    and leaves _TAKEN in its place, so no Python object per block outlives
+    the parse.  Another object with "i", "ip" and a k x k matrix of numbers
+    becomes a _Block, any other a dict; one whose keys repeat has its pairs
+    kept in `repeats`.  array.fromlist would take a boolean as 1.0 or 0.0,
+    so a row's types are checked only if `typed` says the text may hold
+    one."""
+    add_row = values.fromlist
 
     def take(pairs):
         start = len(values)
@@ -758,7 +885,7 @@ def _parse_game(path, text):
             repeats[id(parsed)] = pairs
         return parsed
 
-    return _parse_json(path, text, take), values, repeats
+    return take
 
 
 def save_game(game, path):

@@ -576,12 +576,14 @@ OBJECT_VALUES = [{"matrix": [[0, 0], [0, 0]]}, {"i": 1, "ip": 2, "matrix": [[0.5
 
 
 @st.composite
-def mutated_game_texts(draw):
+def mutated_game_texts(draw, compact=False):
     """The JSON text of a small game document after one to three
     mutations: a key dropped; an index, entry or size made a string, a
     boolean, a float or another odd value; a matrix reshaped; a block
     repeated; keys added to a block or to the document; a "matrix"
-    outside "beta"; "beta" repeated.  Keys may repeat in the text."""
+    outside "beta"; "beta" repeated.  Keys may repeat in the text, which
+    is written with json.dumps's separators, or without spaces if
+    `compact`."""
     n, m = draw(st.integers(2, 4)), draw(st.integers(2, 3))
     doc = game_to_json(random_game(n, m, 0.2, draw(st.integers(0, 9))))
     blocks = doc["beta"]
@@ -629,7 +631,10 @@ def mutated_game_texts(draw):
         elif kind == "repeat-beta":
             again = json.loads(json.dumps(blocks[:draw(st.integers(0, len(blocks)))]))
             pairs.insert(draw(st.integers(0, len(pairs))), ["beta", again])
-    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pairs) + "}"
+    comma, colon = separators = (",", ":") if compact else (", ", ": ")
+    return "{" + comma.join(
+        f"{json.dumps(key)}{colon}{json.dumps(value, separators=separators)}" for key, value in pairs
+    ) + "}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -658,6 +663,131 @@ def test_load_game_parses_its_text_once(tmp_path):
         assert loads.call_count == 1, text
 
 
+# Piece sizes small enough that blocks straddle the cuts; the smaller is
+# just over the head of a document written with "n", "m" and "lambda"
+# first.  Every file below is smaller than the reader's own piece, so
+# load_game unpatched reads it whole.
+PIECES = [48, 256]
+COMPACT = (",", ":")
+
+
+def read_in_pieces(path, piece):
+    """load_game's outcome on `path` with pieces of `piece` bytes, and
+    whether it read the file in pieces (one json.loads call per piece)."""
+    assert path.stat().st_size <= lippoly.game._PIECE
+    with mock.patch.object(lippoly.game, "_PIECE", piece), \
+            mock.patch.object(lippoly.game.json, "loads", wraps=json.loads) as loads:
+        got = read_outcome(load_game, str(path))
+    return got, loads.call_count > 1
+
+
+@pytest.mark.parametrize("piece", PIECES)
+@pytest.mark.parametrize("n, m, seed", [(9, 2, 1), (6, 3, 2), (4, 8, 3)])
+def test_load_game_reads_compact_games_in_pieces_as_whole(tmp_path, piece, n, m, seed):
+    # Both key orders: canonical_bytes ("beta" first, as save_game writes)
+    # and perfbench's writer ("n", "m", "lambda", "beta"); with and without
+    # a trailing newline.  An m = 8 block is larger than either piece.
+    document = game_to_json(random_game(n, m, 0.2, seed))
+    path = tmp_path / "game.json"
+    for text in (
+        canonical_bytes(document),
+        canonical_bytes(document) + b"\n",
+        json.dumps(document, separators=COMPACT).encode() + b"\n",
+    ):
+        path.write_bytes(text)
+        got, in_pieces = read_in_pieces(path, piece)
+        assert got[0] == "game" and in_pieces
+        assert got == read_outcome(load_game, str(path))
+
+
+def _compact_text(pairs):
+    """A game document's compact text from (key, value) pairs; keys may repeat."""
+    return "{" + ",".join(
+        json.dumps(key) + ":" + json.dumps(value, separators=COMPACT) for key, value in pairs
+    ) + "}"
+
+
+_PIECE_GAME = game_to_json(random_game(6, 2, 0.2, 1))
+_BLOCKS = _PIECE_GAME["beta"]
+_SIZES = [("lambda", _PIECE_GAME["lambda"]), ("m", 2), ("n", 6)]
+
+
+def _blocks_with_entry(value):
+    """The blocks, a middle block's first entry made `value`."""
+    blocks = json.loads(json.dumps(_BLOCKS))
+    blocks[len(blocks) // 2]["matrix"][0][0] = value
+    return blocks
+
+
+# Compact documents the piece reader must read as the whole-text reader
+# does: markers in strings, repeated keys, entries it declines, damage in a
+# late piece, and spacing.
+_VALID = _compact_text([("beta", _BLOCKS), *_SIZES])
+ODD_COMPACT = {
+    "empty-beta": _compact_text([("beta", []), *_SIZES, ("note", "x" * 300)]),
+    "block-end-in-a-string-first": _compact_text([("note", "]]},"), ("beta", _BLOCKS), *_SIZES]),
+    "block-ends-in-a-string-last": _compact_text([("beta", _BLOCKS), *_SIZES, ("note", "]]},{]]}]")]),
+    "beta-in-a-string": _compact_text([("note", '"beta":['), ("beta", _BLOCKS), *_SIZES]),
+    "beta-in-a-key": _compact_text([('x"beta', [0]), ("beta", _BLOCKS), *_SIZES]),
+    "blocks-under-a-key-ending-in-beta": _compact_text([('x"beta', _BLOCKS), *_SIZES]),
+    "block-list-in-a-note": _compact_text([("note", {"beta": _BLOCKS}), ("beta", []), *_SIZES]),
+    "repeated-beta": _compact_text([("beta", _BLOCKS), ("beta", _BLOCKS[::2]), *_SIZES]),
+    "repeated-beta-last": _compact_text([("beta", _BLOCKS), *_SIZES, ("beta", [])]),
+    "repeated-size": _compact_text([("beta", _BLOCKS), *_SIZES, ("n", 5)]),
+    "repeated-size-and-blocks-of-another": _compact_text([("beta", _BLOCKS), *_SIZES[:1], ("m", 3), ("n", 6), ("n", 6)]),
+    "boolean-in-a-block": _compact_text([("beta", _blocks_with_entry(True)), *_SIZES]),
+    "block-end-as-an-entry": _compact_text([("beta", _blocks_with_entry("]]},")), *_SIZES]),
+    "nan-entry": _compact_text([("beta", _blocks_with_entry(12345.5)), *_SIZES]).replace("12345.5", "NaN"),
+    "truncated": _VALID[:-60],
+    "crlf-ending": _VALID + "\r\n",
+    "spaced": json.dumps({"beta": _BLOCKS, **dict(_SIZES)}),
+    "not-a-game": _compact_text([("beta", _BLOCKS)]),
+}
+
+
+@pytest.mark.parametrize("piece", PIECES)
+@pytest.mark.parametrize("name", sorted(ODD_COMPACT))
+def test_load_game_reads_odd_compact_documents_in_pieces_as_whole(tmp_path, piece, name):
+    path = tmp_path / "game.json"
+    path.write_text(ODD_COMPACT[name])
+    got, in_pieces = read_in_pieces(path, piece)
+    assert got == read_outcome(load_game, str(path))
+    if name == "spaced":
+        assert not in_pieces
+
+
+def test_load_game_reads_a_note_that_is_not_utf8_as_whole(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_bytes(_compact_text([("beta", _BLOCKS), *_SIZES, ("note", "?")]).encode()
+                     .replace(b'"?"', b'"\xff"'))
+    got, _ = read_in_pieces(path, PIECES[0])
+    assert got[0] == "UsageError" and got == read_outcome(load_game, str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_game_texts(compact=True), piece=st.sampled_from(PIECES))
+def test_load_game_reads_compact_mutated_documents_in_pieces_as_whole(tmp_path_factory, text, piece):
+    path = tmp_path_factory.getbasetemp() / "mutated-compact-game.json"
+    path.write_text(text)
+    assert read_in_pieces(path, piece)[0] == read_outcome(load_game, str(path))
+
+
+# A document nested deeper than the parser goes, and one cut short.
+_DEEP = "[" * 3000 + "]" * 3000
+
+
+@pytest.mark.parametrize("read, template", [
+    (load_game, '{"n": 3, "m": 2, "lambda": 0.5, "beta": [], "note": %s}'),
+    (lippoly.game.load_json, '{"pure": %s}'),
+])
+def test_a_deeply_nested_file_is_refused_as_a_truncated_one_is(tmp_path, read, template):
+    path = tmp_path / "deep.json"
+    for text in (template % _DEEP, (template % "[1]")[:-3]):
+        path.write_text(text)
+        with pytest.raises(UsageError, match=re.escape(str(path))):
+            read(str(path))
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"n": np.int64(3)}, "Object of type int64 is not JSON serializable"),
     ({"beta": [{"i": 1, "ip": 2, "matrix": [[np.nan, 0], [0, 0]]}]},
@@ -680,9 +810,30 @@ def test_load_game_reads_integer_and_exponent_literals(tmp_path):
 
 
 def test_load_game_peak_memory(tmp_path):
-    # The file's bytes and its decoded text are both alive once, while it is
-    # read (2x the file); no parsed coefficient may outlive its block.
+    # No parsed coefficient may outlive its block.
     assert_load_peak(tmp_path, random_game(60, 8, 0.005, 3), 2.5)
+
+
+def test_load_game_peak_stays_within_a_few_pieces(tmp_path):
+    # A file over one piece is read a piece at a time, so beside the record
+    # buffer, the operator and the operator's finiteness mask the load
+    # holds about two pieces, however large the file; its whole text
+    # would be twice the file.
+    for n in (60, 100):
+        game = generate(GeneratorSpec(n, 8, 1 / n, seed=1))
+        path = tmp_path / f"game-{n}.json"
+        save_game(game, str(path))
+        blocks = int((game.beta != 0.0).any(axis=(2, 3)).sum())
+        held = blocks * (8 * 8 + 3) * 8 + game.operator.nbytes + game.operator.size
+        tracemalloc.start()
+        try:
+            load_game(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3 * lippoly.game._PIECE
+        assert peak - held <= 2 * lippoly.game._PIECE, f"peak {peak} bytes for a {size}-byte file"
 
 
 def test_load_game_peak_memory_on_a_binary_game(tmp_path):

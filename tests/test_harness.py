@@ -512,6 +512,20 @@ def test_cli_check_rejects_unreadable_json(tmp_path, capsys, data):
     assert str(path) in error["message"]
 
 
+def test_cli_check_refuses_a_deeply_nested_file_as_a_truncated_one(tmp_path, capsys):
+    # Nested deeper than the parser goes: the one-line JSON error of a file
+    # that cannot be read, not a RecursionError traceback.
+    path = tmp_path / "deep.json"
+    outcomes = []
+    for note in ("[" * 3000 + "]" * 3000, "[1"):
+        path.write_text('{"n": 3, "m": 2, "lambda": 0.5, "beta": [], "note": %s}' % note)
+        code = run_cli("check", str(path))
+        error = json.loads(capsys.readouterr().err)
+        assert str(path) in error["message"]
+        outcomes.append((code, error["error"]))
+    assert outcomes == [(1, "UsageError")] * 2
+
+
 def test_cli_purify_rejects_an_unreadable_profile(tmp_path, capsys):
     game_path = tmp_path / "game.json"
     save_game(random_game(3, 2, 0.3, seed=1), str(game_path))
