@@ -767,9 +767,9 @@ def _read_pieces(path):
     for only in a text that may hold one).
     """
     try:
+        if os.stat(path).st_size <= _PIECE:
+            return None
         with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size <= _PIECE:
-                return None
             text = bytearray(fh.read(_PIECE))
             match = _HEAD.match(text)
             if match is None:
