@@ -721,7 +721,7 @@ def _blocks_with_entry(value):
 
 # Compact documents the piece reader must read as the whole-text reader
 # does: markers in strings, repeated keys, entries it declines, damage in a
-# late piece, and spacing.
+# late piece, a byte that is not UTF-8, and spacing.
 _VALID = _compact_text([("beta", _BLOCKS), *_SIZES])
 ODD_COMPACT = {
     "empty-beta": _compact_text([("beta", []), *_SIZES, ("note", "x" * 300)]),
@@ -734,34 +734,34 @@ ODD_COMPACT = {
     "repeated-beta": _compact_text([("beta", _BLOCKS), ("beta", _BLOCKS[::2]), *_SIZES]),
     "repeated-beta-last": _compact_text([("beta", _BLOCKS), *_SIZES, ("beta", [])]),
     "repeated-size": _compact_text([("beta", _BLOCKS), *_SIZES, ("n", 5)]),
-    "repeated-size-and-blocks-of-another": _compact_text([("beta", _BLOCKS), *_SIZES[:1], ("m", 3), ("n", 6), ("n", 6)]),
+    "repeated-size-and-blocks-of-another": _compact_text(
+        [("beta", _BLOCKS), *_SIZES[:1], ("m", 3), ("n", 6), ("n", 6)]
+    ),
     "boolean-in-a-block": _compact_text([("beta", _blocks_with_entry(True)), *_SIZES]),
     "block-end-as-an-entry": _compact_text([("beta", _blocks_with_entry("]]},")), *_SIZES]),
-    "nan-entry": _compact_text([("beta", _blocks_with_entry(12345.5)), *_SIZES]).replace("12345.5", "NaN"),
+    "nan-entry": _compact_text([("beta", _blocks_with_entry(12345.5)), *_SIZES]).replace(
+        "12345.5", "NaN"
+    ),
     "truncated": _VALID[:-60],
     "crlf-ending": _VALID + "\r\n",
     "spaced": json.dumps({"beta": _BLOCKS, **dict(_SIZES)}),
     "not-a-game": _compact_text([("beta", _BLOCKS)]),
 }
+ODD_COMPACT = {name: text.encode() for name, text in ODD_COMPACT.items()}
+ODD_COMPACT["not-utf8-note"] = _compact_text([("beta", _BLOCKS), *_SIZES, ("note", "?")]).encode().replace(
+    b'"?"', b'"\xff"'
+)
 
 
 @pytest.mark.parametrize("piece", PIECES)
 @pytest.mark.parametrize("name", sorted(ODD_COMPACT))
 def test_load_game_reads_odd_compact_documents_in_pieces_as_whole(tmp_path, piece, name):
     path = tmp_path / "game.json"
-    path.write_text(ODD_COMPACT[name])
+    path.write_bytes(ODD_COMPACT[name])
     got, in_pieces = read_in_pieces(path, piece)
     assert got == read_outcome(load_game, str(path))
     if name == "spaced":
         assert not in_pieces
-
-
-def test_load_game_reads_a_note_that_is_not_utf8_as_whole(tmp_path):
-    path = tmp_path / "game.json"
-    path.write_bytes(_compact_text([("beta", _BLOCKS), *_SIZES, ("note", "?")]).encode()
-                     .replace(b'"?"', b'"\xff"'))
-    got, _ = read_in_pieces(path, PIECES[0])
-    assert got[0] == "UsageError" and got == read_outcome(load_game, str(path))
 
 
 @settings(max_examples=200, deadline=None)
