@@ -94,7 +94,9 @@ class PolymatrixGame:
             operator = np.array(beta.transpose(0, 2, 1, 3), order="C")
         idx = np.arange(n)
         operator.reshape(n, m, n, m)[idx, :, idx, :] = 0.0
-        if not np.isfinite(operator).all():
+        # min and max propagate NaN and reach an infinity, without the
+        # boolean copy of the operator np.isfinite would make.
+        if not np.isfinite([operator.min(), operator.max()]).all():
             raise UsageError("game coefficients must be finite (no NaN or infinity)")
         _freeze(operator)
         object.__setattr__(self, "operator", operator.reshape(n * m, n * m))
@@ -552,25 +554,26 @@ def _build_game(document, values, repeats):
         """Block `at` of "beta", by its indices as the document gives them."""
         return repr(_Block(blocks[at] if dicts else zip(("i", "ip"), map(int, named[at]))))
 
-    _check_indices(named, n, block)
-    entries = _block_matrices(blocks, m) if dicts else rows[:, :-3]
     operator = np.zeros((n * m, n * m))
-    tensor = operator.reshape(n, m, n, m)
-    for at in range(0, len(named), _SCATTER):
-        i, ip = (named[at:at + _SCATTER] - 1).astype(np.int64).T
-        tensor[i, :, ip, :] = entries[at:at + _SCATTER].reshape(-1, m, m)
+    entries = (lambda: _block_matrices(blocks, m)) if dicts else rows[:, :-3]
+    _scatter(operator.reshape(n, m, n, m), named, entries, block)
     return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)
 
 
-# Blocks scattered into the operator at a time, so that no index array as
-# long as the block list is alive beside it.
+# Blocks scattered into the operator at a time, so that the scatter's own
+# index arrays stay small beside the entries and the operator.
 _SCATTER = 1 << 16
 
 
-def _check_indices(named, n, block):
-    """The UsageError of the first block whose 1-based indices in `named`
-    are not integers, out of range or equal, or that repeats one before
-    it.  The float pairs are freed before the repeats are counted."""
+def _scatter(tensor, named, entries, block, after=None):
+    """Scatter a chunk of blocks into the (n, m, n, m) `tensor`, or raise
+    the UsageError of the first whose 1-based indices in `named` are not
+    integers, out of range or equal, or that repeats one before it in the
+    chunk; given the key i*n + ip of the block before the chunk, `after`,
+    of the first whose key is not above its predecessor's.  `entries` are
+    the chunk's m*m entries a block, or a function that makes them once
+    the indices pass.  Returns the last block's key."""
+    n, m = tensor.shape[:2]
     pairs = named - 1
     fractional = (np.trunc(pairs) != pairs).any(axis=1)
     if fractional.any():
@@ -582,9 +585,14 @@ def _check_indices(named, n, block):
     # Exact in float64: below n^2, which the tensor guard keeps under 2^53.
     key = (i * n + ip).astype(np.int64)
     del pairs, i, ip
-    repeated = np.bincount(key)[key] > 1
+    repeated = np.bincount(key)[key] > 1 if after is None else np.diff(key, prepend=after) <= 0
     if repeated.any():
         raise UsageError(f"{block(np.argmax(repeated))} appears more than once")
+    entries = entries() if callable(entries) else entries
+    for at in range(0, len(key), _SCATTER):
+        i, ip = np.divmod(key[at:at + _SCATTER], n)
+        tensor[i, :, ip, :] = entries[at:at + _SCATTER].reshape(-1, m, m)
+    return key[-1] if len(key) else after
 
 
 def _restored(value, blocks, repeats):
@@ -727,11 +735,12 @@ def _reject_constant(name):
 def load_game(path):
     """Read a game file: what game_from_json gives for its document.
 
-    A compact file larger than _PIECE bytes is read in pieces
-    (_read_pieces), so its text is never held whole; any other file, or
-    one the pieces decline, has its text parsed once by _parse_game."""
+    A compact file larger than _PIECE bytes is read in pieces, each
+    scattered into the operator (_read_pieces), so neither its text nor
+    its records are ever held whole; any other file, or one the pieces
+    decline, has its text parsed once by _parse_game."""
     # No name holds the text, so it is freed before the tensor is allocated.
-    return _build_game(*(_read_pieces(path) or _parse_game(path, _read_text(path))))
+    return _read_pieces(path) or _build_game(*_parse_game(path, _read_text(path)))
 
 
 # load_game reads a compact game file in pieces of about this many bytes.
@@ -748,84 +757,95 @@ _BLOCK_END = b"]]},"
 
 
 def _read_pieces(path):
-    """What _parse_game gives for a compact game file over _PIECE bytes,
-    read and parsed in pieces; None when the file is to be read whole.
+    """The game of a compact game file over _PIECE bytes, read, parsed and
+    scattered into its operator a piece at a time; None when the file is
+    to be read whole.
 
-    _HEAD leaves the parser in the top-level "beta" list, outside any
-    string, where a block starts.  The text read so far is cut at its last
-    _BLOCK_END, whose comma becomes the "]" that closes the piece and the
-    "[" that opens the rest, and the piece is parsed with _parse_game's
-    hook.  It must hold taken blocks only, so it ends where a block ends
-    and the rest again starts where one starts.  The last piece ends at the
-    last "]]}]".  The head and the tail after it (_TAIL) are parsed as one
-    document, which must be an object with an empty "beta" and no repeated
-    key.  The whole text would then parse to that document, with a _TAKEN
-    per block in "beta", and to the same buffer.  Anything else gives None,
-    so that every error comes from the whole-text reader: a file that
+    The sizes come first.  The text after the last "]]}]" of the file's
+    last _PIECE bytes must be a tail (_TAIL), and the head (_HEAD) and the
+    tail must parse as one document, an object with an empty "beta" and no
+    repeated key, whose sizes pass the checks _build_game makes before it
+    allocates the operator.  _HEAD leaves the parser in the top-level
+    "beta" list, outside any string, where a block starts.  The text read
+    so far is cut at its last _BLOCK_END, whose comma becomes the "]" that
+    closes the piece and the "[" that opens the rest, and the piece is
+    parsed with _parse_game's hook.  It must hold taken blocks only, so it
+    ends where a block ends and the rest again starts where one starts.
+    Its records, of m x m entries, go through _scatter in increasing (i,
+    ip) order, continuing from the piece before, and are dropped.  The last
+    piece must end at the tail.  The whole text would then parse to the
+    same document and records, and give the same game.  Anything else gives
+    None, so that every error comes from the whole-text reader: a file that
     cannot be read, a head or tail of another form, a piece that does not
     parse or that holds a "u" or an "f" (a boolean, which the hook checks
-    for only in a text that may hold one).
+    for only in a text that may hold one), a block out of that order or
+    failing a check, and a game the constructor refuses.
     """
     try:
         if os.stat(path).st_size <= _PIECE:
             return None
         with open(path, "rb") as fh:
+            fh.seek(-_PIECE, os.SEEK_END)
+            tail = fh.read()
+            end = tail.rfind(b"]]}]") + 3
+            tail = tail[end:] if end > 2 and _TAIL.fullmatch(tail, end) else b""
+            fh.seek(0)
             text = bytearray(fh.read(_PIECE))
-            match = _HEAD.match(text)
-            if match is None:
+            match = tail and _HEAD.match(text)
+            if not match:
                 return None
-            # The piece text starts at the block list's "[".
-            head, start = bytes(text[:match.end()]), match.end() - 1
+            # The piece text starts at the block list's "[".  A match keeps
+            # the text it searched alive, so it goes.
+            start = match.end() - 1
+            del match
             values, repeats = array("d"), {}
             take = _taker(values, repeats, typed=False)
-            blocks = 0
+            document = _parse_json(path, (text[:start + 1] + tail).decode(), take)
+            if type(document) is not dict or document.get("beta") != [] or repeats:
+                return None
+            n, m = _check_sizes(_count(document["n"], "n"), _count(document["m"], "m"))
+            lam = _number(document["lambda"], "lambda")
+            tensor_guard(n, m, "a game")
+            operator = np.zeros((n * m, n * m))
+            tensor, after = operator.reshape(n, m, n, m), -1
+
+            def scatter(end):
+                """Scatter the blocks of the piece of text from `start` to
+                `end`, a "]" that closes it as a list, and leave the rest as
+                `text`; False if the piece is not a list of taken blocks of
+                m x m entries or holds a boolean."""
+                nonlocal text, start, after
+                text[end] = ord("]")
+                # A list of taken blocks is ASCII: its only strings are their keys.
+                piece = str(memoryview(text)[start:end + 1], "ascii")
+                # The piece's bytes go before it is parsed.
+                text, start = text[end:], 0
+                text[0] = ord("[")
+                if "u" in piece or "f" in piece:
+                    return False
+                parsed = _parse_json("piece", piece, take)
+                del piece
+                if parsed.count(_TAKEN) != len(parsed) or values[-1] != m:
+                    return False
+                rows = np.frombuffer(values).reshape(-1, m * m + 3)
+                after = _scatter(tensor, rows[:, -3:-1], rows[:, :-3], str, after)
+                del rows, values[:]
+                return True
+
             while True:
                 cut = text.rfind(_BLOCK_END, start) + 3
-                if cut > 2:
-                    text[cut] = ord("]")
-                    taken = _parse_piece(memoryview(text)[start:cut + 1], take)
-                    if taken is None:
-                        return None
-                    blocks += taken
-                    text, start = text[cut:], 0
-                    text[0] = ord("[")
+                if cut > 2 and not scatter(cut):
+                    return None
                 read = len(text)
                 text += fh.read(_PIECE)
                 if len(text) == read:
                     break
-    except OSError:
+        end = text.rfind(b"]]}]", start) + 3
+        if end < 3 or text[end:] != tail or not scatter(end):
+            return None
+        return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)
+    except (OSError, UnicodeDecodeError, KeyError, OverflowError, UsageError, BudgetExceeded):
         return None
-    end = text.rfind(b"]]}]", start) + 3
-    taken = end > 2 and _TAIL.fullmatch(text, end) and _parse_piece(
-        memoryview(text)[start:end + 1], take
-    )
-    if not taken:
-        return None
-    try:
-        document = _parse_json(path, (head + text[end:]).decode(), take)
-    except (UnicodeDecodeError, UsageError):
-        return None
-    if type(document) is not dict or document.get("beta") != [] or repeats:
-        return None
-    document["beta"] = [_TAKEN] * (blocks + taken)
-    return document, values, repeats
-
-
-def _parse_piece(piece, take):
-    """How many blocks a piece of text, a list, holds, parsed with `take`;
-    None if it is not a list of taken blocks or holds a boolean."""
-    try:
-        # A list of taken blocks is ASCII: its only strings are their keys.
-        text = str(piece, "ascii")
-    except UnicodeDecodeError:
-        return None
-    if "u" in text or "f" in text:
-        return None
-    try:
-        parsed = _parse_json("piece", text, take)
-    except UsageError:
-        return None
-    return len(parsed) if parsed.count(_TAKEN) == len(parsed) else None
 
 
 def _parse_game(path, text):

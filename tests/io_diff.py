@@ -15,7 +15,9 @@ when any reading differs.
 the malformed documents of `tests/test_game.py`; the seed-1 inputs of the
 benchmark's four workloads (`perfbench/games.py`); the generator's three
 families at n in {2, 9, 40} and m in {2, 3, 8}, written by the reference
-writer in `tests/helpers.py`; and the hand-made documents of `HANDMADE`.
+writer in `tests/helpers.py`; one n = 60, m = 8 game written by
+`save_game`, a file of more than three of `load_game`'s pieces; and the
+hand-made documents of `HANDMADE`.
 Not collected by pytest.
 """
 
@@ -66,6 +68,7 @@ def write_corpus(out):
     sys.path[:0] = [str(HERE.parent / "src"), str(HERE), str(HERE.parent / "perfbench")]
     from games import WORKLOADS, write_inputs
     from helpers import reference_save_game
+    from lippoly import save_game
     from lippoly.harness.generator import FAMILIES, GeneratorSpec, generate
     from test_game import MALFORMED_GAMES, MALFORMED_IDS, _game_document_text
 
@@ -82,6 +85,8 @@ def write_corpus(out):
                 spec = GeneratorSpec(n=n, m=m, lam=1.0 / n, family=family, seed=n + m,
                                      density=0.5, weight=0.5)
                 reference_save_game(generate(spec), str(out / "generated" / f"{family}-{n}-{m}.json"))
+    large = generate(GeneratorSpec(n=60, m=8, lam=1 / 60, seed=1))
+    save_game(large, str(out / "generated" / "save-game-60-8.json"))
     for name, text in HANDMADE.items():
         (out / "handmade" / f"{name}.json").write_text(text)
 

@@ -673,12 +673,12 @@ COMPACT = (",", ":")
 
 def read_in_pieces(path, piece):
     """load_game's outcome on `path` with pieces of `piece` bytes, and
-    whether it read the file in pieces (one json.loads call per piece)."""
+    whether the pieces gave it (the whole text was never read)."""
     assert path.stat().st_size <= lippoly.game._PIECE
     with mock.patch.object(lippoly.game, "_PIECE", piece), \
-            mock.patch.object(lippoly.game.json, "loads", wraps=json.loads) as loads:
+            mock.patch.object(lippoly.game, "_read_text", wraps=lippoly.game._read_text) as whole:
         got = read_outcome(load_game, str(path))
-    return got, loads.call_count > 1
+    return got, not whole.called
 
 
 @pytest.mark.parametrize("piece", PIECES)
@@ -712,16 +712,29 @@ _BLOCKS = _PIECE_GAME["beta"]
 _SIZES = [("lambda", _PIECE_GAME["lambda"]), ("m", 2), ("n", 6)]
 
 
-def _blocks_with_entry(value):
-    """The blocks, a middle block's first entry made `value`."""
+def _blocks_with_entry(value, at=len(_BLOCKS) // 2, key="matrix"):
+    """The blocks, block `at`'s first entry (or its index `key`) made `value`."""
     blocks = json.loads(json.dumps(_BLOCKS))
-    blocks[len(blocks) // 2]["matrix"][0][0] = value
+    if key == "matrix":
+        blocks[at]["matrix"][0][0] = value
+    else:
+        blocks[at][key] = value
     return blocks
+
+
+def _block_of_records():
+    """A 5 x 5 block (6, 4) whose record, the 25 entries, 6, 4 and 5, cut
+    into records of an m = 2 game, reads as blocks (6, 1) to (6, 4)."""
+    entries = [0.01] * 25
+    for row, ip in enumerate((1, 2, 3)):
+        entries[7 * row + 4:7 * row + 6] = [6, ip]
+    return {"i": 6, "ip": 4, "matrix": [entries[row:row + 5] for row in range(0, 25, 5)]}
 
 
 # Compact documents the piece reader must read as the whole-text reader
 # does: markers in strings, repeated keys, entries it declines, damage in a
-# late piece, a byte that is not UTF-8, and spacing.
+# late piece, a pair in two pieces or out of row-major order, a tail that
+# does not fit in the last piece, a byte that is not UTF-8, and spacing.
 _VALID = _compact_text([("beta", _BLOCKS), *_SIZES])
 ODD_COMPACT = {
     "empty-beta": _compact_text([("beta", []), *_SIZES, ("note", "x" * 300)]),
@@ -743,6 +756,20 @@ ODD_COMPACT = {
         "12345.5", "NaN"
     ),
     "truncated": _VALID[:-60],
+    "pair-in-two-pieces": _compact_text([("beta", _BLOCKS + _BLOCKS[:1]), *_SIZES]),
+    "pair-twice-in-a-row": _compact_text([("beta", _BLOCKS + _BLOCKS[-1:]), *_SIZES]),
+    "blocks-out-of-order": _compact_text([("beta", _BLOCKS[::-1]), *_SIZES]),
+    "infinite-entry-last": _compact_text(
+        [("beta", _blocks_with_entry(12345.5, -1)), *_SIZES]
+    ).replace("12345.5", "1e400"),
+    "index-out-of-range-last": _compact_text([("beta", _blocks_with_entry(7, -1, "ip")), *_SIZES]),
+    "another-m-last": _compact_text(
+        [("beta", _BLOCKS[:-1] + [{**_BLOCKS[-1], "matrix": [[0.1] * 3] * 3}]), *_SIZES]
+    ),
+    "another-m-cut-as-records-last": _compact_text(
+        [("beta", [block for block in _BLOCKS if block["i"] < 6] + [_block_of_records()]), *_SIZES]
+    ),
+    "tail-past-the-last-piece": _compact_text([("beta", _BLOCKS), *_SIZES, ("note", "x" * 300)]),
     "crlf-ending": _VALID + "\r\n",
     "spaced": json.dumps({"beta": _BLOCKS, **dict(_SIZES)}),
     "not-a-game": _compact_text([("beta", _BLOCKS)]),
@@ -760,8 +787,18 @@ def test_load_game_reads_odd_compact_documents_in_pieces_as_whole(tmp_path, piec
     path.write_bytes(ODD_COMPACT[name])
     got, in_pieces = read_in_pieces(path, piece)
     assert got == read_outcome(load_game, str(path))
-    if name == "spaced":
-        assert not in_pieces
+    if name in ("spaced", "blocks-out-of-order", "tail-past-the-last-piece"):
+        assert got[0] == "game" and not in_pieces
+
+
+def test_load_game_reads_a_size_too_large_for_a_float_in_pieces_as_whole(tmp_path):
+    # Pieces larger than PIECES, so that the tail, with its 401 digits,
+    # sits in the last piece and its sizes are checked there.
+    path = tmp_path / "game.json"
+    path.write_bytes(_compact_text([("beta", _BLOCKS), *_SIZES[:2], ("n", 10**400)]).encode())
+    got = read_outcome(load_game, str(path))
+    assert got == ("UsageError", "malformed game JSON: int too large to convert to float")
+    assert read_in_pieces(path, 1024) == (got, False)
 
 
 @settings(max_examples=200, deadline=None)
@@ -814,26 +851,35 @@ def test_load_game_peak_memory(tmp_path):
     assert_load_peak(tmp_path, random_game(60, 8, 0.005, 3), 2.5)
 
 
+def save_sizes_first(game, path):
+    """A game file as perfbench writes it: compact, "n", "m" and "lambda" first."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(game_to_json(game), separators=COMPACT).encode() + b"\n")
+
+
 def test_load_game_peak_stays_within_a_few_pieces(tmp_path):
-    # A file over one piece is read a piece at a time, so beside the record
-    # buffer, the operator and the operator's finiteness mask the load
-    # holds about two pieces, however large the file; its whole text
-    # would be twice the file.
+    # A file over one piece is read a piece at a time, each scattered into
+    # the operator, so beside the operator the load holds a piece's bytes
+    # and its text (or its text and its records), however large the file;
+    # 64 KiB is for a block on either side of a cut and the reader's own
+    # objects.  Its whole text would be twice the file.  Both key orders:
+    # save_game's ("beta" first) and perfbench's ("n", "m", "lambda" first).
     for n in (60, 100):
         game = generate(GeneratorSpec(n, 8, 1 / n, seed=1))
-        path = tmp_path / f"game-{n}.json"
-        save_game(game, str(path))
-        blocks = int((game.beta != 0.0).any(axis=(2, 3)).sum())
-        held = blocks * (8 * 8 + 3) * 8 + game.operator.nbytes + game.operator.size
-        tracemalloc.start()
-        try:
-            load_game(str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        size = path.stat().st_size
-        assert size > 3 * lippoly.game._PIECE
-        assert peak - held <= 2 * lippoly.game._PIECE, f"peak {peak} bytes for a {size}-byte file"
+        for write in (save_game, save_sizes_first):
+            path = tmp_path / f"game-{n}-{write.__name__}.json"
+            write(game, str(path))
+            tracemalloc.start()
+            try:
+                loaded = load_game(str(path))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert game_digest(loaded) == game_digest(game)
+            size = path.stat().st_size
+            assert size > 3 * lippoly.game._PIECE
+            bound = game.operator.nbytes + 2 * lippoly.game._PIECE + (1 << 16)
+            assert peak <= bound, f"peak {peak} bytes for a {size}-byte file"
 
 
 def test_load_game_peak_memory_on_a_binary_game(tmp_path):
@@ -868,10 +914,11 @@ def test_a_game_takes_its_operator_as_given():
     again = PolymatrixGame(n=5, m=3, lam=game.lam, operator=game.operator)
     assert not np.shares_memory(again.operator, game.operator)
     assert game_digest(again) == game_digest(game)
-    operator = np.array(game.operator)
-    operator[0, 4] = np.inf
-    with pytest.raises(UsageError, match="game coefficients must be finite"):
-        PolymatrixGame(n=5, m=3, lam=game.lam, operator=operator)
+    for value in (np.inf, -np.inf, np.nan):
+        operator = np.array(game.operator)
+        operator[0, 4] = value
+        with pytest.raises(UsageError, match="game coefficients must be finite"):
+            PolymatrixGame(n=5, m=3, lam=game.lam, operator=operator)
 
 
 def test_profile_from_json_refuses_numbers_too_large_for_a_float():
