@@ -94,9 +94,12 @@ class PolymatrixGame:
             operator = np.array(beta.transpose(0, 2, 1, 3), order="C")
         idx = np.arange(n)
         operator.reshape(n, m, n, m)[idx, :, idx, :] = 0.0
-        # min and max propagate NaN and reach an infinity, without the
-        # boolean copy of the operator np.isfinite would make.
-        if not np.isfinite([operator.min(), operator.max()]).all():
+        # The sum is finite when every entry is, and needs no boolean copy
+        # of the operator; only a sum that is not (a non-finite entry, or
+        # finite entries that overflow) has the entries checked one by one.
+        with np.errstate(over="ignore"):
+            total = operator.sum()
+        if not np.isfinite(total) and not np.isfinite(operator).all():
             raise UsageError("game coefficients must be finite (no NaN or infinity)")
         _freeze(operator)
         object.__setattr__(self, "operator", operator.reshape(n * m, n * m))

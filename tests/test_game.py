@@ -919,6 +919,12 @@ def test_a_game_takes_its_operator_as_given():
         operator[0, 4] = value
         with pytest.raises(UsageError, match="game coefficients must be finite"):
             PolymatrixGame(n=5, m=3, lam=game.lam, operator=operator)
+    # Finite coefficients whose sum overflows are finite.
+    operator = np.array(game.operator)
+    operator[0, 4] = operator[1, 5] = 1e308
+    with np.errstate(over="ignore"):
+        assert np.isinf(operator.sum())
+    assert PolymatrixGame(n=5, m=3, lam=game.lam, operator=operator).operator[0, 4] == 1e308
 
 
 def test_profile_from_json_refuses_numbers_too_large_for_a_float():
