@@ -38,6 +38,11 @@ REGRET_FLOOR = -1e-12
 # Largest coefficient count n^2 m^2 of a game tensor that is allocated
 # (0.8 GB per float64 copy); see `tensor_guard`.
 TENSOR_GUARD = 100_000_000
+# The bytes that bound every transient of a pass beside the operator:
+# load_game reads a compact game file in pieces of about this size, and
+# check_game scans the coefficients in row chunks of per-row extremes no
+# larger.
+_PIECE = 1 << 18
 
 
 def _freeze(arr):
@@ -337,15 +342,39 @@ def check_game(game):
     player i fixed to j, everyone else on action 0, the two profiles
     differing only at the offending opponent.  The range scan checks the 2nm
     inequalities sum-of-max <= 1 and sum-of-min >= 0.
+
+    The scan runs over chunks of the players i whose per-row maxima and
+    minima take at most _PIECE bytes each, so it holds about two pieces
+    beside the operator; the first of equal worst spreads names the
+    witness, as one scan of all rows would.  Both scans compare with the
+    absolute BOUND_TOL: they compare payoff entries of a game with lam <= 1
+    in their own units, where an absolute slack is the right scale.
     """
     beta = game.beta
-    n = game.n
-    hi = beta.max(axis=3)
-    lo = beta.min(axis=3)
-    spread = hi - lo
-    worst = float(spread.max())
+    n, m = game.n, game.m
+    # Axes (i, j, ip, jp): a chunk's extremes over jp come out as contiguous
+    # (i, j, ip) arrays, which the sums and maxima below read without a copy.
+    tensor = game.operator.reshape(n, m, n, m)
+    step = max(1, _PIECE // (8 * n * m))
+    upper = np.empty((n, m))
+    lower = np.empty((n, m))
+    worst, at = -np.inf, None
+    for i0 in range(0, n, step):
+        rows = slice(i0, i0 + step)
+        hi, lo = tensor[rows].max(axis=3), tensor[rows].min(axis=3)
+        # Self blocks are zero (PolymatrixGame zeroes them), so they add nothing.
+        upper[rows], lower[rows] = hi.sum(axis=2), lo.sum(axis=2)
+        hi -= lo  # the spread
+        top = float(hi.max())
+        # Strictly greater: an equal spread in a later chunk is not the first.
+        if top > worst:
+            # The first (i, ip, j) of the worst spread in that order.
+            i = int(np.argmax(hi.max(axis=(1, 2))))
+            ip, j = divmod(int(np.argmax(hi[i].T)), m)
+            worst, at = top, (i0 + i, ip, j)
+        del hi, lo  # before the next chunk's are made
     if worst > game.lam + BOUND_TOL:
-        i, ip, j = np.unravel_index(int(np.argmax(spread)), spread.shape)
+        i, ip, j = at
         j_hi = int(np.argmax(beta[i, ip, j]))
         j_lo = int(np.argmin(beta[i, ip, j]))
         base = np.zeros(n, dtype=np.int64)
@@ -356,10 +385,9 @@ def check_game(game):
         b[ip] = j_lo
         profile_a = PureProfile(a)
         profile_b = PureProfile(b)
-        observed = abs(pure_payoff(game, int(i), int(j), profile_a)
-                       - pure_payoff(game, int(i), int(j), profile_b))
+        observed = abs(pure_payoff(game, i, j, profile_a) - pure_payoff(game, i, j, profile_b))
         witness = LipschitzWitness(
-            player=int(i),
+            player=i,
             profile_a=profile_a,
             profile_b=profile_b,
             observed_gap=observed,
@@ -367,9 +395,6 @@ def check_game(game):
         )
         return LipschitzViolation(witness)
 
-    # Self blocks are zero (PolymatrixGame zeroes them), so they add nothing.
-    upper = hi.sum(axis=1)
-    lower = lo.sum(axis=1)
     if upper.max() > 1.0 + BOUND_TOL:
         i, j = np.unravel_index(int(np.argmax(upper)), upper.shape)
         return RangeViolation(player=int(i), action=int(j), direction="upper")
@@ -402,6 +427,13 @@ def game_to_json(game):
 def _check_sizes(n, m):
     """The player and action counts as ints, n >= 1 and m >= 2."""
     return _integer(n, "player count", least=1), _integer(m, "action count", least=2)
+
+
+def _check_game_sizes(n, m):
+    """The checks a game document's sizes pass before its operator is
+    allocated: UsageError for a count out of range, then `tensor_guard`."""
+    _check_sizes(n, m)
+    tensor_guard(n, m, f"a game of {n} players and {m} actions")
 
 
 def tensor_guard(n, m, what):
@@ -549,9 +581,7 @@ def _build_game(document, values, repeats):
             named = rows[:, -3:-1]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed game JSON: {exc}") from exc
-    # Before anything is allocated at these sizes.
-    _check_sizes(n, m)
-    tensor_guard(n, m, f"a game of {n} players and {m} actions")
+    _check_game_sizes(n, m)
 
     def block(at):
         """Block `at` of "beta", by its indices as the document gives them."""
@@ -746,8 +776,6 @@ def load_game(path):
     return _read_pieces(path) or _build_game(*_parse_game(path, _read_text(path)))
 
 
-# load_game reads a compact game file in pieces of about this many bytes.
-_PIECE = 1 << 20
 # A compact document is an object whose members other than "beta" are a
 # key and a scalar each, written without spaces: _HEAD matches its text up
 # to the block list's "[", _TAIL its text from the closing "]".
@@ -768,20 +796,22 @@ def _read_pieces(path):
     last _PIECE bytes must be a tail (_TAIL), and the head (_HEAD) and the
     tail must parse as one document, an object with an empty "beta" and no
     repeated key, whose sizes pass the checks _build_game makes before it
-    allocates the operator.  _HEAD leaves the parser in the top-level
-    "beta" list, outside any string, where a block starts.  The text read
-    so far is cut at its last _BLOCK_END, whose comma becomes the "]" that
-    closes the piece and the "[" that opens the rest, and the piece is
-    parsed with _parse_game's hook.  It must hold taken blocks only, so it
-    ends where a block ends and the rest again starts where one starts.
-    Its records, of m x m entries, go through _scatter in increasing (i,
-    ip) order, continuing from the piece before, and are dropped.  The last
-    piece must end at the tail.  The whole text would then parse to the
-    same document and records, and give the same game.  Anything else gives
-    None, so that every error comes from the whole-text reader: a file that
-    cannot be read, a head or tail of another form, a piece that does not
-    parse or that holds a "u" or an "f" (a boolean, which the hook checks
-    for only in a text that may hold one), a block out of that order or
+    allocates the operator; a game over the tensor guard raises its
+    BudgetExceeded there, before the rest of the file is read.  _HEAD
+    leaves the parser in the top-level "beta" list, outside any string,
+    where a block starts.  The text read so far is cut at its last
+    _BLOCK_END, whose comma becomes the "]" that closes the piece and the
+    "[" that opens the rest, and the piece is parsed with _parse_game's
+    hook.  It must hold taken blocks only, so it ends where a block ends
+    and the rest again starts where one starts.  Its records, of m x m
+    entries, go through _scatter in increasing (i, ip) order, continuing
+    from the piece before, and are dropped.  The last piece must end at the
+    tail.  The whole text would then parse to the same document and
+    records, and give the same game.  Anything else gives None, so that
+    every other error comes from the whole-text reader: a file that cannot
+    be read, a head or tail of another form, a piece that does not parse
+    or that holds a "u" or an "f" (a boolean, which the hook checks for
+    only in a text that may hold one), a block out of that order or
     failing a check, and a game the constructor refuses.
     """
     try:
@@ -806,9 +836,11 @@ def _read_pieces(path):
             document = _parse_json(path, (text[:start + 1] + tail).decode(), take)
             if type(document) is not dict or document.get("beta") != [] or repeats:
                 return None
-            n, m = _check_sizes(_count(document["n"], "n"), _count(document["m"], "m"))
+            n = _count(document["n"], "player count")
+            m = _count(document["m"], "action count")
             lam = _number(document["lambda"], "lambda")
-            tensor_guard(n, m, "a game")
+            # An oversize game is refused before the rest of the file is read.
+            _check_game_sizes(n, m)
             operator = np.zeros((n * m, n * m))
             tensor, after = operator.reshape(n, m, n, m), -1
 
@@ -847,7 +879,7 @@ def _read_pieces(path):
         if end < 3 or text[end:] != tail or not scatter(end):
             return None
         return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)
-    except (OSError, UnicodeDecodeError, KeyError, OverflowError, UsageError, BudgetExceeded):
+    except (OSError, UnicodeDecodeError, KeyError, OverflowError, UsageError):
         return None
 
 

@@ -13,7 +13,20 @@ from operator import itemgetter
 
 import numpy as np
 
-from lippoly import MixedProfile, PolymatrixGame, PureProfile, UsageError, induce, purify, replay
+from lippoly import (
+    LipschitzViolation,
+    LipschitzWitness,
+    MixedProfile,
+    PolymatrixGame,
+    PureProfile,
+    RangeViolation,
+    UsageError,
+    Valid,
+    induce,
+    pure_payoff,
+    purify,
+    replay,
+)
 from lippoly.game import (
     BOUND_TOL,
     _all_numbers,
@@ -400,6 +413,49 @@ def population_mismatches(base, profile, L, order=None, tol=1e-12):
     if abs(ref.final_max_regret - trace.final_max_regret) > tol * abs(ref.final_max_regret):
         problems.append("final regret")
     return problems, trace
+
+
+def reference_check_game(game):
+    """check_game as one scan of all rows at once, three n^2 m arrays of
+    per-row extremes and spreads: the reference its row chunks are held to."""
+    beta = game.beta
+    n = game.n
+    hi = beta.max(axis=3)
+    lo = beta.min(axis=3)
+    spread = hi - lo
+    worst = float(spread.max())
+    if worst > game.lam + BOUND_TOL:
+        i, ip, j = np.unravel_index(int(np.argmax(spread)), spread.shape)
+        j_hi = int(np.argmax(beta[i, ip, j]))
+        j_lo = int(np.argmin(beta[i, ip, j]))
+        base = np.zeros(n, dtype=np.int64)
+        base[i] = j
+        a = base.copy()
+        a[ip] = j_hi
+        b = base.copy()
+        b[ip] = j_lo
+        profile_a = PureProfile(a)
+        profile_b = PureProfile(b)
+        observed = abs(pure_payoff(game, int(i), int(j), profile_a)
+                       - pure_payoff(game, int(i), int(j), profile_b))
+        witness = LipschitzWitness(
+            player=int(i),
+            profile_a=profile_a,
+            profile_b=profile_b,
+            observed_gap=observed,
+            allowed_gap=game.lam * 1.0,
+        )
+        return LipschitzViolation(witness)
+
+    upper = hi.sum(axis=1)
+    lower = lo.sum(axis=1)
+    if upper.max() > 1.0 + BOUND_TOL:
+        i, j = np.unravel_index(int(np.argmax(upper)), upper.shape)
+        return RangeViolation(player=int(i), action=int(j), direction="upper")
+    if lower.min() < -BOUND_TOL:
+        i, j = np.unravel_index(int(np.argmin(lower)), lower.shape)
+        return RangeViolation(player=int(i), action=int(j), direction="lower")
+    return Valid()
 
 
 # The game wire format as it was read and written before load_game and

@@ -16,7 +16,9 @@ the malformed documents of `tests/test_game.py`; the seed-1 inputs of the
 benchmark's four workloads (`perfbench/games.py`); the generator's three
 families at n in {2, 9, 40} and m in {2, 3, 8}, written by the reference
 writer in `tests/helpers.py`; one n = 60, m = 8 game written by
-`save_game`, a file of more than three of `load_game`'s pieces; and the
+`save_game`, a file of more than three of `load_game`'s pieces; three
+compact files of one byte under, at and over `load_game`'s piece size
+(`_PIECE`), the size above which it reads a file in pieces; and the
 hand-made documents of `HANDMADE`.
 Not collected by pytest.
 """
@@ -68,7 +70,8 @@ def write_corpus(out):
     sys.path[:0] = [str(HERE.parent / "src"), str(HERE), str(HERE.parent / "perfbench")]
     from games import WORKLOADS, write_inputs
     from helpers import reference_save_game
-    from lippoly import save_game
+    from lippoly import canonical_bytes, game_to_json, save_game
+    from lippoly.game import _PIECE
     from lippoly.harness.generator import FAMILIES, GeneratorSpec, generate
     from test_game import MALFORMED_GAMES, MALFORMED_IDS, _game_document_text
 
@@ -87,6 +90,13 @@ def write_corpus(out):
                 reference_save_game(generate(spec), str(out / "generated" / f"{family}-{n}-{m}.json"))
     large = generate(GeneratorSpec(n=60, m=8, lam=1 / 60, seed=1))
     save_game(large, str(out / "generated" / "save-game-60-8.json"))
+    # A note pads the document to each size.
+    document = game_to_json(generate(GeneratorSpec(n=28, m=4, lam=1 / 28, seed=1)))
+    for size in (_PIECE - 1, _PIECE, _PIECE + 1):
+        pad = size - len(canonical_bytes({**document, "note": ""}))
+        text = canonical_bytes({**document, "note": "x" * pad})
+        assert len(text) == size, f"the game's text is over {size} bytes"
+        (out / "generated" / f"piece-boundary-{size}.json").write_bytes(text)
     for name, text in HANDMADE.items():
         (out / "handmade" / f"{name}.json").write_text(text)
 

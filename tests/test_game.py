@@ -19,6 +19,7 @@ from helpers import (
     random_mixed,
     random_pure_actions,
     read_outcome,
+    reference_check_game,
     reference_game_from_json,
     regret_oracle,
     zero_game,
@@ -49,6 +50,7 @@ from lippoly import (
 import lippoly.game
 from lippoly.game import TENSOR_GUARD, discrepancy_vector, payoff_matrix, tensor_guard
 from lippoly.harness.generator import GeneratorSpec, generate
+from lippoly.harness.pipeline import run_instance
 from lippoly.purify.common import replica_regrets
 
 
@@ -321,6 +323,90 @@ def test_check_game_range_violation():
     outcome = check_game(game)
     assert isinstance(outcome, RangeViolation)
     assert outcome.direction == "lower"
+
+
+def check_outcome(outcome):
+    """check_game's outcome as plain values, the gaps as their exact bits."""
+    if isinstance(outcome, LipschitzViolation):
+        w = outcome.witness
+        return ("witness", w.player, w.profile_a.actions.tolist(), w.profile_b.actions.tolist(),
+                w.observed_gap.hex(), w.allowed_gap.hex())
+    if isinstance(outcome, RangeViolation):
+        return ("range", outcome.player, outcome.action, outcome.direction)
+    assert isinstance(outcome, Valid)
+    return ("valid",)
+
+
+def _planted(game, *changes):
+    """The game with each (i, ip, j, row) change setting beta[i, ip, j] to row."""
+    beta = game.beta.copy()
+    for i, ip, j, row in changes:
+        beta[i, ip, j] = row
+    return PolymatrixGame(n=game.n, m=game.m, beta=beta, lam=game.lam)
+
+
+def _shifted(game, i, j, by):
+    """The game with player i's action j paid `by` more by opponent 0 (or 1),
+    which moves its payoff range and no spread."""
+    beta = game.beta.copy()
+    beta[i, 1 if i == 0 else 0, j] += by
+    return PolymatrixGame(n=game.n, m=game.m, beta=beta, lam=game.lam)
+
+
+_BASE_12 = random_game(12, 2, 0.1, 40)
+_BASE_9 = random_game(9, 3, 0.15, 41)
+CHECKED_GAMES = {
+    "zero": zero_game(n=3, m=2, lam=0.5),
+    "coordination": coordination_game(lam=0.1),
+    "coordination-valid": coordination_game(lam=1.0),
+    "range-upper-n2": _planted(zero_game(2, 2, 0.5), (0, 1, 0, 1.5), (0, 1, 1, 1.5)),
+    "range-lower-n2": _planted(zero_game(2, 2, 0.5), (0, 1, 0, -0.2), (0, 1, 1, -0.2)),
+    "valid-12": _BASE_12,
+    "valid-9-m3": _BASE_9,
+    "spread-first-chunk": _planted(_BASE_12, (0, 5, 1, [0.0, 0.6])),
+    "spread-last-chunk": _planted(_BASE_12, (11, 3, 0, [0.7, 0.0])),
+    "spread-last-chunk-m3": _planted(_BASE_9, (8, 2, 2, [0.0, 0.5, 0.1])),
+    "equal-spreads-in-two-chunks": _planted(
+        _BASE_12, (1, 4, 0, [0.0, 0.5]), (10, 2, 1, [0.5, 0.0])
+    ),
+    # (i, ip, j) order puts the second first; (i, j, ip) order would not.
+    "equal-spreads-in-one-row": _planted(
+        _BASE_9, (4, 7, 1, [0.0, 0.4, 0.2]), (4, 2, 2, [0.4, 0.0, 0.0])
+    ),
+    "upper-last-chunk": _shifted(_BASE_12, 11, 1, 1.0),
+    "lower-last-chunk": _shifted(_BASE_12, 11, 0, -1.0),
+    "upper-first-and-larger-last": _shifted(_shifted(_BASE_9, 0, 2, 1.0), 8, 1, 1.5),
+}
+CHECKED_GAMES.update({
+    f"planted-{seed}": _planted(
+        random_game(6, 3, 0.15, seed + 200), (seed % 6, (seed + 1) % 6, seed % 3, [0.0, 0.3, 0.1])
+    )
+    for seed in range(3)
+})
+
+
+@pytest.mark.parametrize("step", [1, 2, 5])
+@pytest.mark.parametrize("name", sorted(CHECKED_GAMES))
+def test_check_game_in_row_chunks_gives_the_one_scan_outcome(name, step):
+    # _PIECE patched so that a chunk holds `step` rows (at most n - 1):
+    # every game here spans several chunks, and the outcome is the one-scan
+    # reference's.
+    game = CHECKED_GAMES[name]
+    step = min(step, game.n - 1)
+    with mock.patch.object(lippoly.game, "_PIECE", step * 8 * game.n * game.m + 7):
+        got = check_outcome(check_game(game))
+    assert got == check_outcome(reference_check_game(game))
+    assert got == check_outcome(check_game(game))  # unpatched: one chunk
+    expected = {
+        "spread-first-chunk": ("witness", 0),
+        "spread-last-chunk": ("witness", 11),
+        "equal-spreads-in-two-chunks": ("witness", 1),
+        "upper-last-chunk": ("range", 11, 1, "upper"),
+        "lower-last-chunk": ("range", 11, 0, "lower"),
+        "upper-first-and-larger-last": ("range", 8, 1, "upper"),
+    }.get(name)
+    if expected:
+        assert got[:len(expected)] == expected
 
 
 def test_payoff_range_on_valid_games():
@@ -801,6 +887,25 @@ def test_load_game_reads_a_size_too_large_for_a_float_in_pieces_as_whole(tmp_pat
     assert read_in_pieces(path, 1024) == (got, False)
 
 
+def test_load_game_refuses_an_oversize_game_before_reading_its_pieces(tmp_path):
+    # The sizes are checked from the head and the tail, so a game over the
+    # tensor guard is refused before a piece, or the whole text, is read.
+    path = tmp_path / "game.json"
+    path.write_bytes(_VALID.encode())
+    assert path.stat().st_size > 256
+    with mock.patch.object(lippoly.game, "TENSOR_GUARD", 100):
+        with pytest.raises(BudgetExceeded) as whole:
+            game_from_json(json.loads(_VALID))
+        with mock.patch.object(lippoly.game, "_PIECE", 256), \
+                mock.patch.object(lippoly.game, "_read_text") as read_text, \
+                pytest.raises(BudgetExceeded) as pieces:
+            load_game(str(path))
+    assert not read_text.called
+    assert str(whole.value) == "a game of 6 players and 2 actions needs 144 coefficients, " \
+        "over the budget of 100"
+    assert (str(pieces.value), pieces.value.estimate) == (str(whole.value), whole.value.estimate)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=mutated_game_texts(compact=True), piece=st.sampled_from(PIECES))
 def test_load_game_reads_compact_mutated_documents_in_pieces_as_whole(tmp_path_factory, text, piece):
@@ -880,6 +985,25 @@ def test_load_game_peak_stays_within_a_few_pieces(tmp_path):
             assert size > 3 * lippoly.game._PIECE
             bound = game.operator.nbytes + 2 * lippoly.game._PIECE + (1 << 16)
             assert peak <= bound, f"peak {peak} bytes for a {size}-byte file"
+
+
+@pytest.mark.parametrize("n, m", [(300, 2), (100, 8)])
+def test_a_pipeline_pass_peaks_at_the_operator_and_two_pieces(tmp_path, n, m):
+    # Every transient of a pass is bounded by the piece size: the load's
+    # text and records, check_game's row chunks of per-row extremes, and
+    # what the solve and purification add, which is smaller.
+    game = generate(GeneratorSpec(n, m, 1 / n, seed=1))
+    path = tmp_path / "game.json"
+    save_game(game, str(path))
+    tracemalloc.start()
+    try:
+        record = run_instance(load_game(str(path)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.outcome == "ok" and record.game_digest == game_digest(game)
+    bound = game.operator.nbytes + 2 * lippoly.game._PIECE + (1 << 16)
+    assert peak <= bound, f"peak {peak} bytes, {peak - game.operator.nbytes} above the operator"
 
 
 def test_load_game_peak_memory_on_a_binary_game(tmp_path):
