@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import BinaryOnlyError, BudgetExceeded, DistributionError, InternalError, UsageError
+from .errors import BudgetExceeded, DistributionError, InternalError, UsageError
 
 # Absolute tolerance for every comparison against an analytic bound.
 BOUND_TOL = 1e-9
@@ -39,9 +39,9 @@ REGRET_FLOOR = -1e-12
 # (0.8 GB per float64 copy); see `tensor_guard`.
 TENSOR_GUARD = 100_000_000
 # The bytes that bound every transient of a pass beside the operator:
-# load_game reads a compact game file in pieces of about this size, and
-# check_game scans the coefficients in row chunks of per-row extremes no
-# larger.
+# load_game reads a compact game file's head and tail in this many bytes
+# and its blocks a quarter of it at a time, and check_game scans the
+# coefficients in row chunks of per-row extremes no larger.
 _PIECE = 1 << 18
 
 
@@ -323,14 +323,6 @@ def regret_report(game, profile):
     per = np.maximum(per, 0.0)
     top = int(np.argmax(per))
     return RegretReport(_freeze(per), float(per[top]), top, _freeze(U))
-
-
-def discrepancy_vector(game, profile):
-    """All players' discrepancies, action 1's payoff minus action 0's (binary games)."""
-    if game.m != 2:
-        raise BinaryOnlyError(f"discrepancy requires a binary game, m={game.m}")
-    U = payoff_matrix(game, profile)
-    return U[:, 1] - U[:, 0]
 
 
 def check_game(game):
@@ -785,6 +777,20 @@ _TAIL = re.compile(rb'\](?:,%s)*\}\s*' % _MEMBER)
 # What ends every block of "beta" but the last, as game_to_json's blocks
 # are written compactly: its matrix, its object and the comma.
 _BLOCK_END = b"]]},"
+# Every byte a JSON number is written with made "0", any other kept; and
+# the bytes of a block list other than its numbers and commas.
+_ZEROS = bytes.maketrans(b"123456789eE.+-", b"0" * 14)
+_STRUCTURE = b'[]{}":ipmatrx'
+
+
+def _blocks_pattern(m):
+    """Compact blocks of m x m entries, comma-joined, once _ZEROS has made
+    each number a run of "0"s: the keys "i", "ip" and "matrix" in that
+    order, m rows of m entries, and no string, boolean, null or space, nor
+    a byte of a number inside a key or between brackets."""
+    row = rb"\[%s\]" % b",".join([b"0++"] * m)
+    block = rb'\{"i":0++,"ip":0++,"matrix":\[%s(?:,%s){%d}\]\}' % (row, row, m - 1)
+    return re.compile(rb"%s(?:,%s)*+" % (block, block))
 
 
 def _read_pieces(path):
@@ -793,26 +799,29 @@ def _read_pieces(path):
     to be read whole.
 
     The sizes come first.  The text after the last "]]}]" of the file's
-    last _PIECE bytes must be a tail (_TAIL), and the head (_HEAD) and the
-    tail must parse as one document, an object with an empty "beta" and no
-    repeated key, whose sizes pass the checks _build_game makes before it
-    allocates the operator; a game over the tensor guard raises its
-    BudgetExceeded there, before the rest of the file is read.  _HEAD
-    leaves the parser in the top-level "beta" list, outside any string,
-    where a block starts.  The text read so far is cut at its last
-    _BLOCK_END, whose comma becomes the "]" that closes the piece and the
-    "[" that opens the rest, and the piece is parsed with _parse_game's
-    hook.  It must hold taken blocks only, so it ends where a block ends
-    and the rest again starts where one starts.  Its records, of m x m
-    entries, go through _scatter in increasing (i, ip) order, continuing
-    from the piece before, and are dropped.  The last piece must end at the
-    tail.  The whole text would then parse to the same document and
+    last _PIECE bytes must be a tail (_TAIL), and the head (_HEAD, in the
+    first _PIECE bytes) and the tail must parse as one document, an object
+    with an empty "beta" and no repeated key, whose sizes pass the checks
+    _build_game makes before it allocates the operator; a game over the
+    tensor guard raises its BudgetExceeded there, before the rest of the
+    file is read.  _HEAD leaves the parser in the top-level "beta" list,
+    outside any string, where a block starts.  From there the file is read
+    a quarter piece at a time (a list of numbers takes about three times
+    their text), and the text read so far is cut into a piece at its last
+    _BLOCK_END, the last piece at the last "]]}]".  A piece must match
+    _blocks_pattern(m) once _ZEROS is applied; with _STRUCTURE deleted it
+    is then one JSON list of numbers, whose grammar the parser checks
+    ("01", ".5", "1." and "+1" raise); and each block's first two numbers,
+    its indices, must be ints, as the hook of _parse_game takes them
+    (_scatter holds them to [1, n], so below 2^53 too).  The numbers, as
+    float64, go through _scatter in increasing (i, ip) order, continuing
+    from the piece before, and are dropped.  The last piece must end at
+    the tail.  The whole text would then parse to the same document and
     records, and give the same game.  Anything else gives None, so that
     every other error comes from the whole-text reader: a file that cannot
-    be read, a head or tail of another form, a piece that does not parse
-    or that holds a "u" or an "f" (a boolean, which the hook checks for
-    only in a text that may hold one), a block out of that order or
-    failing a check, and a game the constructor refuses.
+    be read, a head or tail of another form, a piece that fails a check,
+    an entry too large for a float, a block out of that order or failing
+    a check, and a game the constructor refuses.
     """
     try:
         if os.stat(path).st_size <= _PIECE:
@@ -823,17 +832,13 @@ def _read_pieces(path):
             end = tail.rfind(b"]]}]") + 3
             tail = tail[end:] if end > 2 and _TAIL.fullmatch(tail, end) else b""
             fh.seek(0)
-            text = bytearray(fh.read(_PIECE))
-            match = tail and _HEAD.match(text)
+            head = fh.read(_PIECE)
+            match = tail and _HEAD.match(head)
             if not match:
                 return None
-            # The piece text starts at the block list's "[".  A match keeps
-            # the text it searched alive, so it goes.
-            start = match.end() - 1
-            del match
-            values, repeats = array("d"), {}
-            take = _taker(values, repeats, typed=False)
-            document = _parse_json(path, (text[:start + 1] + tail).decode(), take)
+            repeats = {}
+            take = _taker(array("d"), repeats, typed=False)
+            document = _parse_json(path, (head[:match.end()] + tail).decode(), take)
             if type(document) is not dict or document.get("beta") != [] or repeats:
                 return None
             n = _count(document["n"], "player count")
@@ -843,39 +848,39 @@ def _read_pieces(path):
             _check_game_sizes(n, m)
             operator = np.zeros((n * m, n * m))
             tensor, after = operator.reshape(n, m, n, m), -1
+            blocks, width = _blocks_pattern(m), m * m + 2
 
             def scatter(end):
-                """Scatter the blocks of the piece of text from `start` to
-                `end`, a "]" that closes it as a list, and leave the rest as
-                `text`; False if the piece is not a list of taken blocks of
-                m x m entries or holds a boolean."""
-                nonlocal text, start, after
-                text[end] = ord("]")
-                # A list of taken blocks is ASCII: its only strings are their keys.
-                piece = str(memoryview(text)[start:end + 1], "ascii")
-                # The piece's bytes go before it is parsed.
-                text, start = text[end:], 0
-                text[0] = ord("[")
-                if "u" in piece or "f" in piece:
+                """Scatter the blocks from text[1] to `end`, where a block
+                ends; False if they fail a check."""
+                nonlocal after
+                piece = text[1:end]
+                if not blocks.fullmatch(piece.translate(_ZEROS)):
                     return False
-                parsed = _parse_json("piece", piece, take)
+                numbers = "[%s]" % piece.translate(None, _STRUCTURE).decode()
                 del piece
-                if parsed.count(_TAKEN) != len(parsed) or values[-1] != m:
+                values = _parse_json(path, numbers)
+                del numbers
+                if set(map(type, values[0::width] + values[1::width])) != {int}:
                     return False
-                rows = np.frombuffer(values).reshape(-1, m * m + 3)
-                after = _scatter(tensor, rows[:, -3:-1], rows[:, :-3], str, after)
-                del rows, values[:]
+                rows = np.array(values, np.float64).reshape(-1, width)
+                del values
+                after = _scatter(tensor, rows[:, :2], rows[:, 2:], str, after)
                 return True
 
-            while True:
-                cut = text.rfind(_BLOCK_END, start) + 3
-                if cut > 2 and not scatter(cut):
-                    return None
-                read = len(text)
-                text += fh.read(_PIECE)
-                if len(text) == read:
-                    break
-        end = text.rfind(b"]]}]", start) + 3
+            # From the block list's "[" on, a quarter piece at a time.
+            fh.seek(match.end() - 1)
+            del head, match
+            text = bytearray()
+            while chunk := fh.read(_PIECE // 4):
+                text += chunk
+                del chunk
+                cut = text.rfind(_BLOCK_END) + 3
+                if cut > 2:
+                    if not scatter(cut):
+                        return None
+                    text = text[cut:]
+        end = text.rfind(b"]]}]") + 3
         if end < 3 or text[end:] != tail or not scatter(end):
             return None
         return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)

@@ -14,6 +14,7 @@ from operator import itemgetter
 import numpy as np
 
 from lippoly import (
+    BinaryOnlyError,
     LipschitzViolation,
     LipschitzWitness,
     MixedProfile,
@@ -35,7 +36,6 @@ from lippoly.game import (
     _number,
     _number_type,
     _require_numbers,
-    discrepancy_vector,
     payoff_matrix,
     tensor_guard,
 )
@@ -68,6 +68,14 @@ def random_game(n, m, lam, seed, spread_scale=1.0):
     idx = np.arange(n)
     beta[idx, idx] = 0.0
     return PolymatrixGame(n=n, m=m, beta=beta, lam=lam)
+
+
+def discrepancy_vector(game, profile):
+    """All players' discrepancies, action 1's payoff minus action 0's (binary games)."""
+    if game.m != 2:
+        raise BinaryOnlyError(f"discrepancy requires a binary game, m={game.m}")
+    U = payoff_matrix(game, profile)
+    return U[:, 1] - U[:, 0]
 
 
 def zero_game(n=3, m=2, lam=0.5):

@@ -1,6 +1,7 @@
-"""Peak traced memory of each stage of one pipeline pass on a game file.
+"""Peak traced memory, and process time, of each stage of one pipeline
+pass on a game file.
 
-    python tests/stage_peaks.py FILE [--L L]
+    python tests/stage_peaks.py FILE [--L L] [--repeat K]
 
 Runs the stages `lippoly pipeline --game FILE [--L L]` runs, in its
 order and with its defaults, under `tracemalloc`, with this checkout's
@@ -8,8 +9,11 @@ order and with its defaults, under `tracemalloc`, with this checkout's
 with --L, reduce_and_solve.  Prints one JSON line: the file's size, the
 operator's bytes, the reader's piece size, and for each stage the peak
 traced bytes above what was traced when the stage began (what the stage
-added at its highest, the game it is given not counted).  A game that
-check_game refuses stops the pass there.
+added at its highest, the game it is given not counted).  With --repeat
+K it then runs the same stages K more times without `tracemalloc` and
+adds each stage's least process time over those K passes, in seconds
+(process time counts every thread, so set OPENBLAS_NUM_THREADS=1 to time
+one).  A game that check_game refuses stops each pass there.
 Not collected by pytest.
 """
 
@@ -17,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -29,30 +34,35 @@ from lippoly.purify import default_target_epsilon, purify  # noqa: E402
 from lippoly.solver import SolverConfig, solve_mixed  # noqa: E402
 
 
-def peak_above_entry(peaks, name, call, *args, **kwargs):
-    """`call(*args, **kwargs)`, its peak above entry stored as peaks[name]."""
-    tracemalloc.reset_peak()
-    entry, _ = tracemalloc.get_traced_memory()
-    result = call(*args, **kwargs)
-    peaks[name] = tracemalloc.get_traced_memory()[1] - entry
-    return result
+def run_stages(path, L, stage):
+    """One pass on the game file `path`, each stage called as
+    `stage(name, call, *args, **kwargs)`; returns the game."""
+    game = stage("load_game", load_game, path)
+    stage("game_digest", game_digest, game)
+    if isinstance(stage("check_game", check_game, game), Valid):
+        target = default_target_epsilon(game)
+        config = SolverConfig(target_epsilon=target, seed=0)
+        result = stage("solve_mixed", solve_mixed, game, config)
+        stage("purify", purify, game, result.profile)
+        if L is not None:
+            stage("reduce_and_solve", reduce_and_solve, game, epsilon=target, L=L, seed=0)
+    return game
 
 
 def stage_peaks(path, L=None):
     """The peak of each stage of one pass on the game file `path`."""
     peaks = {}
+
+    def peak_above_entry(name, call, *args, **kwargs):
+        tracemalloc.reset_peak()
+        entry, _ = tracemalloc.get_traced_memory()
+        result = call(*args, **kwargs)
+        peaks[name] = tracemalloc.get_traced_memory()[1] - entry
+        return result
+
     tracemalloc.start()
     try:
-        game = peak_above_entry(peaks, "load_game", load_game, path)
-        peak_above_entry(peaks, "game_digest", game_digest, game)
-        if isinstance(peak_above_entry(peaks, "check_game", check_game, game), Valid):
-            target = default_target_epsilon(game)
-            config = SolverConfig(target_epsilon=target, seed=0)
-            result = peak_above_entry(peaks, "solve_mixed", solve_mixed, game, config)
-            peak_above_entry(peaks, "purify", purify, game, result.profile)
-            if L is not None:
-                peak_above_entry(peaks, "reduce_and_solve", reduce_and_solve, game,
-                                 epsilon=target, L=L, seed=0)
+        game = run_stages(path, L, peak_above_entry)
     finally:
         tracemalloc.stop()
     return {
@@ -63,9 +73,30 @@ def stage_peaks(path, L=None):
     }
 
 
+def stage_seconds(path, L, repeat):
+    """The least process time of each stage over `repeat` passes."""
+    least = {}
+
+    def timed(name, call, *args, **kwargs):
+        start = time.process_time()
+        result = call(*args, **kwargs)
+        spent = time.process_time() - start
+        least[name] = min(spent, least.get(name, spent))
+        return result
+
+    for _ in range(repeat):
+        run_stages(path, L, timed)
+    return least
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("file")
     parser.add_argument("--L", type=int, default=None)
+    parser.add_argument("--repeat", type=int, default=0, metavar="K")
     args = parser.parse_args()
-    print(json.dumps(stage_peaks(args.file, args.L)))
+    report = stage_peaks(args.file, args.L)
+    if args.repeat > 0:
+        report["repeat"] = args.repeat
+        report["process_s"] = stage_seconds(args.file, args.L, args.repeat)
+    print(json.dumps(report))

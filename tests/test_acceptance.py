@@ -13,6 +13,7 @@ import pytest
 
 import acceptance_log
 from helpers import (
+    discrepancy_vector,
     lifted_payoff_oracle,
     mixed_payoff_oracle,
     payoff_matrix_oracle,
@@ -35,7 +36,6 @@ from lippoly import (
     solve_mixed,
 )
 from lippoly.game import (
-    discrepancy_vector,
     payoff_matrix,
     payoffs,
     pure_payoff,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     coordination_game,
+    discrepancy_vector,
     mixed_payoff_oracle,
     payoff_matrix_oracle,
     payoff_oracle,
@@ -48,7 +49,7 @@ from lippoly import (
     save_game,
 )
 import lippoly.game
-from lippoly.game import TENSOR_GUARD, discrepancy_vector, payoff_matrix, tensor_guard
+from lippoly.game import TENSOR_GUARD, payoff_matrix, tensor_guard
 from lippoly.harness.generator import GeneratorSpec, generate
 from lippoly.harness.pipeline import run_instance
 from lippoly.purify.common import replica_regrets
@@ -820,8 +821,29 @@ def _block_of_records():
 # Compact documents the piece reader must read as the whole-text reader
 # does: markers in strings, repeated keys, entries it declines, damage in a
 # late piece, a pair in two pieces or out of row-major order, a tail that
-# does not fit in the last piece, a byte that is not UTF-8, and spacing.
+# does not fit in the last piece, a byte that is not UTF-8, and spacing;
+# numbers JSON refuses, indices the reader's hook declines, and blocks the
+# skeleton of m x m entries does not match.
 _VALID = _compact_text([("beta", _BLOCKS), *_SIZES])
+
+
+def _with_entry(literal, at=len(_BLOCKS) // 2):
+    """The valid document's text, block `at`'s first entry written `literal`."""
+    return _compact_text([("beta", _blocks_with_entry(12345.5, at)), *_SIZES]).replace(
+        "12345.5", literal
+    )
+
+
+def _with_block_text(old, new, at=len(_BLOCKS) // 2):
+    """The valid document's text, `old` made `new` in block `at`'s text."""
+    block = json.dumps(_BLOCKS[at], separators=COMPACT)
+    assert old in block
+    return _VALID.replace(block, block.replace(old, new, 1))
+
+
+_MIDDLE = _BLOCKS[len(_BLOCKS) // 2]
+_ROWS = json.dumps(_MIDDLE["matrix"], separators=COMPACT)
+_ENTRIES = _MIDDLE["matrix"][0] + _MIDDLE["matrix"][1]
 ODD_COMPACT = {
     "empty-beta": _compact_text([("beta", []), *_SIZES, ("note", "x" * 300)]),
     "block-end-in-a-string-first": _compact_text([("note", "]]},"), ("beta", _BLOCKS), *_SIZES]),
@@ -859,6 +881,31 @@ ODD_COMPACT = {
     "crlf-ending": _VALID + "\r\n",
     "spaced": json.dumps({"beta": _BLOCKS, **dict(_SIZES)}),
     "not-a-game": _compact_text([("beta", _BLOCKS)]),
+    "entry-with-a-leading-zero": _with_entry("01"),
+    "entry-without-an-integer-part": _with_entry(".5"),
+    "entry-without-a-fraction": _with_entry("1."),
+    "entry-with-a-plus": _with_entry("+1"),
+    "entry-that-is-a-minus": _with_entry("-"),
+    "entry-without-an-exponent": _with_entry("1e"),
+    "entry-with-a-signed-empty-exponent": _with_entry("1e+"),
+    "infinite-entry": _with_entry("1e400"),
+    "entry-of-400-digits": _with_entry("9" * 400),
+    "index-as-a-float": _with_block_text(f'"i":{_MIDDLE["i"]}', f'"i":{_MIDDLE["i"]}.0'),
+    "index-with-an-exponent": _with_block_text(f'"i":{_MIDDLE["i"]}', f'"i":{_MIDDLE["i"]}e0'),
+    "negative-index": _with_block_text(f'"ip":{_MIDDLE["ip"]}', '"ip":-1'),
+    "index-past-2-to-the-53": _with_block_text(f'"ip":{_MIDDLE["ip"]}', f'"ip":{2**53 + 1}'),
+    "rows-of-m-plus-and-minus-one": _with_block_text(
+        _ROWS, json.dumps([_ENTRIES[:3], _ENTRIES[3:]], separators=COMPACT)
+    ),
+    "space-in-a-block": _with_block_text('"ip":', '"ip": '),
+    "extra-key": _with_block_text("]]}", ']],"x":0}'),
+    "keys-swapped": _with_block_text(
+        f'"i":{_MIDDLE["i"]},"ip":{_MIDDLE["ip"]}', f'"ip":{_MIDDLE["ip"]},"i":{_MIDDLE["i"]}'
+    ),
+    # A numeral moved into a key leaves the skeleton of numerals deleted
+    # unchanged, and reads as the index it left if the keys are dropped.
+    "index-moved-into-a-key": _with_block_text(f'"ip":{_MIDDLE["ip"]}', f'"i{_MIDDLE["ip"]}p":'),
+    "numeral-between-brackets": _with_block_text("],[", "],5["),
 }
 ODD_COMPACT = {name: text.encode() for name, text in ODD_COMPACT.items()}
 ODD_COMPACT["not-utf8-note"] = _compact_text([("beta", _BLOCKS), *_SIZES, ("note", "?")]).encode().replace(
@@ -873,7 +920,9 @@ def test_load_game_reads_odd_compact_documents_in_pieces_as_whole(tmp_path, piec
     path.write_bytes(ODD_COMPACT[name])
     got, in_pieces = read_in_pieces(path, piece)
     assert got == read_outcome(load_game, str(path))
-    if name in ("spaced", "blocks-out-of-order", "tail-past-the-last-piece"):
+    declined = ("spaced", "blocks-out-of-order", "tail-past-the-last-piece", "space-in-a-block",
+                "index-as-a-float", "index-with-an-exponent")
+    if name in declined:
         assert got[0] == "game" and not in_pieces
 
 
@@ -985,6 +1034,25 @@ def test_load_game_peak_stays_within_a_few_pieces(tmp_path):
             assert size > 3 * lippoly.game._PIECE
             bound = game.operator.nbytes + 2 * lippoly.game._PIECE + (1 << 16)
             assert peak <= bound, f"peak {peak} bytes for a {size}-byte file"
+
+
+def test_load_game_in_pieces_peaks_no_higher_than_whole_just_over_a_piece(tmp_path):
+    # The smallest file read in pieces: it must not cost more memory than
+    # reading its text whole would.
+    path = tmp_path / "game.json"
+    save_sizes_first(generate(GeneratorSpec(40, 3, 1 / 40, seed=1)), path)
+    assert lippoly.game._PIECE < path.stat().st_size < 1.1 * lippoly.game._PIECE
+    peaks = {}
+    for way, read_pieces in (("pieces", lippoly.game._read_pieces), ("whole", lambda path: None)):
+        with mock.patch.object(lippoly.game, "_read_pieces", read_pieces):
+            load_game(str(path))  # once first, so that no first-call cache counts
+            tracemalloc.start()
+            try:
+                load_game(str(path))
+                _, peaks[way] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    assert peaks["pieces"] <= peaks["whole"], peaks
 
 
 @pytest.mark.parametrize("n, m", [(300, 2), (100, 8)])

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     constant_gap_game,
+    discrepancy_vector,
     random_game,
     reference_sweep,
     sweep_step_oracle,
@@ -29,7 +30,7 @@ from lippoly import (
     solve_mixed,
     trace_to_json,
 )
-from lippoly.game import BOUND_TOL, action_regrets, discrepancy_vector, payoff_matrix
+from lippoly.game import BOUND_TOL, action_regrets, payoff_matrix
 from lippoly.purify.binary import sweep_step
 
 PIPELINE_SEEDS = (0, 1, 2, 3, 4, 5)
