@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import itertools
 import json
 import numbers
@@ -21,7 +22,6 @@ import os
 import re
 import struct
 import sys
-from array import array
 from dataclasses import KW_ONLY, dataclass, field
 from operator import itemgetter
 
@@ -509,10 +509,6 @@ def _count(value, name):
     return int(number)
 
 
-# What the reader leaves in place of a block it took (see _parse_game).
-_TAKEN = object()
-
-
 class _Block(dict):
     """A block dict, shown by its indices as the document gives them."""
 
@@ -520,36 +516,36 @@ class _Block(dict):
         return f"block ({self['i']!r}, {self['ip']!r})"
 
 
+def _named_blocks(fields):
+    """The whole-text reader's object hook: an object with "i", "ip" and
+    k lists of k numbers as its "matrix", k >= 1, becomes a _Block, so that
+    an error names it by its indices wherever it sits."""
+    matrix = fields.get("matrix") if "i" in fields and "ip" in fields else None
+    if type(matrix) is list and matrix and all(
+        type(row) is list and len(row) == len(matrix) and _all_numbers(row) for row in matrix
+    ):
+        return _Block(fields)
+    return fields
+
+
 def game_from_json(data):
     """A game from its wire form: {"n", "m", "lambda", "beta": [blocks]},
     each block {"i", "ip", "matrix"} with 1-based indices and an m x m
-    matrix of numbers, read as its json.dumps text by load_game's reader.
-    Anything else, or what json.dumps cannot encode as standard JSON (a
-    numpy integer, NaN or infinity), raises UsageError.  The document, its
-    text and their parse are alive at once: read files with load_game."""
+    matrix of numbers, read from its compact json.dumps text as load_game
+    reads a file.  Anything else, or what json.dumps cannot encode as
+    standard JSON (a numpy integer, NaN or infinity), raises UsageError."""
     try:
-        text = json.dumps(data, allow_nan=False)
+        text = json.dumps(data, allow_nan=False, separators=(",", ":")).encode()
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed game JSON: {exc}") from exc
-    return _build_game(*_parse_game("game JSON", text))
+    return _read_pieces(io.BytesIO(text)) or _build_game(
+        _parse_json("game JSON", text, _named_blocks)
+    )
 
 
-def _build_game(document, values, repeats):
-    """The game of what `_parse_game` read, or the UsageError of the first
-    check it fails: sizes, indices, matrices.  If "beta" holds just the taken
-    blocks, each m x m, the checks run on a (blocks, m*m + 3) view of the
-    buffer, whose entries are scattered into the operator; else the blocks
-    are read as dicts, each taken one restored as a _Block."""
-    flat = np.frombuffer(values)
-    k = int(flat[-1]) if len(flat) else 0
-    rows = flat.reshape(-1, k * k + 3)
-    beta = document.get("beta") if isinstance(document, dict) else None
-    fast = type(beta) is list and beta.count(_TAKEN) == len(beta) == len(rows)
-    dicts = not (fast and (k == document.get("m") or not len(rows)))
-    if dicts:
-        grids = rows[:, :-3].reshape(len(rows), k, k).tolist()
-        taken = (_Block(i=int(r[-3]), ip=int(r[-2]), matrix=g) for r, g in zip(rows, grids))
-        document = _restored(document, taken, repeats)
+def _build_game(document):
+    """The game of a parsed game document, or the UsageError of the first
+    check it fails: sizes, indices, matrices."""
     try:
         n = _count(document["n"], "player count")
         m = _count(document["m"], "action count")
@@ -558,30 +554,22 @@ def _build_game(document, values, repeats):
         if type(blocks) is not list:
             got = repr(blocks) if type(blocks) is _Block else type(blocks).__name__
             raise UsageError(f'malformed game JSON: "beta" must be a list, got {got}')
-        if dicts:
-            # One flat list: a list of per-block pairs would set off garbage
-            # collections that walk the whole parsed document.
-            named = list(itertools.chain.from_iterable(map(itemgetter("i", "ip"), blocks)))
-            if not _all_numbers(named):
-                first = next(at for at, v in enumerate(named) if not _number_type(type(v)))
-                entry = blocks[first // 2]
-                raise UsageError(f"malformed game JSON: block ({entry['i']!r}, {entry['ip']!r}) "
-                                 "has an index that is not a number")
-            # Floats, so that an index like 1.7 is refused, not truncated.
-            named = np.array(named, dtype=np.float64).reshape(-1, 2)
-        else:
-            named = rows[:, -3:-1]
+        # One flat list: a list of per-block pairs would set off garbage
+        # collections that walk the whole parsed document.
+        named = list(itertools.chain.from_iterable(map(itemgetter("i", "ip"), blocks)))
+        if not _all_numbers(named):
+            first = next(at for at, v in enumerate(named) if not _number_type(type(v)))
+            entry = blocks[first // 2]
+            raise UsageError(f"malformed game JSON: block ({entry['i']!r}, {entry['ip']!r}) "
+                             "has an index that is not a number")
+        # Floats, so that an index like 1.7 is refused, not truncated.
+        named = np.array(named, dtype=np.float64).reshape(-1, 2)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed game JSON: {exc}") from exc
     _check_game_sizes(n, m)
-
-    def block(at):
-        """Block `at` of "beta", by its indices as the document gives them."""
-        return repr(_Block(blocks[at] if dicts else zip(("i", "ip"), map(int, named[at]))))
-
     operator = np.zeros((n * m, n * m))
-    entries = (lambda: _block_matrices(blocks, m)) if dicts else rows[:, :-3]
-    _scatter(operator.reshape(n, m, n, m), named, entries, block)
+    _scatter(operator.reshape(n, m, n, m), named, lambda: _block_matrices(blocks, m),
+             lambda at: repr(_Block(blocks[at])))
     return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)
 
 
@@ -620,20 +608,6 @@ def _scatter(tensor, named, entries, block, after=None):
     return key[-1] if len(key) else after
 
 
-def _restored(value, blocks, repeats):
-    """A parsed value with each _TAKEN in it, in the order the reader met
-    them, made the next of `blocks`; an object's repeated keys included."""
-    if value is _TAKEN:
-        return next(blocks)
-    if type(value) is list:
-        for at, item in enumerate(value):
-            value[at] = _restored(item, blocks, repeats)
-    elif isinstance(value, dict):
-        for key, item in list(repeats.get(id(value), value.items())):
-            value[key] = _restored(item, blocks, repeats)
-    return value
-
-
 def _block_matrices(blocks, m):
     """Block dicts' matrices as one (blocks, m*m) array, or the UsageError: a
     non-number if all have m rows of m entries, else the first block of
@@ -646,7 +620,8 @@ def _block_matrices(blocks, m):
             len(row) == m for row in flatten(matrices)
         ):
             _require_numbers(flatten(flatten(matrices)), "game")
-            return np.fromiter(flatten(flatten(matrices)), np.float64, len(blocks) * m * m)
+            entries = np.fromiter(flatten(flatten(matrices)), np.float64, len(blocks) * m * m)
+            return entries.reshape(len(blocks), m * m)
     except (TypeError, ValueError, OverflowError) as exc:
         error = exc
     for block, matrix in zip(blocks, matrices):
@@ -730,7 +705,7 @@ def _read_text(path):
         raise UsageError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
 
 
-def _parse_json(path, text, object_pairs_hook=None):
+def _parse_json(path, text, object_hook=None):
     """json.loads of a file's text, with load_json's errors.
 
     The cyclic garbage collector is paused while the parser runs: a parsed
@@ -741,9 +716,7 @@ def _parse_json(path, text, object_pairs_hook=None):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(
-            text, parse_constant=_reject_constant, object_pairs_hook=object_pairs_hook
-        )
+        return json.loads(text, parse_constant=_reject_constant, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
     except RecursionError as exc:
@@ -760,12 +733,17 @@ def _reject_constant(name):
 def load_game(path):
     """Read a game file: what game_from_json gives for its document.
 
-    A compact file larger than _PIECE bytes is read in pieces, each
-    scattered into the operator (_read_pieces), so neither its text nor
-    its records are ever held whole; any other file, or one the pieces
-    decline, has its text parsed once by _parse_game."""
+    A compact file is read in pieces, each scattered into the operator
+    (_read_pieces), so its text is never held whole; any other file, or
+    one the pieces decline, has its text parsed once into plain dicts,
+    which _build_game checks and builds."""
+    try:
+        with open(path, "rb") as fh:
+            game = _read_pieces(fh)
+    except OSError:
+        game = None
     # No name holds the text, so it is freed before the tensor is allocated.
-    return _read_pieces(path) or _build_game(*_parse_game(path, _read_text(path)))
+    return game or _build_game(_parse_json(path, _read_text(path), _named_blocks))
 
 
 # A compact document is an object whose members other than "beta" are a
@@ -795,155 +773,91 @@ def _blocks_pattern(m):
     return re.compile(rb"%s(?:,%s)*+" % (block, block))
 
 
-def _read_pieces(path):
-    """The game of a compact game file over _PIECE bytes, read, parsed and
-    scattered into its operator a piece at a time; None when the file is
-    to be read whole.
+def _read_pieces(fh):
+    """The game of a compact game document, read from the binary file `fh`,
+    parsed and scattered into its operator a piece at a time; None when
+    the document is to be read whole.
 
     The sizes come first.  The text after the last "]]}]" of the file's
     last _PIECE bytes must be a tail (_TAIL), and the head (_HEAD, in the
     first _PIECE bytes) and the tail must parse as one document, an object
-    with an empty "beta" and no repeated key, whose sizes pass the checks
-    _build_game makes before it allocates the operator; a game over the
-    tensor guard raises its BudgetExceeded there, before the rest of the
-    file is read.  _HEAD leaves the parser in the top-level "beta" list,
-    outside any string, where a block starts.  From there the file is read
-    a quarter piece at a time (a list of numbers takes about three times
-    their text), and the text read so far is cut into a piece at its last
-    _BLOCK_END, the last piece at the last "]]}]".  A piece must match
-    _blocks_pattern(m) once _ZEROS is applied; with _STRUCTURE deleted it
-    is then one JSON list of numbers, whose grammar the parser checks
-    ("01", ".5", "1." and "+1" raise).  The numbers, as float64, go
-    through _scatter, which holds each block's first two, its indices, to
-    integers in [1, n] in increasing (i, ip) order, continuing from the
-    piece before, and are dropped.  The last piece must end at the tail.
-    The whole text would then give the same game.  Anything else gives
-    None, so that every other error comes from the whole-text reader: a
-    file that cannot be read, a head or tail of another form, a piece that
-    fails a check, an entry too large for a float, a block out of that
+    with an empty "beta", whose sizes pass the checks _build_game makes
+    before it allocates the operator; a game over the tensor guard raises
+    its BudgetExceeded there, before the rest of the file is read.  A key
+    the head and the tail repeat takes the value the whole text would give
+    it, the last; a "beta" in the tail is no list, and is declined.  _HEAD
+    leaves the parser in the top-level "beta" list, outside any string,
+    where a block starts.  From there the file is read a quarter piece at
+    a time (a list of numbers takes about three times their text), and the
+    text read so far is cut into a piece at its last _BLOCK_END, the last
+    piece at the last "]]}]".  A piece must match _blocks_pattern(m) once
+    _ZEROS is applied; with _STRUCTURE deleted it is then one JSON list of
+    numbers, whose grammar the parser checks ("01", ".5", "1." and "+1"
+    raise).  The numbers, as float64, go through _scatter, which holds each
+    block's first two, its indices, to integers in [1, n] in increasing
+    (i, ip) order, continuing from the piece before, and are dropped.  The
+    last piece must end at the tail.  The whole text would then give the
+    same game.  Anything else gives None, so that every other error comes
+    from the whole-text reader: a head or tail of another form, a piece
+    that fails a check, an entry too large for a float, a block out of that
     order or failing a check, and a game the constructor refuses.
     """
     try:
-        if os.stat(path).st_size <= _PIECE:
+        fh.seek(max(0, fh.seek(0, os.SEEK_END) - _PIECE))
+        tail = fh.read()
+        end = tail.rfind(b"]]}]") + 3
+        tail = tail[end:] if end > 2 and _TAIL.fullmatch(tail, end) else b""
+        fh.seek(0)
+        head = fh.read(_PIECE)
+        match = tail and _HEAD.match(head)
+        if not match:
             return None
-        with open(path, "rb") as fh:
-            fh.seek(-_PIECE, os.SEEK_END)
-            tail = fh.read()
-            end = tail.rfind(b"]]}]") + 3
-            tail = tail[end:] if end > 2 and _TAIL.fullmatch(tail, end) else b""
-            fh.seek(0)
-            head = fh.read(_PIECE)
-            match = tail and _HEAD.match(head)
-            if not match:
-                return None
-            repeats = {}
-            take = _taker(array("d"), repeats, typed=False)
-            document = _parse_json(path, (head[:match.end()] + tail).decode(), take)
-            if type(document) is not dict or document.get("beta") != [] or repeats:
-                return None
-            n = _count(document["n"], "player count")
-            m = _count(document["m"], "action count")
-            lam = _number(document["lambda"], "lambda")
-            # An oversize game is refused before the rest of the file is read.
-            _check_game_sizes(n, m)
-            operator = np.zeros((n * m, n * m))
-            tensor, after = operator.reshape(n, m, n, m), -1
-            blocks = _blocks_pattern(m)
+        document = _parse_json("a game's head and tail", (head[:match.end()] + tail).decode())
+        if type(document) is not dict or document.get("beta") != []:
+            return None
+        n = _count(document["n"], "player count")
+        m = _count(document["m"], "action count")
+        lam = _number(document["lambda"], "lambda")
+        # An oversize game is refused before the rest of the file is read.
+        _check_game_sizes(n, m)
+        operator = np.zeros((n * m, n * m))
+        tensor, after = operator.reshape(n, m, n, m), -1
+        blocks = _blocks_pattern(m)
 
-            def scatter(end):
-                """Scatter the blocks from text[1] to `end`, where a block
-                ends; False if they fail a check."""
-                nonlocal after
-                piece = text[1:end]
-                if not blocks.fullmatch(piece.translate(_ZEROS)):
-                    return False
-                numbers = "[%s]" % piece.translate(None, _STRUCTURE).decode()
-                del piece
-                values = _parse_json(path, numbers)
-                del numbers
-                rows = np.fromiter(values, np.float64, len(values)).reshape(-1, m * m + 2)
-                del values
-                after = _scatter(tensor, rows[:, :2], rows[:, 2:], str, after)
-                return True
+        def scatter(end):
+            """Scatter the blocks from text[1] to `end`, where a block ends;
+            False if they fail a check."""
+            nonlocal after
+            piece = text[1:end]
+            if not blocks.fullmatch(piece.translate(_ZEROS)):
+                return False
+            numbers = "[%s]" % piece.translate(None, _STRUCTURE).decode()
+            del piece
+            values = _parse_json("a game's piece", numbers)
+            del numbers
+            rows = np.fromiter(values, np.float64, len(values)).reshape(-1, m * m + 2)
+            del values
+            after = _scatter(tensor, rows[:, :2], rows[:, 2:], str, after)
+            return True
 
-            # From the block list's "[" on, a quarter piece at a time.
-            fh.seek(match.end() - 1)
-            del head, match
-            text = bytearray()
-            while chunk := fh.read(_PIECE // 4):
-                text += chunk
-                del chunk
-                cut = text.rfind(_BLOCK_END) + 3
-                if cut > 2:
-                    if not scatter(cut):
-                        return None
-                    text = text[cut:]
+        # From the block list's "[" on, a quarter piece at a time.
+        fh.seek(match.end() - 1)
+        del head, match
+        text = bytearray()
+        while chunk := fh.read(_PIECE // 4):
+            text += chunk
+            del chunk
+            cut = text.rfind(_BLOCK_END) + 3
+            if cut > 2:
+                if not scatter(cut):
+                    return None
+                text = text[cut:]
         end = text.rfind(b"]]}]") + 3
         if end < 3 or text[end:] != tail or not scatter(end):
             return None
         return PolymatrixGame(n=n, m=m, lam=lam, operator=operator)
-    except (OSError, UnicodeDecodeError, KeyError, OverflowError, UsageError):
+    except (UnicodeDecodeError, KeyError, OverflowError, UsageError):
         return None
-
-
-def _parse_game(path, text):
-    """A game document parsed from its text, the reader's buffer, and the
-    pairs of each object whose keys repeat, by the id of its dict (see
-    _taker)."""
-    values, repeats = array("d"), {}
-    # Every boolean ("true", "false") holds a "u" or an "f", and no number
-    # or key of the format does.
-    take = _taker(values, repeats, typed="u" in text or "f" in text)
-    return _parse_json(path, text, take), values, repeats
-
-
-def _taker(values, repeats, typed):
-    """The object hook of the game reader, which fills `values` and
-    `repeats`.
-
-    It takes each object written as game_to_json writes a block ("i", "ip"
-    and "matrix", in that order), with int indices and k lists of k
-    numbers, k >= 1 and the same for all: it appends the record (the
-    entries row by row, then i, ip and k) to the float64 buffer `values`
-    and leaves _TAKEN in its place, so no Python object per block outlives
-    the parse.  Another object with "i", "ip" and a k x k matrix of numbers
-    becomes a _Block, any other a dict; one whose keys repeat has its pairs
-    kept in `repeats`.  array.fromlist would take a boolean as 1.0 or 0.0,
-    so a row's types are checked only if `typed` says the text may hold
-    one."""
-    add_row = values.fromlist
-
-    def take(pairs):
-        start = len(values)
-        keyed = len(pairs) == 3
-        if keyed:
-            (a, i), (b, ip), (c, matrix) = pairs
-            keyed = a == "i" and b == "ip" and c == "matrix"
-        if not keyed:
-            fields = dict(pairs)
-            matrix = fields.get("matrix") if "i" in fields and "ip" in fields else None
-        try:
-            k = len(matrix)
-            for row in matrix:
-                # Refused like what fromlist refuses: a non-list, a non-number.
-                if len(row) != k or typed and not _all_numbers(row):
-                    raise TypeError
-                add_row(row)
-        except (TypeError, OverflowError):
-            k = 0
-        # One k for all records; indices a float64 holds exactly, not negative.
-        if keyed and k and type(i) is int is type(ip) and not (i | ip) >> 53 and (
-            not start or values[start - 1] == k
-        ):
-            add_row([i, ip, k])
-            return _TAKEN
-        del values[start:]
-        parsed = (_Block if k else dict)(pairs)
-        if len(parsed) < len(pairs):
-            repeats[id(parsed)] = pairs
-        return parsed
-
-    return take
 
 
 def save_game(game, path):

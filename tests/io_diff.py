@@ -18,8 +18,11 @@ families at n in {2, 9, 40} and m in {2, 3, 8}, written by the reference
 writer in `tests/helpers.py`; one n = 60, m = 8 game written by
 `save_game`, a file of more than three of `load_game`'s pieces; three
 compact files of one byte under, at and over `load_game`'s piece size
-(`_PIECE`), the size above which it reads a file in pieces; and the
-hand-made documents of `HANDMADE`.
+(`_PIECE`), where the first and last `_PIECE` bytes, in which the
+pieces look for the document's head and tail, stop being the whole file;
+one n = 129, m = 2 game whose blocks' keys come in another order, read
+whole, with more entries than the blocks `_SCATTER` puts in the operator
+at a time; and the hand-made documents of `HANDMADE`.
 Not collected by pytest.
 """
 
@@ -97,6 +100,11 @@ def write_corpus(out):
         text = canonical_bytes({**document, "note": "x" * pad})
         assert len(text) == size, f"the game's text is over {size} bytes"
         (out / "generated" / f"piece-boundary-{size}.json").write_bytes(text)
+    reordered = game_to_json(generate(GeneratorSpec(n=129, m=2, lam=1 / 129, seed=1)))
+    reordered["beta"] = [
+        {"matrix": b["matrix"], "i": b["i"], "ip": b["ip"]} for b in reordered["beta"]
+    ]
+    (out / "generated" / "reordered-keys-129-2.json").write_text(json.dumps(reordered))
     for name, text in HANDMADE.items():
         (out / "handmade" / f"{name}.json").write_text(text)
 

@@ -611,6 +611,10 @@ _INNER_BLOCK = {"i": 1, "ip": 3, "matrix": [[0, 0], [0, 0]]}
 STRAY_BLOCK_GAMES = {
     "block-as-n": ({"n": _STRAY_BLOCK}, "player count must be a number, got block (1, 2)"),
     "block-as-lambda": ({"lambda": _STRAY_BLOCK}, "lambda must be a number, got block (1, 2)"),
+    "block-with-an-entry-too-large-for-a-float-as-n": (
+        {"n": {"i": 1, "ip": 2, "matrix": [[10**400]]}},
+        "player count must be a number, got block (1, 2)",
+    ),
     "block-in-a-matrix-row": (
         {"beta": [{"i": 1, "ip": 2, "matrix": [[{"i": 1, "ip": 3, "matrix": [[0]]}, 0], [0, 0]]}]},
         "malformed game JSON: block (1, 3) is not a number",
@@ -653,7 +657,30 @@ def test_load_game_is_bit_identical_to_game_from_json(tmp_path, n, m, seed):
     expected = read_outcome(reference_game_from_json, document)
     assert expected[0] == "game"
     assert read_outcome(load_game, str(path)) == expected
-    assert read_outcome(game_from_json, document) == expected
+    # The document's compact dump is read in pieces, never whole.
+    with mock.patch.object(lippoly.game, "_build_game") as whole:
+        assert read_outcome(game_from_json, document) == expected
+    assert not whole.called
+
+
+@pytest.mark.parametrize("n, m", [(129, 2), (40, 8)])
+def test_a_large_game_with_reordered_block_keys_reads_as_its_canonical_file(tmp_path, n, m):
+    # Keys in another order send the blocks through the whole-text reader,
+    # which scatters them a chunk of blocks at a time; both games have
+    # more entries than a chunk has blocks.
+    game = random_game(n, m, 1 / n, 1)
+    canonical = tmp_path / "canonical.json"
+    save_game(game, str(canonical))
+    document = game_to_json(game)
+    document["beta"] = [
+        {"matrix": b["matrix"], "i": b["i"], "ip": b["ip"]} for b in document["beta"]
+    ]
+    assert len(document["beta"]) * m * m > lippoly.game._SCATTER
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(document))
+    expected = game_digest(load_game(str(canonical)))
+    assert game_digest(load_game(str(path))) == expected
+    assert game_digest(game_from_json(json.loads(path.read_text()))) == expected
 
 
 # What a mutation may put in place of an index, an entry or a size.
@@ -754,8 +781,7 @@ def test_load_game_parses_its_text_once(tmp_path):
 
 # Piece sizes small enough that blocks straddle the cuts; the smaller is
 # just over the head of a document written with "n", "m" and "lambda"
-# first.  Every file below is smaller than the reader's own piece, so
-# load_game unpatched reads it whole.
+# first.
 PIECES = [48, 256]
 COMPACT = (",", ":")
 
@@ -763,11 +789,17 @@ COMPACT = (",", ":")
 def read_in_pieces(path, piece):
     """load_game's outcome on `path` with pieces of `piece` bytes, and
     whether the pieces gave it (the whole text was never read)."""
-    assert path.stat().st_size <= lippoly.game._PIECE
     with mock.patch.object(lippoly.game, "_PIECE", piece), \
             mock.patch.object(lippoly.game, "_read_text", wraps=lippoly.game._read_text) as whole:
         got = read_outcome(load_game, str(path))
     return got, not whole.called
+
+
+def read_whole(path):
+    """load_game's outcome on `path` with the piece reader declining, so
+    that the whole-text reader gives it."""
+    with mock.patch.object(lippoly.game, "_read_pieces", lambda fh: None):
+        return read_outcome(load_game, str(path))
 
 
 @pytest.mark.parametrize("piece", PIECES)
@@ -786,7 +818,7 @@ def test_load_game_reads_compact_games_in_pieces_as_whole(tmp_path, piece, n, m,
         path.write_bytes(text)
         got, in_pieces = read_in_pieces(path, piece)
         assert got[0] == "game" and in_pieces
-        assert got == read_outcome(load_game, str(path))
+        assert got == read_whole(path)
 
 
 def _compact_text(pairs):
@@ -812,8 +844,9 @@ def _blocks_with_entry(value, at=len(_BLOCKS) // 2, key="matrix"):
 
 
 def _block_of_records():
-    """A 5 x 5 block (6, 4) whose record, the 25 entries, 6, 4 and 5, cut
-    into records of an m = 2 game, reads as blocks (6, 1) to (6, 4)."""
+    """A 5 x 5 block (6, 4) whose 25 entries followed by 6, 4 and 5, cut
+    into runs of seven numbers as an m = 2 game's blocks would be (four
+    entries, then i, ip and 2), read as blocks (6, 1) to (6, 4)."""
     entries = [0.01] * 25
     for row, ip in enumerate((1, 2, 3)):
         entries[7 * row + 4:7 * row + 6] = [6, ip]
@@ -824,8 +857,8 @@ def _block_of_records():
 # does: markers in strings, repeated keys, entries it declines, damage in a
 # late piece, a pair in two pieces or out of row-major order, a tail that
 # does not fit in the last piece, a byte that is not UTF-8, and spacing;
-# numbers JSON refuses, indices the reader's hook declines, and blocks the
-# skeleton of m x m entries does not match.
+# numbers JSON refuses, indices the whole-text reader refuses or reads as
+# integers, and blocks the skeleton of m x m entries does not match.
 _VALID = _compact_text([("beta", _BLOCKS), *_SIZES])
 
 
@@ -921,7 +954,7 @@ def test_load_game_reads_odd_compact_documents_in_pieces_as_whole(tmp_path, piec
     path = tmp_path / "game.json"
     path.write_bytes(ODD_COMPACT[name])
     got, in_pieces = read_in_pieces(path, piece)
-    assert got == read_outcome(load_game, str(path))
+    assert got == read_whole(path)
     declined = ("spaced", "blocks-out-of-order", "tail-past-the-last-piece", "space-in-a-block")
     if name in declined:
         assert got[0] == "game" and not in_pieces
@@ -932,7 +965,7 @@ def test_load_game_reads_a_size_too_large_for_a_float_in_pieces_as_whole(tmp_pat
     # sits in the last piece and its sizes are checked there.
     path = tmp_path / "game.json"
     path.write_bytes(_compact_text([("beta", _BLOCKS), *_SIZES[:2], ("n", 10**400)]).encode())
-    got = read_outcome(load_game, str(path))
+    got = read_whole(path)
     assert got == ("UsageError", "malformed game JSON: int too large to convert to float")
     assert read_in_pieces(path, 1024) == (got, False)
 
@@ -961,7 +994,7 @@ def test_load_game_refuses_an_oversize_game_before_reading_its_pieces(tmp_path):
 def test_load_game_reads_compact_mutated_documents_in_pieces_as_whole(tmp_path_factory, text, piece):
     path = tmp_path_factory.getbasetemp() / "mutated-compact-game.json"
     path.write_text(text)
-    assert read_in_pieces(path, piece)[0] == read_outcome(load_game, str(path))
+    assert read_in_pieces(path, piece)[0] == read_whole(path)
 
 
 # A document nested deeper than the parser goes, and one cut short.
@@ -1014,8 +1047,8 @@ def save_sizes_first(game, path):
 
 def test_load_game_peak_stays_within_a_few_pieces(tmp_path):
     # A file over one piece is read a piece at a time, each scattered into
-    # the operator, so beside the operator the load holds a piece's bytes
-    # and its text (or its text and its records), however large the file;
+    # the operator, so beside the operator the load holds a piece's bytes,
+    # its text and its numbers, however large the file;
     # 64 KiB is for a block on either side of a cut and the reader's own
     # objects.  Its whole text would be twice the file.  Both key orders:
     # save_game's ("beta" first) and perfbench's ("n", "m", "lambda" first).
@@ -1044,7 +1077,7 @@ def test_load_game_in_pieces_peaks_no_higher_than_whole_just_over_a_piece(tmp_pa
     save_sizes_first(generate(GeneratorSpec(40, 3, 1 / 40, seed=1)), path)
     assert lippoly.game._PIECE < path.stat().st_size < 1.1 * lippoly.game._PIECE
     peaks = {}
-    for way, read_pieces in (("pieces", lippoly.game._read_pieces), ("whole", lambda path: None)):
+    for way, read_pieces in (("pieces", lippoly.game._read_pieces), ("whole", lambda fh: None)):
         with mock.patch.object(lippoly.game, "_read_pieces", read_pieces):
             load_game(str(path))  # once first, so that no first-call cache counts
             tracemalloc.start()
