@@ -789,8 +789,9 @@ def _read_pieces(fh):
     leaves the parser in the top-level "beta" list, outside any string,
     where a block starts.  From there the file is read a quarter piece at
     a time (a list of numbers takes about three times their text), and the
-    text read so far is cut into a piece at its last _BLOCK_END, the last
-    piece at the last "]]}]".  A piece must match _blocks_pattern(m) once
+    text read so far is cut into a piece at its last _BLOCK_END, except
+    after the read that reaches the end of the file: the last piece runs
+    to the last "]]}]".  A piece must match _blocks_pattern(m) once
     _ZEROS is applied; with _STRUCTURE deleted it is then one JSON list of
     numbers, whose grammar the parser checks ("01", ".5", "1." and "+1"
     raise).  The numbers, as float64, go through _scatter, which holds each
@@ -803,7 +804,8 @@ def _read_pieces(fh):
     order or failing a check, and a game the constructor refuses.
     """
     try:
-        fh.seek(max(0, fh.seek(0, os.SEEK_END) - _PIECE))
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(0, size - _PIECE))
         tail = fh.read()
         end = tail.rfind(b"]]}]") + 3
         tail = tail[end:] if end > 2 and _TAIL.fullmatch(tail, end) else b""
@@ -848,7 +850,7 @@ def _read_pieces(fh):
             text += chunk
             del chunk
             cut = text.rfind(_BLOCK_END) + 3
-            if cut > 2:
+            if cut > 2 and fh.tell() < size:
                 if not scatter(cut):
                     return None
                 text = text[cut:]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import UsageError
 from ..game import MixedProfile, _choice, payoffs, profile_to_json
 from ..game import regret_report  # noqa: F401 (not called; perfbench/spans.py wraps it here)
 from .binary import ane_to_wsne_binary, purify_rounding_binary
@@ -106,10 +107,15 @@ def replay(trace, game):
     on its chosen action (a binary player with no coefficient was already
     pure) and adds additions[k] to the membership mask.  m-action payoffs
     come from the kernel `payoffs` and the statistics from the sweep's own
-    `_set_stats`, so they equal what the sweep computed.
+    `_set_stats`, so they equal what the sweep computed.  A game other
+    than the swept one (a lifted trace needs `induce`) raises UsageError.
     """
     binary = trace.pipeline == "binary"
     n, m = game.n, game.m
+    if (len(trace.order), trace.wsne_profile.m) != (n, m):
+        raise UsageError(f"a trace of {len(trace.order)} players with {trace.wsne_profile.m} "
+                         f"actions replays only against its own game, not one of {n} players "
+                         f"with {m} actions; for a lifted trace pass induce(game, L)")
     P = trace.wsne_profile.probs.copy()
     member = np.zeros(n if binary else (n, m), dtype=bool)
     out = SweepReplay()

@@ -109,14 +109,20 @@ def purify_rounding_binary(game, wsne, order=None, L=1):
     trace.thresholds["delta"] = None
 
     p = wsne.probs[:, 1].tolist()
-    sweep = _Sweep(game, U[:, 1] - U[:, 0], order, L, consts, trace)
+    sweep = _Sweep(U[:, 1] - U[:, 0], order, L, consts, trace)
     pops = np.asarray(order, dtype=np.intp) // L
     edges = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1).tolist(), len(order)]
     for start, end in zip(edges[:-1], edges[1:]):
         i = int(pops[start])
         p_i = p[i]
         if p_i == 0.0 or p_i == 1.0:
-            sweep.keep(end - start, int(p_i))
+            # Already-pure replicas: nothing moves.
+            count = end - start
+            trace.coefficients.extend([None] * count)
+            trace.chosen_actions.extend([int(p_i)] * count)
+            trace.additions.extend([NO_ADDITIONS] * count)
+            trace.potentials.extend([sweep.cost] * count)
+            sweep.worst = max(sweep.worst, 0.0)
             continue
         _, ell = sweep_step(game, sweep.d, p_i, i, L)
         k = start
@@ -140,8 +146,8 @@ class _Sweep:
     less the entry allowance of the replicas that joined).
     """
 
-    def __init__(self, game, d, order, L, consts, trace):
-        self.game, self.order, self.L, self.trace = game, order, L, trace
+    def __init__(self, d, order, L, consts, trace):
+        self.order, self.L, self.trace = order, L, trace
         self.bound = consts["support"]
         self.entry_cap = consts["entry_cost"]
         self.step_cap = consts["step_cost_increase"]
@@ -151,22 +157,6 @@ class _Sweep:
         self.worst = -math.inf
         trace.additions.append(lifted_indices(S, L))
         trace.potentials.append(self.cost)
-
-    def _breach(self, k, excess):
-        # The first step past the allowance; record_bound raises naming it.
-        record_bound(
-            self.trace, "step_cost_increase", excess, self.step_cap,
-            context=f"player {self.order[k]}",
-        )
-
-    def keep(self, count, bit):
-        """Log `count` steps of already-pure replicas: nothing moves."""
-        trace = self.trace
-        trace.coefficients.extend([None] * count)
-        trace.chosen_actions.extend([bit] * count)
-        trace.additions.extend([NO_ADDITIONS] * count)
-        trace.potentials.extend([self.cost] * count)
-        self.worst = max(self.worst, 0.0)
 
     def glide(self, k, end, i, p_i, ell):
         """One segment of a run of population i: steps k .. end - 1 on
@@ -181,10 +171,11 @@ class _Sweep:
         every step) the tie rule reads d[i], which the zero self block
         keeps at d0[i] along the run.  An outside player j joins once
         d0[j] + t*ell[j] reaches the support bound, at a t computed here
-        once.  The step that gets there is decided like any other; only
-        then are the vectors touched: d is rebuilt from t, the new members
-        join S, and the step's cost is L*d[S].d[S] less their entry
-        allowance.  Otherwise d is rebuilt from t at the end of the run.
+        once.  Every step is decided the same way; only a step that leaves
+        (t_low, t_high) touches the vectors: d is rebuilt from t, the new
+        members join S, the step's cost is L*d[S].d[S] less their entry
+        allowance, and the segment ends.  Otherwise d is rebuilt from t at
+        the end of the run.
         """
         L, d0, S = self.L, self.d, self.S
         ell_S = ell[S]
@@ -213,6 +204,7 @@ class _Sweep:
         log_bit = trace.chosen_actions.append
         log_added = trace.additions.append
         log_cost = trace.potentials.append
+        added = NO_ADDITIONS
         while k < end:
             x = x0 + t
             if x > 0.0:
@@ -222,40 +214,37 @@ class _Sweep:
             else:
                 # Free choice; take the regret-minimizing bit.
                 bit, x = tie_bit, 0.0
-            t_next = t + (bit - p_i)
-            if not t_low < t_next < t_high:
-                break
-            t = t_next
-            new_cost = L * (q + t * (2.0 * g + t * h))
-            excess = new_cost - cost
+            t += bit - p_i
+            if t_low < t < t_high:
+                new_cost = L * (q + t * (2.0 * g + t * h))
+                excess = new_cost - cost
+            else:
+                # Step k brings an outside population to the support bound,
+                # and the segment ends with it.
+                end = k + 1
+                self.d = d = d0 + t * ell
+                new_members = (np.abs(d) <= self.bound) & ~S
+                joined = int(new_members.sum())
+                self.S = S = S | new_members
+                new_cost = L * float(d[S] @ d[S])
+                excess = new_cost - cost - self.entry_cap * (joined * L)
+                if joined:
+                    added = lifted_indices(new_members, L)
             cost = new_cost
             if excess > worst:
                 worst = excess
                 if excess > limit:
-                    self._breach(k, excess)
+                    # The first step past the allowance; record_bound raises.
+                    record_bound(
+                        trace, "step_cost_increase", excess, self.step_cap,
+                        context=f"player {self.order[k]}",
+                    )
             log_A(two_Lh * x)
             log_bit(bit)
-            log_added(NO_ADDITIONS)
+            log_added(added)
             log_cost(cost)
             k += 1
         self.cost, self.worst = cost, worst
-        if k == end:
+        if self.d is d0:  # no step grew the set
             self.d = d0 + t * ell
-            return k
-
-        # Step k brings an outside population to the support bound.
-        self.d = d = d0 + t_next * ell
-        new_members = (np.abs(d) <= self.bound) & ~S
-        joined = int(new_members.sum())
-        self.S = S = S | new_members
-        self.cost = new_cost = L * float(d[S] @ d[S])
-        excess = new_cost - cost - self.entry_cap * (joined * L)
-        if excess > worst:
-            self.worst = excess
-            if excess > limit:
-                self._breach(k, excess)
-        log_A(two_Lh * x)
-        log_bit(bit)
-        log_added(lifted_indices(new_members, L) if joined else NO_ADDITIONS)
-        log_cost(new_cost)
-        return k + 1
+        return k

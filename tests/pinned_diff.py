@@ -5,8 +5,11 @@
 OLD and NEW are the roots of two lippoly checkouts.  In each, one
 subprocess rebuilds every pinned run with that checkout's own `src/` and
 `tests/`: the record ensembles of `tests/test_record_bytes.py`
-(`report.to_json()`) and the trace goldens of `tests/test_trace.py`
-(`trace_to_json`).  For every run this prints both SHA-256 digests, each
+(`report.to_json()`), the trace goldens of `tests/test_trace.py`
+(`trace_to_json`) and the command-line calls of `tests/test_cli_bytes.py`
+(`CORPUS`, run in a temporary directory: the exit code, stdout, stderr
+and every file written, with the directory as `<dir>` and JSON text
+parsed).  For every run this prints both SHA-256 digests, each
 difference that is not a float (a type, a string, an integer, a key, a
 list length), and, per field path with list indices folded to `[]`, the
 largest relative change |a - b| / max(|a|, |b|) of a float that moved and
@@ -14,10 +17,13 @@ the range of its moved values in NEW.
 Exits 1 when any non-float field differs.  Not collected by pytest.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -37,10 +43,49 @@ def dump(root):
     for shape, detail in sorted(GOLDEN):
         game, trace = solved_trace(*shape)
         runs[f"trace {shape} {detail}"] = canonical_bytes(trace_to_json(trace, game, detail))
+    for name, call in cli_calls():
+        runs[f"cli {name}"] = canonical_bytes(call)
     return {
         name: (hashlib.sha256(data).hexdigest(), json.loads(data))
         for name, data in runs.items()
     }
+
+
+def cli_calls():
+    """Each call of the command-line corpus, run in-process in a temporary
+    directory that holds the corpus's games and profiles, as (name, call)."""
+    from lippoly.harness.cli import main
+    from test_cli_bytes import CORPUS, GAMES, PROFILES, _files
+
+    with tempfile.TemporaryDirectory() as where, contextlib.chdir(where):
+        for name, doc in {**GAMES, **PROFILES}.items():
+            Path(name).write_text(json.dumps(doc))
+        for name, line in CORPUS:
+            before = _files(Path(where))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(line.split())
+            written = {k: v for k, v in _files(Path(where)).items() if before.get(k) != v}
+            yield name, {
+                "exit_code": code,
+                "stdout": parsed(out.getvalue(), where),
+                "stderr": parsed(err.getvalue(), where),
+                "files": {k: parsed(v.decode(), where) for k, v in written.items()},
+            }
+
+
+def parsed(text, where):
+    """`text` with the directory `where` as `<dir>`, parsed when it is one
+    JSON document or one per line, else as it is."""
+    text = text.replace(where, "<dir>")
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    try:
+        return [json.loads(line) for line in text.splitlines()] or text
+    except ValueError:
+        return text
 
 
 def rebuild(root):

@@ -821,6 +821,44 @@ def test_load_game_reads_compact_games_in_pieces_as_whole(tmp_path, piece, n, m,
         assert got == read_whole(path)
 
 
+def scatter_calls(path):
+    """load_game's game on `path` and the block count of each _scatter call."""
+    calls = []
+    scatter = lippoly.game._scatter
+
+    def counted(tensor, named, *args):
+        calls.append(len(named))
+        return scatter(tensor, named, *args)
+
+    with mock.patch.object(lippoly.game, "_scatter", counted):
+        game = load_game(str(path))
+    return game, calls
+
+
+def test_load_game_scatters_a_block_list_read_in_one_read_in_one_call(tmp_path):
+    # 684 bytes: the six blocks arrive in the first quarter-piece read.
+    game, path = random_game(3, 2, 0.3, 1), tmp_path / "game.json"
+    save_game(game, str(path))
+    loaded, calls = scatter_calls(path)
+    assert calls == [6]
+    assert game_digest(loaded) == game_digest(game)
+
+
+def test_load_game_scatters_one_piece_per_quarter_piece_read(tmp_path):
+    # 1 KiB reads hold several blocks each, so every read but the last is
+    # cut at its last block end, and the last read ends the last piece.
+    game, path = random_game(9, 2, 0.2, 1), tmp_path / "game.json"
+    save_game(game, str(path))
+    text, piece = path.read_bytes(), 4096
+    blocks_from = text.index(b'"beta":[') + len(b'"beta":')
+    reads = -(-(len(text) - blocks_from) // (piece // 4))
+    with mock.patch.object(lippoly.game, "_PIECE", piece):
+        loaded, calls = scatter_calls(path)
+    assert len(calls) == reads > 3
+    assert sum(calls) == len(game_to_json(game)["beta"])
+    assert game_digest(loaded) == game_digest(game)
+
+
 def _compact_text(pairs):
     """A game document's compact text from (key, value) pairs; keys may repeat."""
     return "{" + ",".join(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     coordination_game,
+    cycle_game,
     growing_set_game,
     lifted_payoff_oracle,
     matching_pennies_game,
@@ -37,6 +38,7 @@ from lippoly import (
     reduce_and_solve,
     regret_report,
     solve_mixed,
+    trace_to_json,
 )
 from lippoly.game import payoff_matrix
 from lippoly.harness.pipeline import run_instance
@@ -333,3 +335,23 @@ def test_reduce_rejects_bad_epsilon():
     for epsilon in (0.0, math.nan, math.inf, 10**400):
         with pytest.raises(UsageError):
             reduce_and_solve(zero_game(), epsilon=epsilon, L=2)
+
+
+def test_a_lifted_trace_replays_against_the_lift_not_the_base_game():
+    # The trace of a purification at L is over the lift's n*L players, so
+    # its full detail needs induce(base, L); against the base game it is
+    # refused naming both player counts, and its potentials need no replay.
+    base, L = cycle_game(3, 0.3), 20
+    config = SolverConfig(target_epsilon=default_target_epsilon(base, L=L))
+    _, trace = purify(base, solve_mixed(base, config).profile, L=L)
+    with pytest.raises(UsageError, match=r"60 players with 2 actions .* 3 players .*induce\(game, L\)"):
+        trace_to_json(trace, base, "full")
+    assert len(trace_to_json(trace, base, "potentials")["steps"]) == base.n * L + 1
+    assert len(trace_to_json(trace, induce(base, L), "full")["steps"]) == base.n * L + 1
+
+
+def test_a_trace_replays_only_against_a_game_of_its_action_count():
+    # The cycle's only equilibrium plays 1/2 everywhere.
+    _, trace = purify(cycle_game(3, 0.3), MixedProfile(np.full((3, 2), 0.5)))
+    with pytest.raises(UsageError, match=r"3 players with 2 actions .* 3 players with 3 actions"):
+        trace_to_json(trace, random_game(3, 3, 0.3, 5), "full")
